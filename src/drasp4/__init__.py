@@ -19,8 +19,8 @@ from .sp4 import (ALPHA, BETA, BETA_A, BETA_2A, CONVEX_ORDER,
                   lie_bracket, osc, tau)
 from .ambient import AmbientElem, ad_e, amb_theta, red
 from .dra import (DraElem, NormalizedGens, PresentationTable, apply_p,
-                  apply_p_root, diamond, diamond_commutator, dra_theta,
-                  h_form, normalized_gens, presentation)
+                  apply_p_root, diamond, diamond_commutator, diamond_product,
+                  dra_theta, h_form, normalized_gens, presentation)
 from .gwa import (BasePoly, GwaAlgebra, GwaElem, GwaRealization,
                   SkewAffineSigma, reduction_gwa, weyl_gwa, weyl_gwa_image)
 from .parser import ParseError, evaluate, parse
@@ -35,7 +35,7 @@ __all__ = [
     "NormalizedGens", "POS_ROOTS", "ParseError", "Poly2",
     "PresentationTable", "RatFunc", "SkewAffineSigma", "UNDEFINED",
     "WeylElem", "ad_e", "amb_theta", "apply_p", "apply_p_root", "decompose",
-    "diamond", "diamond_commutator", "dra_theta", "evaluate", "h_form",
+    "diamond", "diamond_commutator", "diamond_product", "dra_theta", "evaluate", "h_form",
     "lie_bracket", "normalized_gens", "osc", "parse", "presentation",
     "red", "reduction_gwa", "rf_affine", "tau", "vartheta", "verify",
     "weyl_gwa", "weyl_gwa_image", "__version__",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, rf_json, rf_latex,
                       rf_str)
+from .sparse import SparseTerms, add_into
 from .weyl import WeylElem
 from . import sp4
 
@@ -141,11 +142,7 @@ def _norm_word(word: tuple) -> dict:
         _NORM_CACHE[word] = result
         return result
     i = inv
-    out = {}
-    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-    for m, c in _norm_word(swapped).items():
-        s = out.get(m)
-        out[m] = c if s is None else s + c
+    out = dict(_norm_word(word[:i] + (word[i + 1], word[i]) + word[i + 2:]))
     entries = BRACKET[word[i]][word[i + 1]]
     if entries:
         wa = wb = 0
@@ -157,36 +154,16 @@ def _norm_word(word: tuple) -> dict:
         head = word[:i]
         for ins, cb in entries:
             coeff = cb.shift(-wa, -wb) if (wa or wb) else cb
-            for m, c in _norm_word(head + ins + tail).items():
-                v = coeff * c
-                if not v:
-                    continue
-                s = out.get(m)
-                if s is None:
-                    out[m] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-    out = {m: c for m, c in out.items() if c}
+            add_into(out, ((m, coeff * c)
+                           for m, c in _norm_word(head + ins + tail).items()))
     _NORM_CACHE[word] = out
     return out
 
 
-class AmbientElem:
+class AmbientElem(SparseTerms):
     """Left combination of PBW monomials over the dynamical scalars."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {} if terms is None else {m: c for m, c in terms.items() if c}
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AmbientElem is immutable")
+    __slots__ = ()
 
     @staticmethod
     def gen(name: str) -> "AmbientElem":
@@ -206,44 +183,6 @@ class AmbientElem:
             exps = (0, 0, 0, 0, a, b, c, d, 0, 0, 0, 0)
             out[exps] = RatFunc.const(coeff)
         return AmbientElem(out)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AmbientElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return AmbientElem(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AmbientElem({m: -c for m, c in self.terms.items()})
 
     def scaled(self, c) -> "AmbientElem":
         """Left multiplication by a dynamical scalar."""
@@ -278,30 +217,10 @@ class AmbientElem:
                     continue
                 w2 = mono_word(m2)
                 if not w1 or not w2 or w1[-1] <= w2[0]:
-                    m = tuple(x + y for x, y in zip(m1, m2))
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = c
-                    else:
-                        s = s + c
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
-                    continue
-                for m, k in _norm_word(w1 + w2).items():
-                    v = c * k
-                    if not v:
-                        continue
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
+                    items = ((tuple(x + y for x, y in zip(m1, m2)), c),)
+                else:
+                    items = ((m, c * k) for m, k in _norm_word(w1 + w2).items())
+                add_into(out, items)
         return AmbientElem(out)
 
     def __rmul__(self, other):
@@ -388,10 +307,6 @@ def amb_theta(u: AmbientElem) -> AmbientElem:
 
 # -- rendering --
 
-def _sorted_monos(terms):
-    return sorted(terms, key=lambda m: (sum(m), m), reverse=True)
-
-
 def amb_mono_str(m, names=LETTERS, joiner=" ") -> str:
     parts = []
     for k in range(12):
@@ -412,7 +327,7 @@ def amb_str(u: AmbientElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         c = rf_str(u.terms[m])
         body = amb_mono_str(m)
         if body == "1":
@@ -426,7 +341,7 @@ def amb_latex(u: AmbientElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         c = rf_latex(u.terms[m])
         body = amb_mono_str(m, _LATEX_LETTERS, " ")
         if body == "1":
@@ -438,7 +353,7 @@ def amb_latex(u: AmbientElem) -> str:
 
 def amb_json(u: AmbientElem) -> list:
     rows = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         rows.append({"f": list(m[0:4]), "w": list(m[4:8]), "e": list(m[8:12]),
                      "coeff": rf_json(u.terms[m])})
     return rows

@@ -1,7 +1,8 @@
 """Command line driver.
 
 Exit codes: 0 on success (and all checks passing), 1 when a verification
-suite reports a failure, 2 on usage or parse errors.
+suite reports a failure or the engine hits a limit, 2 on usage or parse
+errors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 from .scalars import (DIVERGENT, UNDEFINED, RatFunc, gauss_str, rf_json,
                       rf_latex, rf_str)
 from .ambient import AmbientElem, amb_json, amb_latex, amb_str, amb_theta, red
-from .dra import DraElem, apply_p, diamond, dra_json, dra_latex, dra_str, dra_theta
+from .dra import (DraElem, TruncationError, apply_p, diamond, dra_json,
+                  dra_latex, dra_str, dra_theta)
 from .gwa import (BasePoly, GwaAlgebra, SkewAffineSigma, base_json, base_str,
                   reduction_gwa)
 from .parser import ParseError, evaluate
@@ -136,6 +138,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (RecursionError, TruncationError) as exc:
+        print(f"error: engine limit reached: {exc}", file=sys.stderr)
         return 1
 
 

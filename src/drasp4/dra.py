@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json, rf_str
+from .sparse import SparseTerms
 from .weyl import mono_str as weyl_mono_str
 from . import sp4
 from .ambient import (AmbientElem, ad_e, amb_latex, amb_theta, f_gen,
@@ -98,7 +99,9 @@ _P_CACHE: dict = {}
 def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -> AmbientElem:
     """Full projector on a coset representative, factored over the positive
     roots; the first root in `order` acts first."""
-    key = (v, order)
+    if margin is None:
+        margin = truncation_margin()
+    key = (v, order, margin)
     hit = _P_CACHE.get(key)
     if hit is not None:
         return hit
@@ -109,19 +112,11 @@ def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -
     return out
 
 
-class DraElem:
+class DraElem(SparseTerms):
     """Element of the reduction algebra: a left combination, over the
     dynamical scalars, of normal-ordered Weyl monomials d1^a d2^b x2^c x1^d."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {} if terms is None else {m: c for m, c in terms.items() if c}
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DraElem is immutable")
+    __slots__ = ()
 
     @staticmethod
     def gen(name: str) -> "DraElem":
@@ -147,44 +142,6 @@ class DraElem:
     def to_ambient(self) -> AmbientElem:
         return AmbientElem({(0, 0, 0, 0) + m + (0, 0, 0, 0): c
                             for m, c in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, DraElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return DraElem(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DraElem({m: -c for m, c in self.terms.items()})
 
     def scaled(self, c) -> "DraElem":
         f = c if isinstance(c, RatFunc) else RatFunc.const(c)
@@ -250,10 +207,17 @@ def diamond_commutator(u: DraElem, v: DraElem) -> DraElem:
     return diamond(u, v) - diamond(v, u)
 
 
-def diamond_power(u: DraElem, n: int) -> DraElem:
+def diamond_product(factors) -> DraElem:
+    """The ordered product f1 <> f2 <> ... <> fn of an iterable of factors,
+    as the left fold ((1 <> f1) <> f2) <> ... .
+
+    Each step projects only the next factor, which apply_p caches, so a
+    power of one generator projects it once; grouping the factors any
+    other way would project the partial products instead.
+    """
     out = DRA_ONE
-    for _ in range(n):
-        out = diamond(out, u)
+    for f in factors:
+        out = diamond(out, f)
     return out
 
 
@@ -324,15 +288,11 @@ def normalized_gens() -> NormalizedGens:
 
 # -- rendering --
 
-def _sorted_monos(terms):
-    return sorted(terms, key=lambda m: (sum(m), m), reverse=True)
-
-
 def dra_str(u: DraElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         c = rf_str(u.terms[m])
         body = weyl_mono_str(m)
         if body == "1":
@@ -348,7 +308,7 @@ def dra_latex(u: DraElem) -> str:
 
 def dra_json(u: DraElem) -> list:
     rows = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         rows.append({"w": list(m), "coeff": rf_json(u.terms[m])})
     return rows
 

@@ -13,6 +13,7 @@ eagerly through the defining contractions.
 from __future__ import annotations
 
 from .scalars import RF_ONE, RF_ZERO, RatFunc, rf_json, rf_str
+from .sparse import SparseTerms, add_into, power
 from .weyl import WeylElem
 from . import dra as _dra
 
@@ -21,19 +22,17 @@ from . import dra as _dra
 # ---------------------------------------------------------------------------
 
 
-class BasePoly:
+class BasePoly(SparseTerms):
     """Sparse polynomial in the central generators over RatFunc."""
 
-    __slots__ = ("rank", "terms", "_hash")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms=None):
-        t = {} if terms is None else {e: c for e, c in terms.items() if c}
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasePoly is immutable")
+    def _new(self, terms):
+        return BasePoly(self.rank, terms)
 
     @staticmethod
     def const(rank: int, c) -> "BasePoly":
@@ -45,12 +44,6 @@ class BasePoly:
         e = [0] * rank
         e[i - 1] = 1
         return BasePoly(rank, {tuple(e): RF_ONE})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def is_scalar(self):
         return not self.terms or (len(self.terms) == 1
@@ -64,36 +57,11 @@ class BasePoly:
         return self.terms[(0,) * self.rank]
 
     def __eq__(self, other):
-        if not isinstance(other, BasePoly):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        eq = SparseTerms.__eq__(self, other)
+        return eq if eq is NotImplemented else eq and self.rank == other.rank
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rank, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return BasePoly(self.rank, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BasePoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return hash((self.rank, SparseTerms.__hash__(self)))
 
     def scaled(self, c) -> "BasePoly":
         f = c if isinstance(c, RatFunc) else RatFunc.const(c)
@@ -106,21 +74,10 @@ class BasePoly:
             return self.scaled(other)
         if not isinstance(other, BasePoly):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = v
-                else:
-                    s = s + v
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return BasePoly(self.rank, out)
+        return BasePoly(self.rank, add_into(
+            {}, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                 for e1, c1 in self.terms.items()
+                 for e2, c2 in other.terms.items())))
 
     def __rmul__(self, other):
         if isinstance(other, RatFunc):
@@ -128,14 +85,7 @@ class BasePoly:
         return NotImplemented
 
     def __pow__(self, n: int):
-        result = BasePoly.const(self.rank, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, BasePoly.const(self.rank, 1))
 
     def map_coeffs(self, fn) -> "BasePoly":
         return BasePoly(self.rank, {e: fn(c) for e, c in self.terms.items()})
@@ -151,7 +101,7 @@ def base_str(b: BasePoly) -> str:
     if not b.terms:
         return "0"
     chunks = []
-    for e in sorted(b.terms, key=lambda e: (sum(e), e), reverse=True):
+    for e in b.sorted_keys():
         parts = []
         for k, p in enumerate(e):
             if p == 1:
@@ -166,7 +116,7 @@ def base_str(b: BasePoly) -> str:
 
 def base_json(b: BasePoly) -> list:
     return [{"t": list(e), "coeff": rf_json(b.terms[e])}
-            for e in sorted(b.terms, key=lambda e: (sum(e), e), reverse=True)]
+            for e in b.sorted_keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -364,57 +314,29 @@ class GwaAlgebra:
         return tuple(exps), coeff
 
 
-class GwaElem:
+class GwaElem(SparseTerms):
     """Left combination of signed-exponent monomials over the base ring."""
 
-    __slots__ = ("alg", "terms", "_hash")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: GwaAlgebra, terms=None):
-        t = {} if terms is None else {m: b for m, b in terms.items() if b}
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
+        super().__init__(terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GwaElem is immutable")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    def _new(self, terms):
+        return GwaElem(self.alg, terms)
 
     def __eq__(self, other):
-        if not isinstance(other, GwaElem):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        eq = SparseTerms.__eq__(self, other)
+        return eq if eq is NotImplemented else eq and self.alg is other.alg
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.alg), frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((id(self.alg), SparseTerms.__hash__(self)))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, b in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = b
-            else:
-                s = s + b
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return GwaElem(self.alg, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GwaElem(self.alg, {m: -b for m, b in self.terms.items()})
+    def sorted_keys(self) -> list:
+        """Signed exponents order by absolute degree, then by key."""
+        return sorted(self.terms, key=lambda m: (sum(abs(k) for k in m), m),
+                      reverse=True)
 
     def scaled(self, b) -> "GwaElem":
         if not isinstance(b, BasePoly):
@@ -427,22 +349,9 @@ class GwaElem:
         if self.alg is not other.alg:
             raise ValueError("elements of different algebras")
         alg = self.alg
-        out = {}
-        for m1, b1 in self.terms.items():
-            for m2, b2 in other.terms.items():
-                m, b = alg._term_mul(m1, b1, m2, b2)
-                if not b:
-                    continue
-                s = out.get(m)
-                if s is None:
-                    out[m] = b
-                else:
-                    s = s + b
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return GwaElem(alg, out)
+        return GwaElem(alg, add_into({}, (alg._term_mul(m1, b1, m2, b2)
+                                          for m1, b1 in self.terms.items()
+                                          for m2, b2 in other.terms.items())))
 
     def __pow__(self, n: int):
         result = self.alg.one()
@@ -461,8 +370,7 @@ def gwa_str(u: GwaElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in sorted(u.terms, key=lambda m: (sum(abs(k) for k in m), m),
-                    reverse=True):
+    for m in u.sorted_keys():
         parts = []
         for i, k in enumerate(m, start=1):
             if k > 0:
@@ -477,9 +385,7 @@ def gwa_str(u: GwaElem) -> str:
 
 def gwa_json(u: GwaElem) -> list:
     return [{"m": list(m), "coeff": base_json(u.terms[m])}
-            for m in sorted(u.terms,
-                            key=lambda m: (sum(abs(k) for k in m), m),
-                            reverse=True)]
+            for m in u.sorted_keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -530,32 +436,18 @@ class GwaRealization:
     def base_image(self, b: BasePoly) -> "_dra.DraElem":
         out = _dra.DraElem()
         for e, cf in b.terms.items():
-            img = self._t_power(e)
+            img = self._t_powers.get(e)
+            if img is None:
+                img = self._t_powers[e] = _dra.diamond_product(
+                    t for t, k in zip(self.t_img, e) for _ in range(k))
             out = out + img.scaled(cf)
         return out
 
-    def _t_power(self, e) -> "_dra.DraElem":
-        hit = self._t_powers.get(e)
-        if hit is not None:
-            return hit
-        out = _dra.DRA_ONE
-        for i, k in enumerate(e):
-            for _ in range(k):
-                out = _dra.diamond(out, self.t_img[i])
-        self._t_powers[e] = out
-        return out
-
     def monomial_image(self, m) -> "_dra.DraElem":
-        out = _dra.DRA_ONE
-        for i, k in enumerate(m):
-            if k < 0:
-                for _ in range(-k):
-                    out = _dra.diamond(out, self.d_hat[i])
-        for i, k in enumerate(m):
-            if k > 0:
-                for _ in range(k):
-                    out = _dra.diamond(out, self.x_hat[i])
-        return out
+        """Lowering factors first, then raising ones, each in index order."""
+        return _dra.diamond_product(
+            [y for y, k in zip(self.d_hat, m) for _ in range(-k)]
+            + [x for x, k in zip(self.x_hat, m) for _ in range(k)])
 
     def phi(self, u: GwaElem) -> "_dra.DraElem":
         out = _dra.DraElem()

@@ -64,11 +64,17 @@ def _tokenize(src: str):
 
 _ATOM_STARTERS = ("name", "int")
 
+# Parentheses and unary minus nest factors; each level costs a few stack
+# frames here and one in evaluation, so the depth is capped well below
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -118,19 +124,25 @@ class _Parser:
 
     def factor(self):
         kind, val, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING}",
+                             pos)
         if kind == "op" and val == "-":
             self.next()
-            return ("neg", self.factor())
-        node = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            ekind, eval_, epos = self.peek()
-            if ekind != "int":
-                raise ParseError("syntax error", epos,
-                                 ("non-negative integer exponent",))
-            self.next()
-            node = ("pow", node, eval_)
+            node = ("neg", self.factor())
+        else:
+            node = self.atom()
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "^":
+                self.next()
+                ekind, eval_, epos = self.peek()
+                if ekind != "int":
+                    raise ParseError("syntax error", epos,
+                                     ("non-negative integer exponent",))
+                self.next()
+                node = ("pow", node, eval_)
+        self.depth -= 1
         return node
 
     def atom(self):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-
 from math import gcd as _igcd
+
+from .sparse import SparseTerms, add_into, power
 
 
 class GaussRat:
@@ -92,9 +92,14 @@ class GaussRat:
         return (self._a == g._a and self._b == g._b and self._d == g._d)
 
     def __hash__(self):
+        # equal to int and Fraction, so real values hash like them
         h = self._hash
         if h is None:
-            h = hash((self._a, self._b, self._d))
+            a, b, d = self._a, self._b, self._d
+            if b:
+                h = hash((a, b, d))
+            else:
+                h = hash(a) if d == 1 else hash(Fraction(a, d))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -201,7 +206,7 @@ def gauss_json(c: GaussRat) -> list:
 # Sparse polynomials in the two Cartan coordinates.
 # ---------------------------------------------------------------------------
 
-class Poly2:
+class Poly2(SparseTerms):
     """Sparse polynomial in the coordinates (Ha, Hb) over GaussRat.
 
     Terms map exponent pairs to nonzero coefficients.  The leading term is
@@ -209,15 +214,7 @@ class Poly2:
     to leading coefficient 1.
     """
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {} if terms is None else {e: c for e, c in terms.items() if c}
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly2 is immutable")
+    __slots__ = ()
 
     # -- constructors --
 
@@ -232,9 +229,6 @@ class Poly2:
                       (0, 0): GaussRat(c0)})
 
     # -- predicates --
-
-    def is_zero(self):
-        return not self.terms
 
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
@@ -254,55 +248,7 @@ class Poly2:
             return -1
         return max(e[var] for e in self.terms)
 
-    # -- canonical comparisons --
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     # -- ring operations --
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly2(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = -c
-            else:
-                s = s - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Poly2(out)
-
-    def __neg__(self):
-        return Poly2({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
@@ -313,25 +259,12 @@ class Poly2:
             return NotImplemented
         if not self.terms or not other.terms:
             return P_ZERO
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return Poly2(out)
+        return Poly2(add_into({}, (((a1 + a2, b1 + b2), c1 * c2)
+                                   for (a1, b1), c1 in self.terms.items()
+                                   for (a2, b2), c2 in other.terms.items())))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, P_ONE)
 
     def scaled(self, c: GaussRat) -> "Poly2":
         return self * c
@@ -364,20 +297,17 @@ class Poly2:
         """Substitute Ha -> Ha + da, Hb -> Hb + db."""
         if da == 0 and db == 0:
             return self
-        out = {}
+        return Poly2(add_into({}, self._shift_terms(da, db)))
+
+    def _shift_terms(self, da: int, db: int):
         for (ea, eb), c in self.terms.items():
             for ia in range(ea + 1):
-                ca = c * (comb(ea, ia) * da ** (ea - ia))
-                if not ca:
-                    continue
-                for ib in range(eb + 1):
-                    cc = ca * (comb(eb, ib) * db ** (eb - ib))
-                    if not cc:
-                        continue
-                    e = (ia, ib)
-                    s = out.get(e)
-                    out[e] = cc if s is None else s + cc
-        return Poly2(out)
+                ka = comb(ea, ia) * da ** (ea - ia)
+                if ka:
+                    for ib in range(eb + 1):
+                        k = ka * comb(eb, ib) * db ** (eb - ib)
+                        if k:
+                            yield (ia, ib), c * k
 
     def eval_at(self, pa: GaussRat, pb: GaussRat) -> GaussRat:
         total = GR_ZERO
@@ -401,27 +331,17 @@ class Poly2:
         rem = dict(self.terms)
         ge = max(g.terms)
         gc = g.terms[ge]
-        gcinv = gc.inv()
+        neg_gcinv = -gc.inv()
         quot = {}
         while rem:
             le = max(rem)
             if le[0] < ge[0] or le[1] < ge[1]:
                 raise ArithmeticError("inexact polynomial division")
             qe = (le[0] - ge[0], le[1] - ge[1])
-            qc = rem[le] * gcinv
-            quot[qe] = qc
-            for e, c in g.terms.items():
-                t = (e[0] + qe[0], e[1] + qe[1])
-                s = rem.get(t)
-                val = qc * c
-                if s is None:
-                    rem[t] = -val
-                else:
-                    s = s - val
-                    if s:
-                        rem[t] = s
-                    else:
-                        del rem[t]
+            neg_qc = rem[le] * neg_gcinv
+            quot[qe] = -neg_qc
+            add_into(rem, (((e[0] + qe[0], e[1] + qe[1]), neg_qc * c)
+                           for e, c in g.terms.items()))
         return Poly2(quot)
 
     def __repr__(self):
@@ -461,7 +381,7 @@ def _term_str(e, c: GaussRat) -> str:
 def poly_str(p: Poly2) -> str:
     if not p.terms:
         return "0"
-    keys = sorted(p.terms, key=lambda e: (e[0] + e[1], e[0], e[1]), reverse=True)
+    keys = p.sorted_keys()
     out = _term_str(keys[0], p.terms[keys[0]])
     for e in keys[1:]:
         t = _term_str(e, p.terms[e])
@@ -471,7 +391,7 @@ def poly_str(p: Poly2) -> str:
 
 def poly_json(p: Poly2) -> list:
     rows = []
-    for e in sorted(p.terms, key=lambda e: (e[0] + e[1], e[0], e[1]), reverse=True):
+    for e in p.sorted_keys():
         c = p.terms[e]
         rows.append([e[0], e[1], _frac_str(c.re), _frac_str(c.im)])
     return rows
@@ -613,21 +533,10 @@ def _prem(a: dict, b: dict) -> dict:
     r = {k: v for k, v in a.items()}
     while r and max(r) >= db:
         dr = max(r)
-        lr = r[dr]
+        neg_lr = -r[dr]
         # r <- lb*r - lr*Ha^(dr-db)*b
-        new = {}
-        for k, v in r.items():
-            if k == dr:
-                continue
-            new[k] = v * lb
-        for k, v in b.items():
-            if k == db:
-                continue
-            t = k + dr - db
-            s = new.get(t)
-            val = lr * v
-            new[t] = -val if s is None else s - val
-        r = {k: v for k, v in new.items() if not v.is_zero()}
+        r = add_into({k: v * lb for k, v in r.items() if k != dr},
+                     ((k + dr - db, neg_lr * v) for k, v in b.items() if k != db))
     return r
 
 
@@ -643,16 +552,9 @@ def _sub_va(p: Poly2, k: int) -> Poly2:
     """Substitute Ha -> Ha + k*Hb (a ring automorphism)."""
     if k == 0:
         return p
-    out = {}
-    for (ea, eb), c in p.terms.items():
-        for i in range(ea + 1):
-            coeff = c * (comb(ea, i) * k ** (ea - i))
-            if not coeff:
-                continue
-            key = (i, eb + ea - i)
-            s = out.get(key)
-            out[key] = coeff if s is None else s + coeff
-    return Poly2(out)
+    return Poly2(add_into({}, (((i, eb + ea - i), c * (comb(ea, i) * k ** (ea - i)))
+                               for (ea, eb), c in p.terms.items()
+                               for i in range(ea + 1))))
 
 
 def _content_in(p: Poly2, var: int) -> dict:
@@ -902,9 +804,13 @@ class RatFunc:
         return self.num == g.num and self.den == g.den
 
     def __hash__(self):
+        # a constant equals its GaussRat value, so it hashes like it
         h = self._hash
         if h is None:
-            h = hash((self.num, self.den))
+            if self.is_const():
+                h = hash(self.num.const_value())
+            else:
+                h = hash((self.num, self.den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -1040,14 +946,7 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, RF_ONE)
 
     # -- substitution, evaluation, asymptotics --
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat
+from .sparse import add_into
 from .weyl import D1, D2, W_ONE, WeylElem, X1, X2, vartheta
 
 ALPHA = "a"
@@ -95,14 +96,8 @@ class LieElem:
         return hash((frozenset(self.coords.items()), self.const))
 
     def __add__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            s = out.get(k, GR_ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LieElem(out, self.const + other.const)
+        return LieElem(add_into(dict(self.coords), other.coords.items()),
+                       self.const + other.const)
 
     def __neg__(self):
         return LieElem({k: -v for k, v in self.coords.items()}, -self.const)

@@ -16,9 +16,9 @@ from .scalars import (GR_ONE, GR_ZERO, GaussRat, HA, HB, RF_ONE, RatFunc,
 from .weyl import WeylElem
 from . import sp4
 from .ambient import red
-from .dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, X1_BAR, X2_BAR,
-                  apply_p, diamond, diamond_commutator, dra_str, dra_theta,
-                  h_form, normalized_gens, presentation, weyl_word)
+from .dra import (D1_BAR, D2_BAR, DraElem, X1_BAR, X2_BAR, apply_p, diamond,
+                  diamond_commutator, diamond_product, h_form,
+                  normalized_gens, presentation, weyl_word)
 from . import gwa as _gwa
 
 
@@ -272,15 +272,6 @@ def suite_domain_sample(seed: int = DOMAIN_SEED, count: int = 100) -> Report:
 # monomial basis, with unit leading coefficients.
 # ---------------------------------------------------------------------------
 
-def basis_diamond_monomial(m) -> DraElem:
-    """The product d1^<>a <> d2^<>b <> x2^<>c <> x1^<>d of diamond powers."""
-    out = DRA_ONE
-    for gen, e in zip((D1_BAR, D2_BAR, X2_BAR, X1_BAR), m):
-        for _ in range(e):
-            out = diamond(out, gen)
-    return out
-
-
 def _is_triangular(elem: DraElem, lead, unit: bool) -> tuple:
     lc = elem.coeff(lead)
     if unit and lc != RF_ONE:
@@ -298,8 +289,10 @@ def suite_triangular(maxdeg: int = 3) -> Report:
     rep = Report("triangular")
     monos = sorted(m for m in iproduct(range(maxdeg + 1), repeat=4)
                    if sum(m) <= maxdeg)
+    gens = (D1_BAR, D2_BAR, X2_BAR, X1_BAR)
     for m in monos:
-        elem = basis_diamond_monomial(m)
+        # d1^<>a <> d2^<>b <> x2^<>c <> x1^<>d
+        elem = diamond_product(g for g, e in zip(gens, m) for _ in range(e))
         ok, why = _is_triangular(elem, m, unit=True)
         rep.add_flag("tri." + "".join(map(str, m)), ok, why)
     return rep
@@ -429,12 +422,10 @@ def gwa_iso_report(maxdeg: int = 3) -> Report:
 
     monos = sorted((m for m in iproduct(range(maxdeg + 1), repeat=4)
                     if sum(m) <= maxdeg))
+    gens = real.d_hat + real.x_hat
     for a, b, c, d in monos:
-        elem = DRA_ONE
-        for gen, e in zip((real.d_hat[0], real.d_hat[1],
-                           real.x_hat[0], real.x_hat[1]), (a, b, c, d)):
-            for _ in range(e):
-                elem = diamond(elem, gen)
+        elem = diamond_product(g for g, e in zip(gens, (a, b, c, d))
+                               for _ in range(e))
         lead = (a, b, d, c)
         ok, why = _is_triangular(elem, lead, unit=False)
         rep.add_flag(f"phi.tri.{a}{b}{c}{d}", ok, why)

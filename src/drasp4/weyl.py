@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .scalars import GR_ONE, GaussRat, gauss_json, gauss_str
+from .sparse import SparseTerms, add_into
 
 Mono = tuple  # (a, b, c, d) exponents of d1, d2, x2, x1
 
@@ -22,18 +23,10 @@ _GEN_MONO = {
 }
 
 
-class WeylElem:
+class WeylElem(SparseTerms):
     """A finite GaussRat-linear combination of normal-ordered monomials."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {} if terms is None else {m: c for m, c in terms.items() if c}
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElem is immutable")
+    __slots__ = ()
 
     @staticmethod
     def gen(name: str) -> "WeylElem":
@@ -43,44 +36,6 @@ class WeylElem:
     def const(c) -> "WeylElem":
         g = c if isinstance(c, GaussRat) else GaussRat(c)
         return WeylElem({(0, 0, 0, 0): g})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return WeylElem(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return WeylElem({m: -c for m, c in self.terms.items()})
 
     def scaled(self, c) -> "WeylElem":
         g = c if isinstance(c, GaussRat) else GaussRat(c)
@@ -97,17 +52,7 @@ class WeylElem:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                for m, k in _mono_mul(m1, m2).items():
-                    v = c * k
-                    s = out.get(m)
-                    if s is None:
-                        out[m] = v
-                    else:
-                        s = s + v
-                        if s:
-                            out[m] = s
-                        else:
-                            del out[m]
+                add_into(out, ((m, c * k) for m, k in _mono_mul(m1, m2).items()))
         return WeylElem(out)
 
     def __rmul__(self, other):
@@ -184,15 +129,11 @@ def mono_str(m: Mono, names=_NAMES, joiner=" ") -> str:
     return joiner.join(parts) if parts else "1"
 
 
-def _sorted_monos(terms):
-    return sorted(terms, key=lambda m: (sum(m), m), reverse=True)
-
-
 def weyl_str(u: WeylElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         c = gauss_str(u.terms[m])
         body = mono_str(m)
         if body == "1":
@@ -216,7 +157,7 @@ def weyl_latex(u: WeylElem) -> str:
     if not u.terms:
         return "0"
     chunks = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         c = gauss_str(u.terms[m])
         body = mono_str(m, _LATEX, " ")
         if body == "1":
@@ -236,6 +177,6 @@ def weyl_latex(u: WeylElem) -> str:
 
 def weyl_json(u: WeylElem) -> list:
     rows = []
-    for m in _sorted_monos(u.terms):
+    for m in u.sorted_keys():
         rows.append(list(m) + gauss_json(u.terms[m]))
     return rows

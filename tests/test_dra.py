@@ -10,7 +10,7 @@ from drasp4.scalars import HA, HB, RF_ONE, RF_ZERO
 from drasp4.ambient import AmbientElem, e_gen, red
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
-                        diamond_commutator, dra_json, dra_str, dra_theta,
+                        diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
                         h_form, normalized_gens, presentation,
                         projector_coeff, truncation_margin)
 from drasp4.verify import lemma32_rhs
@@ -169,6 +169,19 @@ def test_truncation_error_trips_on_tiny_margin():
     v = AmbientElem({(0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 0): RF_ONE})
     with pytest.raises(TruncationError):
         apply_p_root("a", v, margin=-6)
+    # a result cached under the default margin must not answer for another
+    d1 = D1_BAR.to_ambient()
+    apply_p(d1)
+    with pytest.raises(TruncationError):
+        apply_p(d1, margin=-6)
+
+
+def test_diamond_product_is_the_left_fold():
+    assert diamond_product([]) == DRA_ONE
+    assert diamond_product([X1_BAR, X2_BAR]) == diamond(X1_BAR, X2_BAR)
+    factors = [D1_BAR, X2_BAR, D1_BAR]
+    assert diamond_product(iter(factors)) == diamond(
+        diamond(diamond(DRA_ONE, D1_BAR), X2_BAR), D1_BAR)
 
 
 def test_json_render():

@@ -145,6 +145,23 @@ def test_cli_parse_error_exit_code(capsys):
     assert code == 2 and "dra mode" in err
 
 
+def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
+    deep = "(" * 2000 + "x1" + ")" * 2000
+    code, _, err = run_cli(capsys, "nf", deep)
+    assert code == 2 and "nested deeper" in err
+    assert len(err.strip().splitlines()) == 1
+    code, _, err = run_cli(capsys, "nf", "--", "-" * 2000 + "x1")
+    assert code == 2 and "nested deeper" in err
+    code, _, err = run_cli(capsys, "nf", "--mode", "ambient", "x1^60 d1^60")
+    assert code == 1 and err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    from drasp4 import dra
+    monkeypatch.setattr(dra, "truncation_margin", lambda: -6)
+    code, _, err = run_cli(capsys, "project", "d1")
+    assert code == 1 and "truncation bound" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_ansatz_file(tmp_path, capsys):
     config = {
         "shift": [[-1, 0], [0, -1]],

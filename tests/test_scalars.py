@@ -59,6 +59,17 @@ def test_gauss_rat_normalization_and_hash():
     assert GaussRat(Fraction(2, 4)) == GaussRat(Fraction(1, 2))
     assert hash(GaussRat(3)) == hash(GaussRat(Fraction(6, 2)))
     assert GaussRat(0, 0).is_zero()
+    # values equal to an int or Fraction hash like it, so they find its key
+    assert GaussRat(1) == 1 and hash(GaussRat(1)) == hash(1)
+    assert {1: 0}.get(GaussRat(1)) == 0
+    half = Fraction(-3, 4)
+    assert hash(GaussRat(half)) == hash(half)
+    assert {half: 0}.get(GaussRat(half)) == 0
+    assert RatFunc.const(1) == 1 and {1: 0}.get(RatFunc.const(1)) == 0
+    assert hash(RatFunc.const(half)) == hash(half)
+    assert hash(RF_ZERO) == hash(0)
+    mixed = GaussRat(half, 2)
+    assert hash(RatFunc.const(mixed)) == hash(mixed)
 
 
 def test_binop_examples():
