@@ -24,9 +24,25 @@ from .dra import (DraElem, NormalizedGens, PresentationTable, apply_p,
 from .gwa import (BasePoly, GwaAlgebra, GwaElem, GwaRealization,
                   SkewAffineSigma, reduction_gwa, weyl_gwa, weyl_gwa_image)
 from .parser import ParseError, evaluate, parse
-from . import verify
+from . import ambient, dra, gwa, scalars, verify, weyl
 
 __version__ = "0.1.0"
+
+# Every memo of the engine: unbounded, kept for the life of the process.
+_MEMOS = (scalars._dir_split, scalars._poly_gcd_impl, weyl._mono_mul,
+          ambient._norm_word, dra.projector_coeff, dra._apply_p,
+          gwa._t_monomial_image)
+
+
+def cache_info() -> dict:
+    """Hits, misses and size of each engine cache, by function name."""
+    return {f"{fn.__module__}.{fn.__name__}": fn.cache_info() for fn in _MEMOS}
+
+
+def clear_caches() -> None:
+    """Empty every engine cache; later results are recomputed, not changed."""
+    for fn in _MEMOS:
+        fn.cache_clear()
 
 __all__ = [
     "ALPHA", "AmbientElem", "BETA", "BETA_2A", "BETA_A", "BasePoly",
@@ -34,7 +50,8 @@ __all__ = [
     "GwaAlgebra", "GwaElem", "GwaRealization", "HA", "HB", "LieElem",
     "NormalizedGens", "POS_ROOTS", "ParseError", "Poly2",
     "PresentationTable", "RatFunc", "SkewAffineSigma", "UNDEFINED",
-    "WeylElem", "ad_e", "amb_theta", "apply_p", "apply_p_root", "decompose",
+    "WeylElem", "ad_e", "amb_theta", "apply_p", "apply_p_root",
+    "cache_info", "clear_caches", "decompose",
     "diamond", "diamond_commutator", "diamond_product", "dra_theta", "evaluate", "h_form",
     "lie_bracket", "normalized_gens", "osc", "parse", "presentation",
     "red", "reduction_gwa", "rf_affine", "tau", "vartheta", "verify",

@@ -16,6 +16,9 @@ from the oscillator realization at import time.
 
 from __future__ import annotations
 
+from functools import cache
+from heapq import heappop, heappush
+
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, rf_json, rf_latex,
                       rf_str)
 from .sparse import SparseTerms, add_into
@@ -124,39 +127,36 @@ def mono_weight(mono) -> tuple:
     return wa, wb
 
 
-_NORM_CACHE: dict = {}
-
-
+@cache
 def _norm_word(word: tuple) -> dict:
-    """Normal form of a bare word as {monomial: coefficient}."""
-    hit = _NORM_CACHE.get(word)
-    if hit is not None:
-        return hit
-    inv = -1
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            inv = i
-            break
-    if inv < 0:
-        result = {word_mono(word): RF_ONE}
-        _NORM_CACHE[word] = result
-        return result
-    i = inv
-    out = dict(_norm_word(word[:i] + (word[i + 1], word[i]) + word[i + 2:]))
-    entries = BRACKET[word[i]][word[i + 1]]
-    if entries:
-        wa = wb = 0
-        for k in word[:i]:
-            la, lb = LETTER_WEIGHT[k]
-            wa += la
-            wb += lb
-        tail = word[i + 2:]
-        head = word[:i]
-        for ins, cb in entries:
-            coeff = cb.shift(-wa, -wb) if (wa or wb) else cb
-            add_into(out, ((m, coeff * c)
-                           for m, c in _norm_word(head + ins + tail).items()))
-    _NORM_CACHE[word] = out
+    """Normal form of a bare word as {monomial: coefficient}.
+
+    Rewriting the first inversion of a word gives the swapped word, of
+    equal length and lexicographically smaller, and shorter bracket words.
+    So pending words are expanded from a heap in descending (length, word)
+    order, each once, with its summed coefficient.
+    """
+    out = {}
+    pending = {word: RF_ONE}
+    heap = [(-len(word), tuple(-k for k in word))]
+    while heap:
+        w = tuple(-k for k in heappop(heap)[1])
+        c = pending.pop(w, None)
+        if c is None:  # its coefficient cancelled, or a repeated entry
+            continue
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
+            out[word_mono(w)] = c
+            continue
+        head, tail = w[:i], w[i + 2:]
+        wa, wb = mono_weight(word_mono(head))
+        rewrites = [(head + (w[i + 1], w[i]) + tail, c)] + [
+            (head + ins + tail, c * (cb.shift(-wa, -wb) if wa or wb else cb))
+            for ins, cb in BRACKET[w[i]][w[i + 1]]]
+        for v, _ in rewrites:
+            if v not in pending:
+                heappush(heap, (-len(v), tuple(-k for k in v)))
+        add_into(pending, rewrites)
     return out
 
 
@@ -175,14 +175,6 @@ class AmbientElem(SparseTerms):
     def scalar(c) -> "AmbientElem":
         f = c if isinstance(c, RatFunc) else RatFunc.const(c)
         return AmbientElem({ZERO_MONO: f}) if f else AmbientElem()
-
-    @staticmethod
-    def from_weyl(w: WeylElem) -> "AmbientElem":
-        out = {}
-        for (a, b, c, d), coeff in w.terms.items():
-            exps = (0, 0, 0, 0, a, b, c, d, 0, 0, 0, 0)
-            out[exps] = RatFunc.const(coeff)
-        return AmbientElem(out)
 
     def scaled(self, c) -> "AmbientElem":
         """Left multiplication by a dynamical scalar."""

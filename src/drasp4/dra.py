@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json, rf_str
 from .sparse import SparseTerms
 from .weyl import mono_str as weyl_mono_str
 from . import sp4
-from .ambient import (AmbientElem, ad_e, amb_latex, amb_theta, f_gen,
+from .ambient import (AmbientElem, amb_latex, amb_theta, e_gen, f_gen,
                       mono_weight, red)
 
 DEFAULT_TRUNCATION_MARGIN = 8
@@ -50,21 +51,14 @@ def h_form(root: str) -> RatFunc:
     return rf_affine(ca, cb, c0)
 
 
-_PHI_CACHE: dict = {}
-
-
+@cache
 def projector_coeff(root: str, k: int) -> RatFunc:
     """Series coefficient: (-1)^k / (k! (H+2)(H+3)...(H+k+1))."""
-    hit = _PHI_CACHE.get((root, k))
-    if hit is not None:
-        return hit
     h = h_form(root)
     den = RatFunc.const(factorial(k))
     for j in range(2, k + 2):
         den = den * (h + j)
-    value = RatFunc.const((-1) ** k) / den
-    _PHI_CACHE[(root, k)] = value
-    return value
+    return RatFunc.const((-1) ** k) / den
 
 
 def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> AmbientElem:
@@ -76,7 +70,7 @@ def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> Ambien
     if margin is None:
         margin = truncation_margin()
     bound = max(v.weyl_degree(), 0) + margin
-    f_letter = f_gen(root)
+    e_letter, f_letter = e_gen(root), f_gen(root)
     out = AmbientElem()
     cur = red(v, "I")
     k = 0
@@ -87,13 +81,12 @@ def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> Ambien
                 f"projector truncation bound exceeded at order {k} for root {root}")
         term = (f_power * cur).scaled(projector_coeff(root, k))
         out = out + term
-        cur = red(ad_e(root, cur), "I")
+        # red(ad_E(cur), I) without the half it drops: cur has no raising
+        # letter, so every term of cur E is normal-ordered and ends in E.
+        cur = red(e_letter * cur, "I")
         k += 1
         f_power = f_power * f_letter
     return out
-
-
-_P_CACHE: dict = {}
 
 
 def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -> AmbientElem:
@@ -101,14 +94,14 @@ def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -
     roots; the first root in `order` acts first."""
     if margin is None:
         margin = truncation_margin()
-    key = (v, order, margin)
-    hit = _P_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _apply_p(v, order, margin)
+
+
+@cache
+def _apply_p(v: AmbientElem, order, margin: int) -> AmbientElem:
     out = v
     for root in order:
         out = apply_p_root(root, out, margin)
-    _P_CACHE[key] = out
     return out
 
 

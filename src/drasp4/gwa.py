@@ -12,6 +12,8 @@ eagerly through the defining contractions.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .scalars import RF_ONE, RF_ZERO, RatFunc, rf_json, rf_str
 from .sparse import SparseTerms, add_into, power
 from .weyl import WeylElem
@@ -86,9 +88,6 @@ class BasePoly(SparseTerms):
 
     def __pow__(self, n: int):
         return power(self, n, BasePoly.const(self.rank, 1))
-
-    def map_coeffs(self, fn) -> "BasePoly":
-        return BasePoly(self.rank, {e: fn(c) for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"BasePoly({self.rank}, {self.terms!r})"
@@ -354,10 +353,7 @@ class GwaElem(SparseTerms):
                                           for m2, b2 in other.terms.items())))
 
     def __pow__(self, n: int):
-        result = self.alg.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n, self.alg.one())
 
     def __repr__(self):
         return f"GwaElem({self.terms!r})"
@@ -429,18 +425,11 @@ class GwaRealization:
         gens = _dra.normalized_gens()
         self.x_hat = (gens.x1, gens.x2)
         self.d_hat = (gens.d1, gens.d2)
-        self.t_img = (_dra.diamond(gens.d1, gens.x1),
-                      _dra.diamond(gens.d2, gens.x2))
-        self._t_powers = {}
 
     def base_image(self, b: BasePoly) -> "_dra.DraElem":
         out = _dra.DraElem()
         for e, cf in b.terms.items():
-            img = self._t_powers.get(e)
-            if img is None:
-                img = self._t_powers[e] = _dra.diamond_product(
-                    t for t, k in zip(self.t_img, e) for _ in range(k))
-            out = out + img.scaled(cf)
+            out = out + _t_monomial_image(e).scaled(cf)
         return out
 
     def monomial_image(self, m) -> "_dra.DraElem":
@@ -454,6 +443,15 @@ class GwaRealization:
         for m, b in u.terms.items():
             out = out + _dra.diamond(self.base_image(b), self.monomial_image(m))
         return out
+
+
+@cache
+def _t_monomial_image(e: tuple) -> "_dra.DraElem":
+    """Image of the base monomial t_1^e_1 t_2^e_2: the ordered diamond
+    product of the t images, t_i to the normalized d_i <> x_i."""
+    gens = _dra.normalized_gens()
+    t_img = (_dra.diamond(gens.d1, gens.x1), _dra.diamond(gens.d2, gens.x2))
+    return _dra.diamond_product(t for t, k in zip(t_img, e) for _ in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,9 @@ EF_NAMES = ("Ea", "Eb", "Eba", "Eb2a", "Fa", "Fb", "Fba", "Fb2a")
 SCALAR_ATOMS = {"Ha": HA, "Hb": HB, "i": RF_I}
 
 
+_BINARY = ("add", "sub", "mul", "juxt", "div")
+
+
 class _Evaluator:
     """mode: 'ambient', 'dra', 'scalar', or 'base'."""
 
@@ -236,24 +239,37 @@ class _Evaluator:
             return a.scaled(inv)
         return a.rmul_scalar(inv)
 
+    def binary(self, node, a, b):
+        op = node[0]
+        if op == "add":
+            return a + b
+        if op == "sub":
+            return a - b
+        if op == "mul":
+            return self.mul(a, b)
+        if op == "juxt":
+            return self.juxt(a, b)
+        return self.div(a, b, node[3])
+
     def eval(self, node):
         op = node[0]
+        if op in _BINARY:
+            # A flat chain parses left-deep; fold it along its left spine
+            # so its length costs no stack depth.
+            spine = []
+            while node[0] in _BINARY:
+                spine.append(node)
+                node = node[1]
+            out = self.eval(node)
+            for step in reversed(spine):
+                out = self.binary(step, out, self.eval(step[2]))
+            return out
         if op == "num":
             return self.from_scalar(RatFunc.const(node[1]))
         if op == "atom":
             return self.atom(node[1], node[2])
         if op == "neg":
             return -self.eval(node[1])
-        if op == "add":
-            return self.eval(node[1]) + self.eval(node[2])
-        if op == "sub":
-            return self.eval(node[1]) - self.eval(node[2])
-        if op == "mul":
-            return self.mul(self.eval(node[1]), self.eval(node[2]))
-        if op == "juxt":
-            return self.juxt(self.eval(node[1]), self.eval(node[2]))
-        if op == "div":
-            return self.div(self.eval(node[1]), self.eval(node[2]), node[3])
         if op == "pow":
             base = self.eval(node[1])
             out = self.from_scalar(RF_ONE)

@@ -10,6 +10,7 @@ in this field.  All values are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from math import gcd as _igcd
 
@@ -161,9 +162,6 @@ class GaussRat:
         if g is None:
             return NotImplemented
         return g * self.inv()
-
-    def conj(self):
-        return GaussRat._raw(self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -598,15 +596,10 @@ def _from_dir(u: dict, direction) -> Poly2:
     return _sub_va(g, direction) if direction else g
 
 
-_SPLIT_CACHE: dict = {}
-
-
+@cache
 def _dir_split(p: Poly2):
     """Split p into per-direction univariate parts and a residual free of
     directional linear factors; cached per polynomial."""
-    hit = _SPLIT_CACHE.get(p)
-    if hit is not None:
-        return hit
     parts = []
     rem = p
     for d in _DIRECTIONS:
@@ -619,9 +612,7 @@ def _dir_split(p: Poly2):
             rem = rem.divexact(_from_dir(c, d))
         else:
             parts.append(None)
-    out = (tuple(parts), rem)
-    _SPLIT_CACHE[p] = out
-    return out
+    return tuple(parts), rem
 
 
 def _gcd_vs_split(t: Poly2, q: Poly2) -> Poly2:
@@ -671,9 +662,6 @@ def _specialized_coprime(pa: dict, qa: dict) -> bool:
     return False
 
 
-_GCD_CACHE: dict = {}
-
-
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials over the Gaussian rationals."""
     if p.is_zero():
@@ -682,15 +670,10 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return p.monic()
     if p.is_const() or q.is_const():
         return P_ONE
-    key = (p, q)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _poly_gcd_impl(p, q)
-    _GCD_CACHE[key] = out
-    return out
+    return _poly_gcd_impl(p, q)
 
 
+@cache
 def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
     parts_p, res_p = _dir_split(p)
     parts_q, res_q = _dir_split(q)
@@ -768,10 +751,6 @@ class RatFunc:
     @staticmethod
     def const(c) -> "RatFunc":
         return RatFunc(Poly2.const(c), P_ONE, _normalized=True)
-
-    @staticmethod
-    def from_fraction(num: Poly2, den: Poly2) -> "RatFunc":
-        return RatFunc(num, den)
 
     @staticmethod
     def _coerce(x):

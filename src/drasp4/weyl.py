@@ -8,6 +8,7 @@ form is computed in one pass per monomial pair.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial
 
 from .scalars import GR_ONE, GaussRat, gauss_json, gauss_str
@@ -75,19 +76,13 @@ class WeylElem(SparseTerms):
         return weyl_str(self)
 
 
-_MUL_CACHE: dict = {}
-
-
+@cache
 def _mono_mul(m1: Mono, m2: Mono) -> dict:
     """Integer-coefficient expansion of the product of two basis monomials.
 
     Only the pairs x1/d1 and x2/d2 interact; each contraction contributes
     binomial * factorial counting factors with alternating sign.
     """
-    key = (m1, m2)
-    hit = _MUL_CACHE.get(key)
-    if hit is not None:
-        return hit
     a, b, c, d = m1
     e, f, g, h = m2
     out = {}
@@ -97,7 +92,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> dict:
             kk = kj * (-1) ** k * comb(c, k) * comb(f, k) * factorial(k)
             m = (a + e - j, b + f - k, c + g - k, d + h - j)
             out[m] = out.get(m, 0) + kk
-    _MUL_CACHE[key] = out
     return out
 
 
@@ -116,17 +110,16 @@ D2 = WeylElem.gen("d2")
 
 
 _NAMES = ("d1", "d2", "x2", "x1")
-_LATEX = ("\\partial_1", "\\partial_2", "x_2", "x_1")
 
 
-def mono_str(m: Mono, names=_NAMES, joiner=" ") -> str:
+def mono_str(m: Mono) -> str:
     parts = []
     for k in range(4):
         if m[k] == 1:
-            parts.append(names[k])
+            parts.append(_NAMES[k])
         elif m[k] > 1:
-            parts.append(f"{names[k]}^{m[k]}")
-    return joiner.join(parts) if parts else "1"
+            parts.append(f"{_NAMES[k]}^{m[k]}")
+    return " ".join(parts) if parts else "1"
 
 
 def weyl_str(u: WeylElem) -> str:
@@ -146,28 +139,6 @@ def weyl_str(u: WeylElem) -> str:
             if "+" in c[1:] or "-" in c[1:]:
                 c = f"({c})"
             chunk = f"{c} {body}"
-        if chunks and not chunk.startswith("-"):
-            chunks.append("+" + chunk)
-        else:
-            chunks.append(chunk)
-    return "".join(chunks)
-
-
-def weyl_latex(u: WeylElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        c = gauss_str(u.terms[m])
-        body = mono_str(m, _LATEX, " ")
-        if body == "1":
-            chunk = c
-        elif c == "1":
-            chunk = body
-        elif c == "-1":
-            chunk = "-" + body
-        else:
-            chunk = f"({c}) {body}"
         if chunks and not chunk.startswith("-"):
             chunks.append("+" + chunk)
         else:

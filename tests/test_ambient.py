@@ -168,3 +168,14 @@ def test_renders():
     rows = amb_json(u)
     assert {"f": [0, 0, 0, 0], "w": [0, 0, 1, 0], "e": [1, 0, 0, 0],
             "coeff": {"num": [[0, 0, "1", "0"]], "den": [[0, 0, "1", "0"]]}} in rows
+
+
+def test_ad_e_on_coset_representatives_reduces_to_left_product():
+    # A coset representative has no raising letter, so u E is normal-ordered
+    # and dropped by red(., I); the projector relies on this.
+    c = (HA + 2 * HB + 1) / (HB + 2)
+    monos = [m for m in itertools.product(range(4), repeat=8) if sum(m) <= 3]
+    for m in monos:
+        u = AmbientElem({m + (0, 0, 0, 0): c})
+        for g in sp4.POS_ROOTS:
+            assert red(ad_e(g, u), "I") == red(e_gen(g) * u, "I"), (m, g)

@@ -152,14 +152,31 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
     code, _, err = run_cli(capsys, "nf", "--", "-" * 2000 + "x1")
     assert code == 2 and "nested deeper" in err
-    code, _, err = run_cli(capsys, "nf", "--mode", "ambient", "x1^60 d1^60")
-    assert code == 1 and err.startswith("error: ")
+    code, out, _ = run_cli(capsys, "nf", "--mode", "ambient", "x1^40 d1^40")
+    terms = out.strip().split(" + ")
+    assert code == 0 and len(terms) == 41
+    assert terms[0] == "(1) d1^40 x1^40"
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "evaluate", too_deep)
+        code, _, err = run_cli(capsys, "nf", "x1")
+    assert code == 1 and err.startswith("error: engine limit reached")
     assert len(err.strip().splitlines()) == 1
     from drasp4 import dra
     monkeypatch.setattr(dra, "truncation_margin", lambda: -6)
     code, _, err = run_cli(capsys, "project", "d1")
     assert code == 1 and "truncation bound" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_long_flat_chains_evaluate(capsys):
+    code, out, _ = run_cli(capsys, "nf", "+".join(["x1"] * 5000))
+    assert code == 0 and out.strip() == "(5000) x1"
+    code, out, _ = run_cli(capsys, "nf", " ".join(["x1"] * 3000))
+    assert code == 0 and out.strip() == "(1) x1^3000"
 
 
 def test_cli_ansatz_file(tmp_path, capsys):

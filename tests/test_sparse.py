@@ -62,3 +62,5 @@ def test_add_into_and_power():
         power(3, -1, 1)
     t = BasePoly.tvar(2, 1) + BasePoly.const(2, HA)
     assert t ** 3 == t * t * t
+    u = ALG.x(1) + ALG.y(1).scaled(BasePoly.tvar(1, 1))
+    assert u ** 3 == u * u * u and u ** 0 == ALG.one()
