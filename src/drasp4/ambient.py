@@ -232,10 +232,12 @@ class AmbientElem(SparseTerms):
             raise ValueError("not a dynamical scalar")
         return self.terms[ZERO_MONO]
 
-    def weyl_degree(self) -> int:
+    def degree(self) -> int:
+        """The largest total letter count of a monomial, all twelve blocks;
+        -1 for zero."""
         if not self.terms:
             return -1
-        return max(sum(m[4:8]) for m in self.terms)
+        return max(sum(m) for m in self.terms)
 
     def __repr__(self):
         return f"AmbientElem({self.terms!r})"

@@ -16,7 +16,7 @@ from functools import cache
 from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json, rf_str
-from .sparse import SparseTerms
+from .sparse import SparseTerms, add_into
 from .weyl import mono_str as weyl_mono_str
 from . import sp4
 from .ambient import (AmbientElem, amb_latex, amb_theta, e_gen, f_gen,
@@ -65,11 +65,12 @@ def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> Ambien
     """One projector factor applied to a coset representative.
 
     Computes sum_k phi_k(H) F^k red(ad_E^k(v), I), stopping when the
-    iterated commutator dies; raises TruncationError past the bound.
+    iterated commutator dies; raises TruncationError past the bound, which
+    is the largest total degree of a monomial of v plus the margin.
     """
     if margin is None:
         margin = truncation_margin()
-    bound = max(v.weyl_degree(), 0) + margin
+    bound = max(v.degree(), 0) + margin
     e_letter, f_letter = e_gen(root), f_gen(root)
     out = AmbientElem()
     cur = red(v, "I")
@@ -91,15 +92,23 @@ def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> Ambien
 
 def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -> AmbientElem:
     """Full projector on a coset representative, factored over the positive
-    roots; the first root in `order` acts first."""
+    roots; the first root in `order` acts first.
+
+    The projector has weight zero, so it commutes with left scalars: v is
+    expanded over its monomials, each projected once per process.
+    """
     if margin is None:
         margin = truncation_margin()
-    return _apply_p(v, order, margin)
+    out = {}
+    for m, c in v.terms.items():
+        add_into(out, ((k, c * x)
+                       for k, x in _apply_p(m, order, margin).terms.items()))
+    return AmbientElem(out)
 
 
 @cache
-def _apply_p(v: AmbientElem, order, margin: int) -> AmbientElem:
-    out = v
+def _apply_p(mono: tuple, order, margin: int) -> AmbientElem:
+    out = AmbientElem({mono: RF_ONE})
     for root in order:
         out = apply_p_root(root, out, margin)
     return out
@@ -190,9 +199,26 @@ D2_BAR = DraElem.gen("d2")
 
 
 def diamond(u: DraElem, v: DraElem, margin: int | None = None) -> DraElem:
-    """The double-coset product: multiply through the projector, then
-    reduce away both coset ideals."""
-    prod = u.to_ambient() * apply_p(v.to_ambient(), margin=margin)
+    """The double-coset product red(u P(v), II), expanded bilinearly over
+    the basis: a left scalar of v passes the monomial of u with a weight
+    shift, as in AmbientElem.__mul__, and each basis pair is computed once."""
+    if margin is None:
+        margin = truncation_margin()
+    out = {}
+    for m, c in u.terms.items():
+        wa, wb = _weyl_weight(m)
+        for n, d in v.terms.items():
+            cd = c * (d.shift(-wa, -wb) if wa or wb else d)
+            add_into(out, ((k, cd * x)
+                           for k, x in _basis_diamond(m, n, margin).terms.items()))
+    return DraElem(out)
+
+
+@cache
+def _basis_diamond(m: tuple, n: tuple, margin: int) -> DraElem:
+    """m <> n for two basis monomials with unit coefficients."""
+    prod = (DraElem({m: RF_ONE}).to_ambient()
+            * apply_p(DraElem({n: RF_ONE}).to_ambient(), margin=margin))
     return DraElem.from_ambient(red(prod, "II"))
 
 
@@ -204,9 +230,10 @@ def diamond_product(factors) -> DraElem:
     """The ordered product f1 <> f2 <> ... <> fn of an iterable of factors,
     as the left fold ((1 <> f1) <> f2) <> ... .
 
-    Each step projects only the next factor, which apply_p caches, so a
-    power of one generator projects it once; grouping the factors any
-    other way would project the partial products instead.
+    Each step projects only the monomials of the next factor, which the
+    projector table keeps, so a power of one generator projects it once;
+    grouping the factors any other way would project the monomials of the
+    partial products instead.
     """
     out = DRA_ONE
     for f in factors:

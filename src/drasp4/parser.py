@@ -69,6 +69,10 @@ _ATOM_STARTERS = ("name", "int")
 # the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# An exponent is evaluated by that many products, so it is capped to keep
+# the work of one '^' bounded; larger powers are a parse error.
+MAX_EXPONENT = 1000
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -140,6 +144,9 @@ class _Parser:
                 if ekind != "int":
                     raise ParseError("syntax error", epos,
                                      ("non-negative integer exponent",))
+                if eval_ > MAX_EXPONENT:
+                    raise ParseError(f"exponent larger than {MAX_EXPONENT}",
+                                     epos)
                 self.next()
                 node = ("pow", node, eval_)
         self.depth -= 1

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import drasp4
 from drasp4 import DraElem, GwaRealization, diamond
 from drasp4.scalars import HA, HB, poly_gcd
@@ -9,6 +12,7 @@ NAMES = {
     "drasp4.ambient._norm_word",
     "drasp4.dra.projector_coeff",
     "drasp4.dra._apply_p",
+    "drasp4.dra._basis_diamond",
     "drasp4.gwa._t_monomial_image",
 }
 
@@ -31,3 +35,21 @@ def test_clear_caches_empties_them_and_results_stay_equal():
     drasp4.clear_caches()
     assert all(info.currsize == 0 for info in drasp4.cache_info().values())
     assert sample() == first
+
+
+def test_caches_are_keyed_per_monomial():
+    rng = random.Random(81)
+    monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 2]
+
+    def three_terms():
+        return DraElem({m: HA * rng.randint(1, 3) + HB * rng.randint(-1, 1)
+                        + rng.randint(-2, 2) for m in rng.sample(monos, 3)})
+
+    u, v = three_terms(), three_terms()
+    drasp4.clear_caches()
+    diamond(u, v)
+    info = drasp4.cache_info()
+    assert info["drasp4.dra._apply_p"].currsize <= 3
+    assert info["drasp4.dra._basis_diamond"].currsize == 9
+    drasp4.clear_caches()
+    assert drasp4.cache_info()["drasp4.dra._basis_diamond"].currsize == 0

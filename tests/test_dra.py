@@ -13,7 +13,7 @@ from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
                         h_form, normalized_gens, presentation,
                         projector_coeff, truncation_margin)
-from drasp4.verify import lemma32_rhs
+from drasp4.verify import lemma32_rhs, suite_triangular
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DERIVED = json.loads((FIXTURES / "derived_values.json").read_text())
@@ -106,6 +106,45 @@ def test_diamond_associative_random():
     for _ in range(6):
         u, v, w = rand_dra(rng), rand_dra(rng), rand_dra(rng)
         assert diamond(diamond(u, v), w) == diamond(u, diamond(v, w))
+
+
+def fold(v):
+    """The projector by its definition: each uncached factor in turn."""
+    for root in sp4.CONVEX_ORDER:
+        v = apply_p_root(root, v)
+    return v
+
+
+def test_diamond_table_agrees_with_definition():
+    rng = random.Random(53)
+    pairs = [(rand_dra(rng), rand_dra(rng)) for _ in range(8)]
+    s1, s2, s3 = (HA + 1) / (HB - 2), HB + 3, (HA - HB) / (h_form(sp4.BETA_A) + 1)
+    mixed = DraElem({(0, 0, 0, 0): s1, (0, 1, 0, 0): s2, (1, 0, 1, 0): s3})
+    pairs += [
+        (DraElem.scalar(s1), DraElem({(0, 0, 1, 1): s2})),
+        (DraElem({(0, 2, 0, 0): s3}), DraElem({(1, 0, 0, 0): s1})),
+        (mixed, DraElem({(0, 0, 2, 0): s2, (0, 1, 0, 0): s3})),
+        (DraElem({(0, 0, 1, 1): s2, (0, 0, 0, 1): s1}), mixed),
+    ]
+    for u, v in pairs:
+        expect = DraElem.from_ambient(
+            red(u.to_ambient() * fold(v.to_ambient()), "II"))
+        assert diamond(u, v) == expect, (u, v)
+
+
+def test_projector_commutes_with_left_scalars():
+    scalars = (HA + 2, (HB - 1) / (HA + 3), h_form(sp4.BETA_2A))
+    for m in ((0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 2, 0), (0, 1, 1, 1)):
+        a = DraElem({m: RF_ONE}).to_ambient()
+        pa = apply_p(a)
+        for c in scalars:
+            assert apply_p(a.scaled(c)) == pa.scaled(c) == fold(a.scaled(c))
+
+
+def test_diamond_monomials_triangular_to_degree_six():
+    rep = suite_triangular(6)
+    assert len(rep.checks) == 210
+    assert rep.passed, "\n".join(rep.lines())
 
 
 def test_theta():

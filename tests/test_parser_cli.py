@@ -152,6 +152,11 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
     code, _, err = run_cli(capsys, "nf", "--", "-" * 2000 + "x1")
     assert code == 2 and "nested deeper" in err
+    code, _, err = run_cli(capsys, "nf", "x1^100000000")
+    assert code == 2 and "exponent larger than 1000" in err
+    assert len(err.strip().splitlines()) == 1
+    code, out, _ = run_cli(capsys, "nf", "x1^1000")
+    assert code == 0 and out.strip() == "(1) x1^1000"
     code, out, _ = run_cli(capsys, "nf", "--mode", "ambient", "x1^40 d1^40")
     terms = out.strip().split(" + ")
     assert code == 0 and len(terms) == 41
@@ -170,6 +175,13 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "project", "d1")
     assert code == 1 and "truncation bound" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_project_counts_lowering_letters(capsys):
+    # the truncation bound counts every letter of a monomial, so a lowering
+    # power is projected on its own, without a Weyl term raising the bound
+    code, out, _ = run_cli(capsys, "project", "Fa^9")
+    assert code == 0 and out.strip() == "0"
 
 
 def test_long_flat_chains_evaluate(capsys):
