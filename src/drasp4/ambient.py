@@ -301,14 +301,14 @@ def amb_theta(u: AmbientElem) -> AmbientElem:
 
 # -- rendering --
 
-def amb_mono_str(m, names=LETTERS, joiner=" ") -> str:
+def amb_mono_str(m, names=LETTERS) -> str:
     parts = []
     for k in range(12):
         if m[k] == 1:
             parts.append(names[k])
         elif m[k] > 1:
             parts.append(f"{names[k]}^{m[k]}")
-    return joiner.join(parts) if parts else "1"
+    return " ".join(parts) if parts else "1"
 
 
 _LATEX_LETTERS = ("F_{\\beta}", "F_{\\beta+\\alpha}", "F_{\\beta+2\\alpha}",
@@ -337,7 +337,7 @@ def amb_latex(u: AmbientElem) -> str:
     chunks = []
     for m in u.sorted_keys():
         c = rf_latex(u.terms[m])
-        body = amb_mono_str(m, _LATEX_LETTERS, " ")
+        body = amb_mono_str(m, _LATEX_LETTERS)
         if body == "1":
             chunks.append(f"\\left({c}\\right)")
         else:

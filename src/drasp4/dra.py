@@ -10,39 +10,22 @@ series order survives modulo the raising ideal.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json, rf_str
+from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json
 from .sparse import SparseTerms, add_into
-from .weyl import mono_str as weyl_mono_str
 from . import sp4
-from .ambient import (AmbientElem, amb_latex, amb_theta, e_gen, f_gen,
-                      mono_weight, red)
+from .ambient import (AmbientElem, amb_latex, amb_str, amb_theta, e_gen,
+                      f_gen, mono_weight, red)
 
-DEFAULT_TRUNCATION_MARGIN = 8
-_ENV_TRUNCATION = "DRASP4_MAX_PROJECTOR_K"
+TRUNCATION_MARGIN = 8
 
 
 class TruncationError(RuntimeError):
     """Raised when a projector series fails to terminate within the bound,
     which would signal a breakdown of local finiteness (i.e. a bug)."""
-
-
-def truncation_margin() -> int:
-    raw = os.environ.get(_ENV_TRUNCATION)
-    if raw is None:
-        return DEFAULT_TRUNCATION_MARGIN
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_TRUNCATION} must be an integer") from None
-    if value < DEFAULT_TRUNCATION_MARGIN:
-        raise ValueError(
-            f"{_ENV_TRUNCATION} must be at least {DEFAULT_TRUNCATION_MARGIN}")
-    return value
 
 
 def h_form(root: str) -> RatFunc:
@@ -61,16 +44,14 @@ def projector_coeff(root: str, k: int) -> RatFunc:
     return RatFunc.const((-1) ** k) / den
 
 
-def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> AmbientElem:
+def apply_p_root(root: str, v: AmbientElem) -> AmbientElem:
     """One projector factor applied to a coset representative.
 
     Computes sum_k phi_k(H) F^k red(ad_E^k(v), I), stopping when the
     iterated commutator dies; raises TruncationError past the bound, which
-    is the largest total degree of a monomial of v plus the margin.
+    is the largest total degree of a monomial of v plus TRUNCATION_MARGIN.
     """
-    if margin is None:
-        margin = truncation_margin()
-    bound = max(v.degree(), 0) + margin
+    bound = max(v.degree(), 0) + TRUNCATION_MARGIN
     e_letter, f_letter = e_gen(root), f_gen(root)
     out = AmbientElem()
     cur = red(v, "I")
@@ -90,27 +71,25 @@ def apply_p_root(root: str, v: AmbientElem, margin: int | None = None) -> Ambien
     return out
 
 
-def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER, margin: int | None = None) -> AmbientElem:
+def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER) -> AmbientElem:
     """Full projector on a coset representative, factored over the positive
     roots; the first root in `order` acts first.
 
     The projector has weight zero, so it commutes with left scalars: v is
     expanded over its monomials, each projected once per process.
     """
-    if margin is None:
-        margin = truncation_margin()
     out = {}
     for m, c in v.terms.items():
         add_into(out, ((k, c * x)
-                       for k, x in _apply_p(m, order, margin).terms.items()))
+                       for k, x in _apply_p(m, order).terms.items()))
     return AmbientElem(out)
 
 
 @cache
-def _apply_p(mono: tuple, order, margin: int) -> AmbientElem:
+def _apply_p(mono: tuple, order) -> AmbientElem:
     out = AmbientElem({mono: RF_ONE})
     for root in order:
-        out = apply_p_root(root, out, margin)
+        out = apply_p_root(root, out)
     return out
 
 
@@ -175,11 +154,6 @@ class DraElem(SparseTerms):
             raise ValueError("not a dynamical scalar")
         return self.terms[(0, 0, 0, 0)]
 
-    def weyl_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def __repr__(self):
         return f"DraElem({self.terms!r})"
 
@@ -198,27 +172,25 @@ D1_BAR = DraElem.gen("d1")
 D2_BAR = DraElem.gen("d2")
 
 
-def diamond(u: DraElem, v: DraElem, margin: int | None = None) -> DraElem:
+def diamond(u: DraElem, v: DraElem) -> DraElem:
     """The double-coset product red(u P(v), II), expanded bilinearly over
     the basis: a left scalar of v passes the monomial of u with a weight
     shift, as in AmbientElem.__mul__, and each basis pair is computed once."""
-    if margin is None:
-        margin = truncation_margin()
     out = {}
     for m, c in u.terms.items():
         wa, wb = _weyl_weight(m)
         for n, d in v.terms.items():
             cd = c * (d.shift(-wa, -wb) if wa or wb else d)
             add_into(out, ((k, cd * x)
-                           for k, x in _basis_diamond(m, n, margin).terms.items()))
+                           for k, x in _basis_diamond(m, n).terms.items()))
     return DraElem(out)
 
 
 @cache
-def _basis_diamond(m: tuple, n: tuple, margin: int) -> DraElem:
+def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     """m <> n for two basis monomials with unit coefficients."""
     prod = (DraElem({m: RF_ONE}).to_ambient()
-            * apply_p(DraElem({n: RF_ONE}).to_ambient(), margin=margin))
+            * apply_p(DraElem({n: RF_ONE}).to_ambient()))
     return DraElem.from_ambient(red(prod, "II"))
 
 
@@ -309,17 +281,7 @@ def normalized_gens() -> NormalizedGens:
 # -- rendering --
 
 def dra_str(u: DraElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        c = rf_str(u.terms[m])
-        body = weyl_mono_str(m)
-        if body == "1":
-            chunks.append(f"({c})")
-        else:
-            chunks.append(f"({c}) {body}")
-    return " + ".join(chunks)
+    return amb_str(u.to_ambient())
 
 
 def dra_latex(u: DraElem) -> str:

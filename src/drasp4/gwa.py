@@ -207,14 +207,13 @@ class SkewAffineSigma:
 class GwaAlgebra:
     """A generalized Weyl algebra B(sigma, t) with B = R[t_1..t_n]."""
 
-    def __init__(self, rank: int, sigmas, check: bool = True):
+    def __init__(self, rank: int, sigmas):
         if len(sigmas) != rank:
             raise ValueError("need one automorphism per index")
         self.rank = rank
         self.sigmas = tuple(sigmas)
-        if check:
-            self._check_inverses()
-            self._check_commuting()
+        self._check_inverses()
+        self._check_commuting()
 
     def _check_inverses(self):
         for i in range(1, self.rank + 1):

@@ -241,11 +241,6 @@ class Poly2(SparseTerms):
             return -1
         return max(ea + eb for ea, eb in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     # -- ring operations --
 
     def __mul__(self, other):
@@ -403,9 +398,12 @@ def poly_from_json(rows) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd: univariate Euclid plus a primitive remainder sequence in Ha
-# with contents in Hb.  Coefficients live in the field of Gaussian rationals,
-# so divisions of coefficients always succeed.
+# Polynomial gcd.  Factors along the four coroot pencils (the only ones the
+# engine's denominators have) are split off direction by direction and
+# matched by univariate Euclid; the residual left over, which only parser
+# or hand-built input has, goes through a plain primitive remainder
+# sequence in Ha with contents in Hb.  Coefficients live in the field of
+# Gaussian rationals, so divisions of coefficients always succeed.
 # ---------------------------------------------------------------------------
 
 def _upoly(p: Poly2, var: int) -> dict:
@@ -538,14 +536,6 @@ def _prem(a: dict, b: dict) -> dict:
     return r
 
 
-def _eval_b(poly: Poly2, r: int) -> GaussRat:
-    """Evaluate a polynomial in Hb only at an integer point."""
-    total = GR_ZERO
-    for (_, eb), c in poly.terms.items():
-        total = total + c * (r ** eb)
-    return total
-
-
 def _sub_va(p: Poly2, k: int) -> Poly2:
     """Substitute Ha -> Ha + k*Hb (a ring automorphism)."""
     if k == 0:
@@ -574,9 +564,9 @@ def _content_in(p: Poly2, var: int) -> dict:
 
 # Denominators produced by the engine are products of integer translates
 # of four fixed affine directions; splitting off the single-direction
-# parts (cached per polynomial) keeps the remainder-sequence fallback
-# away from them.  Direction None is the Hb-only part; an integer cb
-# stands for the pencil Ha + cb*Hb + const.
+# parts (cached per polynomial) keeps the remainder sequence away from
+# them.  Direction None is the Hb-only part; an integer cb stands for the
+# pencil Ha + cb*Hb + const.
 _DIRECTIONS = (None, 0, 1, 2)
 
 
@@ -639,29 +629,6 @@ def _gcd_vs_split(t: Poly2, q: Poly2) -> Poly2:
     return g.monic()
 
 
-def _specialized_coprime(pa: dict, qa: dict) -> bool:
-    """True when a lucky specialization of Hb certifies that the gcd has
-    no Ha part.  Points where a leading coefficient vanishes are skipped
-    so the degree bound on the specialized gcd is valid."""
-    lp, lq = pa[max(pa)], qa[max(qa)]
-    for r in (0, 1, -1, 2, -2, 3, -3, 5):
-        if not _eval_b(lp, r) or not _eval_b(lq, r):
-            continue
-        up = {}
-        for k, v in pa.items():
-            val = _eval_b(v, r)
-            if val:
-                up[k] = val
-        uq = {}
-        for k, v in qa.items():
-            val = _eval_b(v, r)
-            if val:
-                uq[k] = val
-        g = _ugcd(up, uq)
-        return (not g) or max(g) == 0
-    return False
-
-
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials over the Gaussian rationals."""
     if p.is_zero():
@@ -690,29 +657,10 @@ def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
 
 
 def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """gcd of polynomials with no directional linear factors: divisibility
-    and specialization fast paths, then a primitive remainder sequence."""
-    small, large = (p, q) if p.total_degree() <= q.total_degree() else (q, p)
-    try:
-        large.divexact(small)
-        return small.monic()
-    except ArithmeticError:
-        pass
-    da_p, da_q = p.degree_in(0), q.degree_in(0)
-    if da_p == 0 and da_q == 0:
-        return _upoly_to_poly(_ugcd(_upoly(p, 1), _upoly(q, 1)), 1)
-    if da_p == 0 or da_q == 0:
-        uni, other = (p, q) if da_p == 0 else (q, p)
-        cont = _content_b(_coeffs_in_a(other))
-        g = _ugcd(_upoly(uni, 1), _upoly(cont, 1))
-        return _upoly_to_poly(g, 1) if g else P_ONE
-    pa = _coeffs_in_a(p)
-    qa = _coeffs_in_a(q)
-    if _specialized_coprime(pa, qa):
-        g = _ugcd(_upoly(_content_b(pa), 1), _upoly(_content_b(qa), 1))
-        return _upoly_to_poly(g, 1) if g else P_ONE
-    a, ca = _primitive(pa)
-    b, cb = _primitive(qa)
+    """gcd of polynomials with no directional linear factors: a primitive
+    remainder sequence in Ha, times the gcd of the contents in Hb."""
+    a, ca = _primitive(_coeffs_in_a(p))
+    b, cb = _primitive(_coeffs_in_a(q))
     if max(a) < max(b):
         a, b = b, a
     while b:

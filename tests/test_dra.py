@@ -5,14 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from drasp4 import sp4
+import drasp4
+from drasp4 import dra, sp4
 from drasp4.scalars import HA, HB, RF_ONE, RF_ZERO
 from drasp4.ambient import AmbientElem, e_gen, red
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
                         diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
                         h_form, normalized_gens, presentation,
-                        projector_coeff, truncation_margin)
+                        projector_coeff)
 from drasp4.verify import lemma32_rhs, suite_triangular
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -191,28 +192,15 @@ def test_presentation_table():
     assert t.chat[0] == -HA * (HA + 2 * HB + 3)
 
 
-def test_truncation_margin_env(monkeypatch):
-    monkeypatch.setenv("DRASP4_MAX_PROJECTOR_K", "12")
-    assert truncation_margin() == 12
-    monkeypatch.setenv("DRASP4_MAX_PROJECTOR_K", "3")
-    with pytest.raises(ValueError):
-        truncation_margin()
-    monkeypatch.setenv("DRASP4_MAX_PROJECTOR_K", "x")
-    with pytest.raises(ValueError):
-        truncation_margin()
-    monkeypatch.delenv("DRASP4_MAX_PROJECTOR_K")
-    assert truncation_margin() == 8
-
-
-def test_truncation_error_trips_on_tiny_margin():
+def test_truncation_error_trips_on_tiny_margin(monkeypatch):
+    # a projection cached under the real bound would answer without a check
+    drasp4.clear_caches()
+    monkeypatch.setattr(dra, "TRUNCATION_MARGIN", -6)
     v = AmbientElem({(0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 0): RF_ONE})
     with pytest.raises(TruncationError):
-        apply_p_root("a", v, margin=-6)
-    # a result cached under the default margin must not answer for another
-    d1 = D1_BAR.to_ambient()
-    apply_p(d1)
+        apply_p_root("a", v)
     with pytest.raises(TruncationError):
-        apply_p(d1, margin=-6)
+        apply_p(D1_BAR.to_ambient())
 
 
 def test_diamond_product_is_the_left_fold():

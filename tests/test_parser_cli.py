@@ -170,8 +170,10 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "nf", "x1")
     assert code == 1 and err.startswith("error: engine limit reached")
     assert len(err.strip().splitlines()) == 1
+    import drasp4
     from drasp4 import dra
-    monkeypatch.setattr(dra, "truncation_margin", lambda: -6)
+    drasp4.clear_caches()
+    monkeypatch.setattr(dra, "TRUNCATION_MARGIN", -6)
     code, _, err = run_cli(capsys, "project", "d1")
     assert code == 1 and "truncation bound" in err
     assert len(err.strip().splitlines()) == 1

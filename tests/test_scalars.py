@@ -4,7 +4,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
+from drasp4 import clear_caches, scalars
 from drasp4.scalars import (DIVERGENT, GR_ONE, GR_ZERO, GaussRat, HA, HB,
                             P_ONE, Poly2, RF_ONE, RF_ZERO, RatFunc,
                             UNDEFINED, poly_gcd, rf_affine, rf_from_json,
@@ -175,6 +177,80 @@ def test_poly_gcd_cases():
     assert coprime == P_ONE
     sq = ((HA + HB) * (HA + HB) * (HA + 1)).num
     assert poly_gcd(sq, ((HA + HB) * (HB - 1)).num) == (HA + HB).num
+
+
+SA, SB = sympy.symbols("Ha Hb")
+
+
+def to_sympy(p: Poly2):
+    return sum(((sympy.Rational(c.re.numerator, c.re.denominator)
+                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                * SA ** ea * SB ** eb for (ea, eb), c in p.terms.items()),
+               sympy.Integer(0))
+
+
+def off_direction_factor(rng):
+    """A scalar with a factor off the four coroot directions, and the same
+    expression in sympy."""
+    c = rng.choice((-3, -2, -1, 1, 2, 3))
+    k = rng.randint(0, 3)
+    if k == 0:
+        return HA * HB + c, SA * SB + c
+    if k == 1:
+        j = rng.choice((-2, -1, 1, 2))
+        return HA * HA + j * HB + c, SA ** 2 + j * SB + c
+    if k == 2:
+        return 2 * HA + HB + c, 2 * SA + SB + c
+    return HA - HB + c, SA - SB + c
+
+
+def rand_rf_pair(rng, pool, depth=0):
+    """A random scalar and the same expression built in sympy.  Leaves
+    draw off-direction factors from a small pool, so that operands share
+    them and gcds reach the residual remainder sequence."""
+    if depth < 3 and rng.random() < 0.5:
+        x, sx = rand_rf_pair(rng, pool, depth + 1)
+        y, sy = rand_rf_pair(rng, pool, depth + 1)
+        op = rng.randint(0, 3)
+        if op == 0:
+            return x + y, sx + sy
+        if op == 1:
+            return x - y, sx - sy
+        if op == 2:
+            return x * y, sx * sy
+        return (x / y, sx / sy) if y else (x, sx)
+    k = rng.randint(0, 4)
+    c = rng.randint(-3, 3)
+    if k == 0:
+        return HA + c, SA + c
+    if k == 1:
+        return HB + c, SB + c
+    if k == 2:
+        re, im = rng.randint(-4, 4), rng.randint(-2, 2)
+        return RatFunc.const(GaussRat(re, im)), sympy.Integer(re) + im * sympy.I
+    p, sp = rng.choice(pool)
+    return (p, sp) if k == 3 else (RF_ONE / p, 1 / sp)
+
+
+def test_residual_gcd_against_sympy(monkeypatch):
+    clear_caches()
+    calls = []
+    residual_gcd = scalars._residual_gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return residual_gcd(p, q)
+
+    monkeypatch.setattr(scalars, "_residual_gcd", counted)
+    rng = random.Random(4242)
+    for _ in range(200):
+        pool = [off_direction_factor(rng) for _ in range(2)]
+        f, reference = rand_rf_pair(rng, pool)
+        num, den = to_sympy(f.num), to_sympy(f.den)
+        assert sympy.cancel(num / den - reference, gaussian=True) == 0
+        assert sympy.gcd(num, den, gaussian=True).is_number
+        assert f.den.lead_coeff() == GR_ONE
+    assert calls
 
 
 def test_text_and_json_round_trip():
