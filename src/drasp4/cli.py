@@ -14,8 +14,8 @@ import sys
 from .scalars import (DIVERGENT, UNDEFINED, RatFunc, gauss_str, rf_json,
                       rf_latex, rf_str)
 from .ambient import AmbientElem, amb_json, amb_latex, amb_str, amb_theta, red
-from .dra import (DraElem, TruncationError, apply_p, diamond, dra_json,
-                  dra_latex, dra_str, dra_theta)
+from .dra import (DraElem, TruncationError, diamond, dra_json, dra_latex,
+                  dra_str, dra_theta)
 from .gwa import (BasePoly, GwaAlgebra, SkewAffineSigma, base_json, base_str,
                   reduction_gwa)
 from .parser import ParseError, evaluate
@@ -96,7 +96,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("project",
-                       help="apply the extremal projector, then reduce")
+                       help="image in the reduction algebra (reduce modulo II)")
     p.add_argument("expr")
     _add_format(p)
 
@@ -155,9 +155,10 @@ def _dispatch(args) -> int:
         print(_render(diamond(u, v), args.format))
         return 0
     if cmd == "project":
+        # red(P(red(u, I)), II) == red(u, II): P is 1 plus terms that start
+        # with a lowering letter, and red(u, I) drops only raising terms
         u = evaluate(args.expr, "ambient")
-        out = red(apply_p(red(u, "I")), "II")
-        print(_render(DraElem.from_ambient(out), args.format))
+        print(_render(DraElem.from_ambient(red(u, "II")), args.format))
         return 0
     if cmd == "theta":
         if args.mode == "dra":

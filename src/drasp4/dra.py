@@ -186,12 +186,47 @@ def diamond(u: DraElem, v: DraElem) -> DraElem:
     return DraElem(out)
 
 
+_GENS = (D1_BAR, D2_BAR, X2_BAR, X1_BAR)
+
+
+def _fold_letters(u: DraElem, n: tuple) -> DraElem:
+    """u <> g1 <> g2 <> ... over the letters of n in the normal order
+    d1^a d2^b x2^c x1^d, each step a product with one generator."""
+    for g, e in zip(_GENS, n):
+        for _ in range(e):
+            u = diamond(u, g)
+    return u
+
+
+@cache
+def _basis_word(n: tuple) -> DraElem:
+    """The ordered word W(n) = d1^<>a <> d2^<>b <> x2^<>c <> x1^<>d."""
+    return _fold_letters(DRA_ONE, n)
+
+
 @cache
 def _basis_diamond(m: tuple, n: tuple) -> DraElem:
-    """m <> n for two basis monomials with unit coefficients."""
-    prod = (DraElem({m: RF_ONE}).to_ambient()
-            * apply_p(DraElem({n: RF_ONE}).to_ambient()))
-    return DraElem.from_ambient(red(prod, "II"))
+    """m <> n for two basis monomials with unit coefficients.
+
+    Only a right factor of degree <= 1 is projected: red(m P(n), II).
+    Any other n is reached through its ordered word W(n), as
+
+        m <> n = (m <> g1 <> ... <> gk) - m <> (W(n) - n),
+
+    where g1 ... gk are the letters of n.  This rests on two premises:
+    the diamond product is associative, and W(n) is n plus terms lower in
+    weyl_word order, with coefficient 1 on n (suite_triangular checks
+    this).  The monomials of W(n) - n are lower than n and of no higher
+    degree, a finite set, so the recursion through diamond descends and
+    ends; up to degree 12 it is at most 7 levels deep.
+    """
+    if sum(n) <= 1:
+        prod = (DraElem({m: RF_ONE}).to_ambient()
+                * apply_p(DraElem({n: RF_ONE}).to_ambient()))
+        return DraElem.from_ambient(red(prod, "II"))
+    left = DraElem({m: RF_ONE})
+    lower = _basis_word(n) - DraElem({n: RF_ONE})
+    return _fold_letters(left, n) - diamond(left, lower)
 
 
 def diamond_commutator(u: DraElem, v: DraElem) -> DraElem:
@@ -202,10 +237,10 @@ def diamond_product(factors) -> DraElem:
     """The ordered product f1 <> f2 <> ... <> fn of an iterable of factors,
     as the left fold ((1 <> f1) <> f2) <> ... .
 
-    Each step projects only the monomials of the next factor, which the
-    projector table keeps, so a power of one generator projects it once;
-    grouping the factors any other way would project the monomials of the
-    partial products instead.
+    Whatever the factors, the projector acts only on single generators:
+    diamond reaches a right monomial of higher degree through a fold over
+    its generators, which rests on associativity and on W(n) being n plus
+    lower terms (see _basis_diamond).
     """
     out = DRA_ONE
     for f in factors:

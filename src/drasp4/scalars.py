@@ -658,9 +658,14 @@ def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
 
 def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
     """gcd of polynomials with no directional linear factors: a primitive
-    remainder sequence in Ha, times the gcd of the contents in Hb."""
-    a, ca = _primitive(_coeffs_in_a(p))
-    b, cb = _primitive(_coeffs_in_a(q))
+    remainder sequence in Ha.
+
+    Precondition: q is a residual of _dir_split, which has already divided
+    out its Hb-only part, so the content of q in Hb is constant and the
+    contents of p and q have gcd 1.
+    """
+    a, _ = _primitive(_coeffs_in_a(p))
+    b, _ = _primitive(_coeffs_in_a(q))
     if max(a) < max(b):
         a, b = b, a
     while b:
@@ -668,9 +673,8 @@ def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
         if r:
             r, _ = _primitive(r)
         a, b = b, r
-    d = poly_gcd(ca, cb)
     body = Poly2({(k, e[1]): c for k, v in a.items() for e, c in v.terms.items()})
-    return (body * d).monic()
+    return body.monic()
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from .scalars import (GR_ONE, GR_ZERO, GaussRat, HA, HB, RF_ONE, RatFunc,
 from .weyl import WeylElem
 from . import sp4
 from .ambient import red
-from .dra import (D1_BAR, D2_BAR, DraElem, X1_BAR, X2_BAR, apply_p, diamond,
-                  diamond_commutator, diamond_product, h_form,
-                  normalized_gens, presentation, weyl_word)
+from .dra import (D1_BAR, D2_BAR, DraElem, X1_BAR, X2_BAR, _basis_word,
+                  apply_p, diamond, diamond_commutator, diamond_product,
+                  h_form, normalized_gens, presentation, weyl_word)
 from . import gwa as _gwa
 
 
@@ -289,11 +289,9 @@ def suite_triangular(maxdeg: int = 3) -> Report:
     rep = Report("triangular")
     monos = sorted(m for m in iproduct(range(maxdeg + 1), repeat=4)
                    if sum(m) <= maxdeg)
-    gens = (D1_BAR, D2_BAR, X2_BAR, X1_BAR)
     for m in monos:
-        # d1^<>a <> d2^<>b <> x2^<>c <> x1^<>d
-        elem = diamond_product(g for g, e in zip(gens, m) for _ in range(e))
-        ok, why = _is_triangular(elem, m, unit=True)
+        # the ordered word W(m) whose unitriangularity the diamond relies on
+        ok, why = _is_triangular(_basis_word(m), m, unit=True)
         rep.add_flag("tri." + "".join(map(str, m)), ok, why)
     return rep
 

@@ -2,8 +2,8 @@ import itertools
 import random
 
 import drasp4
-from drasp4 import DraElem, GwaRealization, diamond
-from drasp4.scalars import HA, HB, poly_gcd
+from drasp4 import DraElem, GwaRealization, diamond, dra
+from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
 
 NAMES = {
     "drasp4.scalars._dir_split",
@@ -13,6 +13,7 @@ NAMES = {
     "drasp4.dra.projector_coeff",
     "drasp4.dra._apply_p",
     "drasp4.dra._basis_diamond",
+    "drasp4.dra._basis_word",
     "drasp4.gwa._t_monomial_image",
 }
 
@@ -20,7 +21,7 @@ NAMES = {
 def sample():
     real = GwaRealization()
     t1 = real.alg.t(1)
-    return (diamond(DraElem.gen("x2"), DraElem.gen("d2")),
+    return (diamond(DraElem.gen("x2"), DraElem({(0, 2, 0, 0): RF_ONE})),
             real.phi(real.alg.x(1).scaled(t1 * t1)),
             poly_gcd(((HA + 1) * (HB + 2)).num, ((HA + 1) * (HA + HB)).num))
 
@@ -37,7 +38,7 @@ def test_clear_caches_empties_them_and_results_stay_equal():
     assert sample() == first
 
 
-def test_caches_are_keyed_per_monomial():
+def test_caches_are_keyed_per_monomial(monkeypatch):
     rng = random.Random(81)
     monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 2]
 
@@ -46,10 +47,23 @@ def test_caches_are_keyed_per_monomial():
                         + rng.randint(-2, 2) for m in rng.sample(monos, 3)})
 
     u, v = three_terms(), three_terms()
+    assert max(sum(n) for n in v.terms) == 2
     drasp4.clear_caches()
+    projected = []
+    cached = dra._apply_p
+
+    def recording(mono, order):
+        projected.append(mono)
+        return cached(mono, order)
+
+    monkeypatch.setattr(dra, "_apply_p", recording)
     diamond(u, v)
+    # wider right factors go through their ordered generator words
+    assert projected and all(sum(mono) <= 1 for mono in projected)
     info = drasp4.cache_info()
-    assert info["drasp4.dra._apply_p"].currsize <= 3
-    assert info["drasp4.dra._basis_diamond"].currsize == 9
+    assert info["drasp4.dra._basis_diamond"].currsize > 0
+    assert info["drasp4.dra._basis_word"].currsize > 0
     drasp4.clear_caches()
-    assert drasp4.cache_info()["drasp4.dra._basis_diamond"].currsize == 0
+    info = drasp4.cache_info()
+    assert info["drasp4.dra._basis_diamond"].currsize == 0
+    assert info["drasp4.dra._basis_word"].currsize == 0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import drasp4
 from drasp4 import dra, sp4
 from drasp4.scalars import HA, HB, RF_ONE, RF_ZERO
-from drasp4.ambient import AmbientElem, e_gen, red
+from drasp4.ambient import LETTERS, AmbientElem, e_gen, red
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
                         diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
@@ -133,6 +134,53 @@ def test_diamond_table_agrees_with_definition():
         assert diamond(u, v) == expect, (u, v)
 
 
+def direct(m, n):
+    """m <> n for basis monomials by the definition red(m P(n), II), which
+    does not assume that the diamond product is associative."""
+    prod = (DraElem({m: RF_ONE}).to_ambient()
+            * apply_p(DraElem({n: RF_ONE}).to_ambient()))
+    return DraElem.from_ambient(red(prod, "II"))
+
+
+def test_basis_diamond_agrees_with_direct_definition():
+    monos = [m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4]
+    pairs = [(m, n) for m in monos for n in monos
+             if sum(n) <= 3 and sum(m) + sum(n) <= 4]
+    assert len(pairs) == 460
+    for m, n in pairs:
+        got = diamond(DraElem({m: RF_ONE}), DraElem({n: RF_ONE}))
+        assert got == direct(m, n), (m, n)
+
+
+def rand_ambient(rng):
+    """A sum of one to three words of up to three of the twelve letters,
+    each with an affine coefficient."""
+    out = AmbientElem()
+    for _ in range(rng.randint(1, 3)):
+        word = AmbientElem.scalar(HA * rng.randint(-1, 1) + HB * rng.randint(-1, 1)
+                                  + rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3)):
+            word = word * AmbientElem.gen(rng.choice(LETTERS))
+        out = out + word
+    return out
+
+
+def test_projection_reduces_to_red_ii():
+    # P is 1 plus terms that start with a lowering letter, so projecting a
+    # coset representative changes nothing modulo II; this is why the
+    # project command reduces without projecting
+    rng = random.Random(57)
+    samples = [rand_ambient(rng) for _ in range(24)]
+    fa_power = AmbientElem.scalar(1)
+    for _ in range(9):
+        fa_power = fa_power * AmbientElem.gen("Fa")
+    # the truncation bound counts the lowering letters of a monomial too
+    samples.append(fa_power)
+    for u in samples:
+        for order in (sp4.CONVEX_ORDER, sp4.CONVEX_ORDER_REV):
+            assert red(apply_p(red(u, "I"), order), "II") == red(u, "II"), u
+
+
 def test_projector_commutes_with_left_scalars():
     scalars = (HA + 2, (HB - 1) / (HA + 3), h_form(sp4.BETA_2A))
     for m in ((0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 2, 0), (0, 1, 1, 1)):
@@ -155,6 +203,22 @@ def test_theta():
     for _ in range(8):
         u, v = rand_dra(rng), rand_dra(rng)
         assert dra_theta(diamond(u, v)) == diamond(dra_theta(v), dra_theta(u))
+
+
+def test_degree_twelve_product_under_default_recursion_limit():
+    # _basis_diamond recurses once per lower monomial of W(n); that chain
+    # stays short, so a cold degree-12 product needs no raised limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        drasp4.clear_caches()
+        u = DraElem({(0, 0, 6, 0): RF_ONE})
+        v = DraElem({(0, 6, 0, 0): RF_ONE})
+        uv = diamond(u, v)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert uv.coeff((0, 6, 6, 0)) and len(uv.terms) == 28
+    assert dra_theta(uv) == diamond(dra_theta(v), dra_theta(u))
 
 
 def test_theta_mirrors_relations():

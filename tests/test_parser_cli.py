@@ -174,16 +174,23 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
     from drasp4 import dra
     drasp4.clear_caches()
     monkeypatch.setattr(dra, "TRUNCATION_MARGIN", -6)
-    code, _, err = run_cli(capsys, "project", "d1")
+    code, _, err = run_cli(capsys, "diamond", "x1", "d1")
     assert code == 1 and "truncation bound" in err
     assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_project_counts_lowering_letters(capsys):
-    # the truncation bound counts every letter of a monomial, so a lowering
-    # power is projected on its own, without a Weyl term raising the bound
+    # project reduces modulo II, which drops every lowering power
     code, out, _ = run_cli(capsys, "project", "Fa^9")
     assert code == 0 and out.strip() == "0"
+
+
+def test_cli_project_of_high_powers(capsys):
+    # no projector series runs, so the degree of the input costs nothing
+    code, out, _ = run_cli(capsys, "project", "d1^7")
+    assert code == 0 and out.strip() == "(1) d1^7"
+    code, out, _ = run_cli(capsys, "project", "d1^50 x1^50 + Fb*Eb*x2")
+    assert code == 0 and out.strip() == "(1) d1^50 x1^50"
 
 
 def test_long_flat_chains_evaluate(capsys):
