@@ -29,9 +29,9 @@ from . import ambient, dra, gwa, scalars, verify, weyl
 __version__ = "0.1.0"
 
 # Every memo of the engine: unbounded, kept for the life of the process.
-_MEMOS = (scalars._dir_split, scalars._poly_gcd_impl, weyl._mono_mul,
-          ambient._norm_word, dra.projector_coeff, dra._apply_p,
-          dra._basis_diamond, dra._basis_word, gwa._t_monomial_image)
+_MEMOS = (scalars._poly_gcd_impl, weyl._mono_mul, ambient._norm_word,
+          dra.projector_coeff, dra._apply_p, dra._basis_diamond,
+          dra._basis_word, gwa._sigma_power_image, gwa._t_monomial_image)
 
 
 def cache_info() -> dict:

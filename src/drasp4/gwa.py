@@ -149,9 +149,6 @@ class SkewAffineSigma:
     def __setattr__(self, name, value):
         raise AttributeError("SkewAffineSigma is immutable")
 
-    def on_scalar(self, f: RatFunc) -> RatFunc:
-        return f.shift(*self.shift)
-
     def on_scalar_inv(self, f: RatFunc) -> RatFunc:
         return f.shift(-self.shift[0], -self.shift[1])
 
@@ -178,25 +175,44 @@ class SkewAffineSigma:
                     terms[tuple(e)] = terms.get(tuple(e), RF_ZERO) - gj * inv
         return BasePoly(self.rank, terms)
 
-    def _apply(self, b: BasePoly, image: BasePoly, scalar_fn) -> BasePoly:
+    def power(self, k: int, b: BasePoly) -> BasePoly:
+        """sigma^k(b) in one pass: every scalar shifts by k times the
+        shift, and the own generator goes to its cached image under
+        sigma^k."""
+        if k == 0:
+            return b
+        da, db = k * self.shift[0], k * self.shift[1]
+        image = _sigma_power_image(self, k)
         out = BasePoly(self.rank)
         i = self.index - 1
         powers = {0: BasePoly.const(self.rank, 1)}
         for e, cf in b.terms.items():
-            k = e[i]
-            if k not in powers:
-                powers[k] = image ** k
+            n = e[i]
+            if n not in powers:
+                powers[n] = image ** n
             rest = list(e)
             rest[i] = 0
-            mono = BasePoly(self.rank, {tuple(rest): scalar_fn(cf)})
-            out = out + mono * powers[k]
+            mono = BasePoly(self.rank, {tuple(rest): cf.shift(da, db)})
+            out = out + mono * powers[n]
         return out
 
     def apply(self, b: BasePoly) -> BasePoly:
-        return self._apply(b, self.t_image(), self.on_scalar)
+        return self.power(1, b)
 
     def apply_inv(self, b: BasePoly) -> BasePoly:
-        return self._apply(b, self.t_image_inv(), self.on_scalar_inv)
+        return self.power(-1, b)
+
+
+@cache
+def _sigma_power_image(s: SkewAffineSigma, k: int) -> BasePoly:
+    """sigma^k(t_i) for the own generator t_i of s, an affine polynomial:
+    sigma^(k - step) applied to sigma^step(t_i), step the sign of k."""
+    if k == 1:
+        return s.t_image()
+    if k == -1:
+        return s.t_image_inv()
+    step = 1 if k > 0 else -1
+    return s.power(k - step, _sigma_power_image(s, step))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +284,7 @@ class GwaAlgebra:
         return self.sigmas[i - 1].apply(b)
 
     def sigma_pow(self, i: int, k: int, b: BasePoly) -> BasePoly:
-        s = self.sigmas[i - 1]
-        for _ in range(abs(k)):
-            b = s.apply(b) if k > 0 else s.apply_inv(b)
-        return b
+        return self.sigmas[i - 1].power(k, b)
 
     def sigma_vec(self, m, b: BasePoly) -> BasePoly:
         for i, k in enumerate(m, start=1):

@@ -5,13 +5,22 @@ Cartan coordinates, printed ``Ha`` and ``Hb``.  Every generator of the
 ambient algebra commutes past a dynamical scalar at the cost of an integer
 shift of the coordinates, so the whole engine reduces to exact arithmetic
 in this field.  All values are immutable and hashable.
+
+A scalar keeps its numerator expanded and its denominator factored.  The
+engine's denominators are products of shifted coroot forms h + k, the
+denominators of the extremal projector, and each such line is stored with
+its multiplicity: a product adds multiplicities, a sum takes their maximum
+and cancels a line only where the numerator vanishes on it, and a shift
+moves each line's constant.  What does not split into such lines (only
+parser or hand-built input has it) stays one residual polynomial, reduced
+by a gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 from math import gcd as _igcd
 
 from .sparse import SparseTerms, add_into, power
@@ -398,24 +407,20 @@ def poly_from_json(rows) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd.  Factors along the four coroot pencils (the only ones the
-# engine's denominators have) are split off direction by direction and
-# matched by univariate Euclid; the residual left over, which only parser
-# or hand-built input has, goes through a plain primitive remainder
+# Polynomial gcd.  RatFunc keeps the integer-shift coroot lines of its
+# denominators factored (see below) and cancels them by a line test, so a
+# gcd is taken only of what does not split into such lines, which only
+# parser or hand-built input has.  It is a plain primitive remainder
 # sequence in Ha with contents in Hb.  Coefficients live in the field of
 # Gaussian rationals, so divisions of coefficients always succeed.
 # ---------------------------------------------------------------------------
 
-def _upoly(p: Poly2, var: int) -> dict:
-    out = {}
-    for e, c in p.terms.items():
-        out[e[var]] = c
-    return out
+def _upoly(p: Poly2) -> dict:
+    """An Hb-only polynomial as a univariate exponent map."""
+    return {eb: c for (_, eb), c in p.terms.items()}
 
 
-def _upoly_to_poly(u: dict, var: int) -> Poly2:
-    if var == 0:
-        return Poly2({(k, 0): c for k, c in u.items()})
+def _upoly_to_poly(u: dict) -> Poly2:
     return Poly2({(0, k): c for k, c in u.items()})
 
 
@@ -428,73 +433,24 @@ def _umonic(u: dict) -> dict:
 
 def _uclear(p: dict) -> dict:
     """Clear denominators: coefficient map to Gaussian-integer pairs."""
-    scale = 1
-    for c in p.values():
-        d = c._d
-        scale = scale * d // _igcd(scale, d)
+    scale = lcm(*(c._d for c in p.values()))
     return {k: (c._a * (scale // c._d), c._b * (scale // c._d))
             for k, c in p.items()}
 
 
-def _iprim(p: dict) -> dict:
-    g = 0
-    for x, y in p.values():
-        g = _igcd(g, x, y)
-        if g == 1:
-            return p
-    if g <= 1:
-        return p
-    return {k: (x // g, y // g) for k, (x, y) in p.items()}
-
-
 def _ugcd(u: dict, v: dict) -> dict:
-    """Monic gcd of univariate polynomials over the Gaussian rationals,
-    computed as a primitive remainder sequence over Gaussian integers to
-    avoid coefficient swell."""
-    if not u:
-        return _umonic(dict(v))
-    if not v:
-        return _umonic(dict(u))
-    a = _iprim(_uclear(u))
-    b = _iprim(_uclear(v))
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        db = max(b)
-        lb = b[db]
-        r = a
-        while r and max(r) >= db:
+    """Monic gcd of univariate polynomials over the Gaussian rationals, by
+    Euclid's algorithm with monic divisors."""
+    while v:
+        v = _umonic(v)
+        dv = max(v)
+        r = dict(u)
+        while r and max(r) >= dv:
             dr = max(r)
-            lr = r[dr]
-            la, lb_i = lr
-            ba, bb = lb
-            new = {}
-            for k, (x, y) in r.items():
-                if k == dr:
-                    continue
-                new[k] = (x * ba - y * bb, x * bb + y * ba)
-            for k, (x, y) in b.items():
-                if k == db:
-                    continue
-                t = k + dr - db
-                vx = x * la - y * lb_i
-                vy = x * lb_i + y * la
-                s = new.get(t)
-                if s is None:
-                    new[t] = (-vx, -vy)
-                else:
-                    sx, sy = s
-                    sx -= vx
-                    sy -= vy
-                    if sx or sy:
-                        new[t] = (sx, sy)
-                    else:
-                        del new[t]
-            r = _iprim(new)
-        a, b = b, r
-    lead = a[max(a)]
-    inv = GaussRat._raw(lead[0], lead[1], 1).inv()
-    return {k: GaussRat._raw(x, y, 1) * inv for k, (x, y) in a.items()}
+            c = -r[dr]
+            add_into(r, ((k + dr - dv, c * x) for k, x in v.items()))
+        u, v = v, r
+    return _umonic(u)
 
 
 def _coeffs_in_a(p: Poly2) -> dict:
@@ -506,19 +462,14 @@ def _coeffs_in_a(p: Poly2) -> dict:
     return {k: Poly2({(0, e): c for e, c in row.items()}) for k, row in out.items()}
 
 
-def _content_b(coeffs: dict) -> Poly2:
+def _primitive(coeffs: dict) -> tuple:
+    """Ha-coefficients divided by their content in Hb, and that content."""
     g = {}
     for poly in coeffs.values():
-        g = _ugcd(g, _upoly(poly, 1))
-        if g and max(g) == 0:
-            return P_ONE
-    return _upoly_to_poly(g, 1) if g else P_ZERO
-
-
-def _primitive(coeffs: dict) -> tuple:
-    cont = _content_b(coeffs)
-    if cont.is_const():
-        return {k: v for k, v in coeffs.items()}, P_ONE
+        g = _ugcd(g, _upoly(poly))
+        if max(g) == 0:
+            return coeffs, P_ONE
+    cont = _upoly_to_poly(g)
     return {k: v.divexact(cont) for k, v in coeffs.items()}, cont
 
 
@@ -536,99 +487,6 @@ def _prem(a: dict, b: dict) -> dict:
     return r
 
 
-def _sub_va(p: Poly2, k: int) -> Poly2:
-    """Substitute Ha -> Ha + k*Hb (a ring automorphism)."""
-    if k == 0:
-        return p
-    return Poly2(add_into({}, (((i, eb + ea - i), c * (comb(ea, i) * k ** (ea - i)))
-                               for (ea, eb), c in p.terms.items()
-                               for i in range(ea + 1))))
-
-
-def _content_in(p: Poly2, var: int) -> dict:
-    """Monic gcd of the coefficient polynomials in one variable, i.e. the
-    full single-variable factor part of p; a univariate exponent map."""
-    rows = {}
-    for (ea, eb), c in p.terms.items():
-        if var == 0:
-            rows.setdefault(eb, {})[ea] = c
-        else:
-            rows.setdefault(ea, {})[eb] = c
-    g = {}
-    for row in rows.values():
-        g = _ugcd(g, row)
-        if g and max(g) == 0:
-            return g
-    return g
-
-
-# Denominators produced by the engine are products of integer translates
-# of four fixed affine directions; splitting off the single-direction
-# parts (cached per polynomial) keeps the remainder sequence away from
-# them.  Direction None is the Hb-only part; an integer cb stands for the
-# pencil Ha + cb*Hb + const.
-_DIRECTIONS = (None, 0, 1, 2)
-
-
-def _dir_content(p: Poly2, direction) -> dict:
-    """Full single-direction factor part, univariate in the direction
-    coordinate (monic exponent map)."""
-    if direction is None:
-        return _content_in(p, 1)
-    pt = _sub_va(p, -direction) if direction else p
-    return _content_in(pt, 0)
-
-
-def _from_dir(u: dict, direction) -> Poly2:
-    if direction is None:
-        return _upoly_to_poly(u, 1)
-    g = _upoly_to_poly(u, 0)
-    return _sub_va(g, direction) if direction else g
-
-
-@cache
-def _dir_split(p: Poly2):
-    """Split p into per-direction univariate parts and a residual free of
-    directional linear factors; cached per polynomial."""
-    parts = []
-    rem = p
-    for d in _DIRECTIONS:
-        if rem.is_const():
-            parts.append(None)
-            continue
-        c = _dir_content(rem, d)
-        if c and max(c) > 0:
-            parts.append(c)
-            rem = rem.divexact(_from_dir(c, d))
-        else:
-            parts.append(None)
-    return tuple(parts), rem
-
-
-def _gcd_vs_split(t: Poly2, q: Poly2) -> Poly2:
-    """gcd(t, q) where q's directional split is (or becomes) cached and t
-    is a fresh polynomial not worth caching."""
-    if t.is_const() or q.is_const():
-        return P_ONE
-    parts_q, res_q = _dir_split(q)
-    g = P_ONE
-    tt = t
-    for d, cq in zip(_DIRECTIONS, parts_q):
-        if cq is None or tt.is_const():
-            continue
-        ct = _dir_content(tt, d)
-        if not ct or max(ct) == 0:
-            continue
-        u = _ugcd(ct, cq)
-        if u and max(u) > 0:
-            gd = _from_dir(u, d)
-            g = g * gd
-            tt = tt.divexact(gd)
-    if not res_q.is_const() and not tt.is_const():
-        g = g * _residual_gcd(tt, res_q)
-    return g.monic()
-
-
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials over the Gaussian rationals."""
     if p.is_zero():
@@ -642,30 +500,14 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
 
 @cache
 def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
-    parts_p, res_p = _dir_split(p)
-    parts_q, res_q = _dir_split(q)
-    g = P_ONE
-    for d, cp, cq in zip(_DIRECTIONS, parts_p, parts_q):
-        if cp is None or cq is None:
-            continue
-        u = _ugcd(cp, cq)
-        if u and max(u) > 0:
-            g = g * _from_dir(u, d)
-    if not res_p.is_const() and not res_q.is_const():
-        g = g * _residual_gcd(res_p, res_q)
-    return g.monic()
+    return _residual_gcd(p, q)
 
 
 def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """gcd of polynomials with no directional linear factors: a primitive
-    remainder sequence in Ha.
-
-    Precondition: q is a residual of _dir_split, which has already divided
-    out its Hb-only part, so the content of q in Hb is constant and the
-    contents of p and q have gcd 1.
-    """
-    a, _ = _primitive(_coeffs_in_a(p))
-    b, _ = _primitive(_coeffs_in_a(q))
+    """gcd by a primitive remainder sequence in Ha: the gcd of the two
+    contents in Hb times the last nonzero primitive remainder."""
+    a, ca = _primitive(_coeffs_in_a(p))
+    b, cb = _primitive(_coeffs_in_a(q))
     if max(a) < max(b):
         a, b = b, a
     while b:
@@ -674,7 +516,176 @@ def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
             r, _ = _primitive(r)
         a, b = b, r
     body = Poly2({(k, e[1]): c for k, v in a.items() for e, c in v.terms.items()})
+    if not (ca.is_const() or cb.is_const()):
+        body = body * _upoly_to_poly(_ugcd(_upoly(ca), _upoly(cb)))
     return body.monic()
+
+
+# ---------------------------------------------------------------------------
+# Integer-shift coroot lines: the key ((ca, cb), k) is the monic form
+# ca*Ha + cb*Hb + k, (ca, cb) the linear part of a shifted coroot form of
+# sp4 (the extremal projector's denominators) and k any integer.
+# ---------------------------------------------------------------------------
+
+COROOT_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, 2))
+
+
+def _expand(lines: dict, part: dict) -> Poly2:
+    """The product of the lines with their multiplicities, less those in
+    part (a divisor of lines), multiplied out in integers."""
+    out = {(0, 0): 1}
+    for key, m in lines.items():
+        (ca, cb), k = key
+        for _ in range(m - part.get(key, 0)):
+            nxt = {}
+            for (ea, eb), x in out.items():
+                for e, f in (((ea + 1, eb), ca), ((ea, eb + 1), cb),
+                             ((ea, eb), k)):
+                    if f:
+                        nxt[e] = nxt.get(e, 0) + f * x
+            out = nxt
+    return Poly2({e: GaussRat._raw(x, 0, 1) for e, x in out.items()})
+
+
+def _divide_out(p: Poly2, key, limit: int) -> tuple:
+    """p divided by the line as often as it divides, at most limit times,
+    and how often.  A nonzero value where the line meets v = 0 rules it out
+    at once; otherwise p, cleared of denominators, is divided synthetically
+    in the line's variable u over the other, v, staying integral."""
+    (ca, cb), k = key
+    cv = cb if ca else 0  # the line is u + cv*v + k
+    axis = _uclear({e[1 - ca]: c for e, c in p.terms.items() if not e[ca]})
+    if any(sum(xy[j] * (-k) ** u for u, xy in axis.items()) for j in (0, 1)):
+        return p, 0
+    scale = lcm(*(c._d for c in p.terms.values()))
+    rows, n = {}, 0
+    for e, c in p.terms.items():
+        f = scale // c._d
+        rows.setdefault(e[1 - ca], {})[e[ca]] = (c._a * f, c._b * f)
+    while n < limit:
+        quot = _synthetic(rows, cv, k)
+        if quot is None:
+            break
+        rows, n = quot, n + 1
+    if not n:
+        return p, 0
+    return Poly2({((u, v) if ca else (v, u)): GaussRat._raw(x, y, scale)
+                  for u, r in rows.items() for v, (x, y) in r.items()}), n
+
+
+def _synthetic(rows: dict, cv: int, k: int):
+    """Rows {u: {v: (re, im)}} over u + cv*v + k by synthetic division in
+    u, or None if the remainder is not zero."""
+    rows = {u: dict(r) for u, r in rows.items()}
+    quot = {}
+    for u in range(max(rows), 0, -1):
+        q = quot[u - 1] = rows.pop(u, {})
+        below = rows.setdefault(u - 1, {})
+        for v, (x, y) in q.items():
+            for w, f in ((v, k), (v + 1, cv)):
+                if f:
+                    a, b = below.get(w, (0, 0))
+                    below[w] = (a - f * x, b - f * y)
+    return None if any(x or y for x, y in rows.get(0, {}).values()) else quot
+
+
+def _ieval(c: list, x: int) -> int:
+    v = 0
+    for k in reversed(c):
+        v = v * x + k
+    return v
+
+
+def _crossings(c: list, pts: list) -> list:
+    """pts and, between neighbours where c changes sign, the two integers
+    around the crossing, found by bisection; c must be monotone between
+    neighbours."""
+    out = set(pts)
+    for u, v in zip(pts, pts[1:]):
+        su = _ieval(c, u)
+        if su * _ieval(c, v) < 0:
+            while v - u > 1:
+                m = (u + v) // 2
+                sm = _ieval(c, m)
+                if sm == 0:
+                    u = v = m
+                elif (sm > 0) == (su > 0):
+                    u = m
+                else:
+                    v = m
+            out.update((u, v))
+    return sorted(out)
+
+
+def _int_roots(u: dict) -> list:
+    """Candidate integer roots of a nonzero univariate polynomial over the
+    Gaussian rationals: those of its real part, or of its imaginary part
+    if that is all.  They lie within the Cauchy bound; each derivative's
+    sign changes, found from the next derivative's, cut that interval into
+    pieces on which the one before is monotone, down to the polynomial."""
+    pairs = _uclear(u)
+    part = 0 if any(x for x, _ in pairs.values()) else 1
+    c = [0] * (max(pairs) + 1)
+    for e, xy in pairs.items():
+        c[e] = xy[part]
+    while not c[-1]:
+        c.pop()
+    zero = [0] if not c[0] else []
+    while not c[0]:
+        c.pop(0)
+    # a nonzero integer root also divides the constant term
+    bound = min(abs(c[0]), 2 + max(map(abs, c[:-1]), default=0) // abs(c[-1]))
+    ders = [c]
+    while len(ders[-1]) > 2:
+        d = ders[-1]
+        ders.append([i * d[i] for i in range(1, len(d))])
+    pts = [-bound, bound]
+    for d in reversed(ders):
+        pts = _crossings(d, pts)
+    return zero + [x for x in pts if x and not _ieval(c, x)]
+
+
+def _split_lines(p: Poly2) -> tuple:
+    """The integer-shift coroot lines dividing p, with multiplicities, and
+    the monic residual left when they are divided out."""
+    lines = {}
+    if p.is_const():
+        return lines, P_ONE
+    top = max(ea for ea, _ in p.terms)
+    p = _strip(p, [((0, 1), -r) for r in _int_roots(
+        {eb: c for (ea, eb), c in p.terms.items() if ea == top})], lines)
+    # With no Hb + k factor left, p(Ha, 0) is not zero, and a line
+    # Ha + cb*Hb + k dividing p gives it the root Ha = -k.
+    p = _strip(p, [(d, -r) for r in _int_roots(
+        {ea: c for (ea, eb), c in p.terms.items() if eb == 0})
+        for d in COROOT_DIRECTIONS if d[0]], lines)
+    return lines, P_ONE if p.is_const() else p.monic()
+
+
+def _strip(p: Poly2, keys, lines: dict) -> Poly2:
+    for key in keys:
+        p, n = _divide_out(p, key, p.total_degree())
+        if n:
+            lines[key] = n
+    return p
+
+
+def _cancel(num: Poly2, lines: dict, keys) -> tuple:
+    """Divide num by each line of keys as often as it divides num, up to
+    its multiplicity in lines; returns num and the lines left over."""
+    left = dict(lines)
+    for key in keys:
+        num, n = _divide_out(num, key, lines[key])
+        left[key] -= n
+    return num, {key: m for key, m in left.items() if m}
+
+
+def _cancel_residual(num: Poly2, res: Poly2, part: Poly2) -> tuple:
+    """num and res divided by gcd(num, part), where part divides res."""
+    if part.is_const() or num.is_const():
+        return num, res
+    g = poly_gcd(num, part)
+    return (num, res) if g.is_const() else (num.divexact(g), res.divexact(g))
 
 
 # ---------------------------------------------------------------------------
@@ -684,25 +695,35 @@ def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
 class RatFunc:
     """Canonical rational function num/den in (Ha, Hb) over GaussRat.
 
-    Invariants: den is nonzero with leading coefficient 1 in lex order,
-    and gcd(num, den) = 1.  Structural equality is field equality.
+    The denominator is stored factored: ``lines`` maps each integer-shift
+    coroot line dividing it to its multiplicity, and ``res`` is the monic
+    residual, which is 1 for every value the engine makes.  ``den`` is
+    their product, expanded on first read.
+
+    Invariants: den has leading coefficient 1 in lex order, gcd(num, den)
+    = 1, and the residual never holds an integer-shift coroot line.  Lines
+    are irreducible, so the split of den into lines and residual is
+    unique, and structural equality is field equality.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "lines", "res", "_den", "_hash")
 
-    def __init__(self, num: Poly2, den: Poly2 = P_ONE, _normalized=False):
-        if not _normalized:
-            num, den = _rf_normalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, num: Poly2, den: Poly2 = P_ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("zero divisor in scalar field")
+        lines, res = {}, P_ONE
+        if num:
+            lines, res = _split_lines(den)
+            num, lines = _cancel(num * den.lead_coeff().inv(), lines, lines)
+            num, res = _cancel_residual(num, res, res)
+        _set(self, num, lines, res)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly2.const(c), P_ONE, _normalized=True)
+        return _rf(Poly2.const(c), {}, P_ONE)
 
     @staticmethod
     def _coerce(x):
@@ -711,6 +732,14 @@ class RatFunc:
         if isinstance(x, (int, Fraction, GaussRat)):
             return RatFunc.const(x)
         return None
+
+    @property
+    def den(self) -> Poly2:
+        d = self._den
+        if d is None:
+            d = _times(_expand(self.lines, {}), self.res)
+            object.__setattr__(self, "_den", d)
+        return d
 
     # -- predicates --
 
@@ -721,7 +750,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_const(self):
-        return self.num.is_const() and self.den.is_const()
+        return not self.lines and self.res is P_ONE and self.num.is_const()
 
     def const_value(self) -> GaussRat:
         if not self.is_const():
@@ -732,7 +761,7 @@ class RatFunc:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        return self.num == g.num and self.den == g.den
+        return self.num == g.num and self.lines == g.lines and self.res == g.res
 
     def __hash__(self):
         # a constant equals its GaussRat value, so it hashes like it
@@ -741,50 +770,39 @@ class RatFunc:
             if self.is_const():
                 h = hash(self.num.const_value())
             else:
-                h = hash((self.num, self.den))
+                h = hash((self.num, frozenset(self.lines.items()), self.res))
             object.__setattr__(self, "_hash", h)
         return h
 
     # -- field operations --
 
     def _add_sub(self, g: "RatFunc", sign: int) -> "RatFunc":
-        """Reduced-fraction addition: the only gcds taken are of the two
-        denominators and of the combined numerator against that gcd."""
-        n2 = g.num if sign > 0 else -g.num
-        if self.den == g.den:
-            t = self.num + n2
-            if t.is_zero():
-                return RF_ZERO
-            if self.den is P_ONE or self.den.is_const():
-                return RatFunc(t, P_ONE, _normalized=True)
-            h = _gcd_vs_split(t, self.den)
-            if h.is_const():
-                return RatFunc(t, self.den, _normalized=True)
-            return RatFunc(t.divexact(h), self.den.divexact(h),
-                           _normalized=True)
-        if self.den is P_ONE or self.den.is_const():
-            if g.den.is_const():
-                return RatFunc(self.num + n2, P_ONE, _normalized=True)
-            return RatFunc(self.num * g.den + n2, g.den, _normalized=True)
-        if g.den.is_const():
-            return RatFunc(self.num + n2 * self.den, self.den,
-                           _normalized=True)
-        g0 = poly_gcd(self.den, g.den)
-        if g0.is_const():
-            t = self.num * g.den + n2 * self.den
-            if t.is_zero():
-                return RF_ZERO
-            return RatFunc(t, self.den * g.den, _normalized=True)
-        a = self.den.divexact(g0)
-        b = g.den.divexact(g0)
-        t = self.num * b + n2 * a
+        """Addition over the lcm of the denominators.  A line can cancel
+        only where both operands have it with the same multiplicity, so
+        the sum is tested on those lines alone; residuals take gcds."""
+        t1, t2 = self.num, (g.num if sign > 0 else -g.num)
+        l1, l2, r1, r2 = self.lines, g.lines, self.res, g.res
+        if l1 == l2:
+            lines = common = l1
+        else:
+            lines = {**l1, **{key: max(m, l1.get(key, 0))
+                              for key, m in l2.items()}}
+            common = [key for key, m in l1.items() if l2.get(key) == m]
+            t1 = _times(t1, _expand(lines, l1))
+            t2 = _times(t2, _expand(lines, l2))
+        if r1 == r2:
+            res = g0 = r1
+        else:
+            g0 = P_ONE if P_ONE in (r1, r2) else poly_gcd(r1, r2)
+            a, b = ((r1, r2) if g0.is_const()
+                    else (r1.divexact(g0), r2.divexact(g0)))
+            t1, t2, res = t1 * b, t2 * a, r1 * b
+        t = t1 + t2
         if t.is_zero():
             return RF_ZERO
-        h = _gcd_vs_split(t, g0)
-        if h.is_const():
-            return RatFunc(t, self.den * b, _normalized=True)
-        return RatFunc(t.divexact(h), self.den.divexact(h) * b,
-                       _normalized=True)
+        t, lines = _cancel(t, lines, common)
+        t, res = _cancel_residual(t, res, g0)
+        return _rf(t, lines, res)
 
     def __add__(self, other):
         g = self._coerce(other)
@@ -815,7 +833,7 @@ class RatFunc:
         return g - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
+        return _rf(-self.num, self.lines, self.res)
 
     def __mul__(self, other):
         g = self._coerce(other)
@@ -827,40 +845,25 @@ class RatFunc:
             return self
         if self.num.is_zero() or g.num.is_zero():
             return RF_ZERO
-        n1, d1 = self.num, self.den
-        n2, d2 = g.num, g.den
         # cross-cancel; both inputs are reduced, so the result is too
-        if not (n1.is_const() or d2.is_const()):
-            c1 = _gcd_vs_split(n1, d2)
-            if not c1.is_const():
-                n1 = n1.divexact(c1)
-                d2 = d2.divexact(c1)
-        if not (n2.is_const() or d1.is_const()):
-            c2 = _gcd_vs_split(n2, d1)
-            if not c2.is_const():
-                n2 = n2.divexact(c2)
-                d1 = d1.divexact(c2)
-        num = n1 * n2
-        den = d1 * d2
-        if den.is_const():
-            cv = den.const_value()
-            if cv != GR_ONE:
-                num = num * cv.inv()
-            return RatFunc(num, P_ONE, _normalized=True)
-        return RatFunc(num, den, _normalized=True)
+        n1, l2 = _cancel(self.num, g.lines, g.lines)
+        n2, l1 = _cancel(g.num, self.lines, self.lines)
+        n1, r2 = _cancel_residual(n1, g.res, g.res)
+        n2, r1 = _cancel_residual(n2, self.res, self.res)
+        lines = dict(l1)
+        for key, m in l2.items():
+            lines[key] = lines.get(key, 0) + m
+        return _rf(n1 * n2, lines, _times(r1, r2))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("zero divisor in scalar field")
-        num, den = self.den, self.num
-        lc = den.lead_coeff()
-        if lc != GR_ONE:
-            s = lc.inv()
-            num = num * s
-            den = den * s
-        return RatFunc(num, den, _normalized=True)
+        s = self.num.lead_coeff().inv()
+        f = _rf(self.den * s, *_split_lines(self.num))
+        object.__setattr__(f, "_den", self.num * s)  # already expanded
+        return f
 
     def __truediv__(self, other):
         g = self._coerce(other)
@@ -882,11 +885,13 @@ class RatFunc:
     # -- substitution, evaluation, asymptotics --
 
     def shift(self, da: int, db: int) -> "RatFunc":
-        """Substitute Ha -> Ha + da, Hb -> Hb + db (a field automorphism)."""
+        """Substitute Ha -> Ha + da, Hb -> Hb + db (a field automorphism);
+        each line keeps its direction and moves its constant."""
         if da == 0 and db == 0:
             return self
-        return RatFunc(self.num.shift(da, db), self.den.shift(da, db),
-                       _normalized=True)
+        lines = {(d, k + d[0] * da + d[1] * db): m
+                 for (d, k), m in self.lines.items()}
+        return _rf(self.num.shift(da, db), lines, self.res.shift(da, db))
 
     def eval_at(self, pa, pb) -> GaussRat:
         pa = pa if isinstance(pa, GaussRat) else GaussRat(pa)
@@ -923,6 +928,25 @@ class RatFunc:
         return rf_str(self)
 
 
+def _set(f: RatFunc, num: Poly2, lines: dict, res: Poly2) -> None:
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "lines", lines)
+    object.__setattr__(f, "res", P_ONE if res.is_const() else res)
+    object.__setattr__(f, "_den", None)
+    object.__setattr__(f, "_hash", None)
+
+
+def _rf(num: Poly2, lines: dict, res: Poly2) -> RatFunc:
+    """A RatFunc from parts that already meet its invariants."""
+    f = object.__new__(RatFunc)
+    _set(f, num, lines, res)
+    return f
+
+
+def _times(p: Poly2, q: Poly2) -> Poly2:
+    return p if q is P_ONE else q if p is P_ONE else p * q
+
+
 class _LimitSentinel:
     __slots__ = ("name",)
 
@@ -936,41 +960,16 @@ class _LimitSentinel:
 DIVERGENT = _LimitSentinel("divergent")
 UNDEFINED = _LimitSentinel("undefined")
 
-
-def _rf_normalize(num: Poly2, den: Poly2) -> tuple:
-    if den.is_zero():
-        raise ZeroDivisionError("zero divisor in scalar field")
-    if num.is_zero():
-        return P_ZERO, P_ONE
-    if den.is_const():
-        return num * den.const_value().inv(), P_ONE
-    if num == den:
-        return P_ONE, P_ONE
-    if not num.is_const():
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = num.divexact(g)
-            den = den.divexact(g)
-    if den.is_const():
-        return num * den.const_value().inv(), P_ONE
-    lc = den.lead_coeff()
-    if lc != GR_ONE:
-        inv = lc.inv()
-        num = num * inv
-        den = den * inv
-    return num, den
-
-
-RF_ZERO = RatFunc(P_ZERO, P_ONE, _normalized=True)
-RF_ONE = RatFunc(P_ONE, P_ONE, _normalized=True)
-RF_I = RatFunc(Poly2.const(GR_I), P_ONE, _normalized=True)
-HA = RatFunc(P_HA, P_ONE, _normalized=True)
-HB = RatFunc(P_HB, P_ONE, _normalized=True)
+RF_ZERO = _rf(P_ZERO, {}, P_ONE)
+RF_ONE = _rf(P_ONE, {}, P_ONE)
+RF_I = _rf(Poly2.const(GR_I), {}, P_ONE)
+HA = _rf(P_HA, {}, P_ONE)
+HB = _rf(P_HB, {}, P_ONE)
 
 
 def rf_affine(ca, cb, c0) -> RatFunc:
     """The polynomial scalar ca*Ha + cb*Hb + c0."""
-    return RatFunc(Poly2.affine(ca, cb, c0), P_ONE, _normalized=True)
+    return _rf(Poly2.affine(ca, cb, c0), {}, P_ONE)
 
 
 def rf_str(f: RatFunc) -> str:

@@ -6,7 +6,6 @@ from drasp4 import DraElem, GwaRealization, diamond, dra
 from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
 
 NAMES = {
-    "drasp4.scalars._dir_split",
     "drasp4.scalars._poly_gcd_impl",
     "drasp4.weyl._mono_mul",
     "drasp4.ambient._norm_word",
@@ -14,6 +13,7 @@ NAMES = {
     "drasp4.dra._apply_p",
     "drasp4.dra._basis_diamond",
     "drasp4.dra._basis_word",
+    "drasp4.gwa._sigma_power_image",
     "drasp4.gwa._t_monomial_image",
 }
 

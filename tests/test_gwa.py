@@ -157,6 +157,26 @@ def test_phi_a1_identities(alg, real):
         assert lhs == rhs
 
 
+def test_phi_is_multiplicative_on_random_elements(alg, real):
+    """The realization theorem as a second engine: GWA products only shift
+    and multiply, while the diamond side runs the extremal projector."""
+    rng = random.Random(63)
+
+    def rand_elem():
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            m = (rng.randint(-1, 1), rng.randint(-1, 1))
+            c = BasePoly.const(2, HA * rng.randint(-2, 2)
+                               + HB * rng.randint(-2, 2) + rng.randint(1, 3))
+            i = rng.randint(0, 2)
+            terms[m] = c * alg.t(i) if i else c
+        return GwaElem(alg, terms)
+
+    for _ in range(20):
+        u, v = rand_elem(), rand_elem()
+        assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))
+
+
 def test_gwa_iso_report():
     from drasp4.verify import gwa_iso_report
     rep = gwa_iso_report(maxdeg=2)
