@@ -13,7 +13,9 @@ its multiplicity: a product adds multiplicities, a sum takes their maximum
 and cancels a line only where the numerator vanishes on it, and a shift
 moves each line's constant.  What does not split into such lines (only
 parser or hand-built input has it) stays one residual polynomial, reduced
-by a gcd.
+by a gcd.  A polynomial keeps Gaussian-integer coefficient pairs over one
+denominator, the way a Gaussian rational keeps one number, so its ring
+operations run in plain ints with one gcd pass per result.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cache
 from math import comb, lcm
 from math import gcd as _igcd
 
-from .sparse import SparseTerms, add_into, power
+from .sparse import add_into, power
 
 
 class GaussRat:
@@ -184,51 +186,67 @@ GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def gauss_str(c: GaussRat) -> str:
     """Render a Gaussian rational, e.g. ``1``, ``-i``, ``2/3*i``, ``1+2*i``."""
     if not c.im:
-        return _frac_str(c.re)
+        return str(c.re)
     if not c.re:
         if c.im == 1:
             return "i"
         if c.im == -1:
             return "-i"
-        return f"{_frac_str(c.im)}*i"
+        return f"{c.im}*i"
     im = c.im
     sign = "+" if im > 0 else "-"
     mag = abs(im)
-    tail = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    return f"{_frac_str(c.re)}{sign}{tail}"
+    tail = "i" if mag == 1 else f"{mag}*i"
+    return f"{c.re}{sign}{tail}"
 
 
 def gauss_json(c: GaussRat) -> list:
-    return [_frac_str(c.re), _frac_str(c.im)]
+    return [str(c.re), str(c.im)]
 
 
 # ---------------------------------------------------------------------------
 # Sparse polynomials in the two Cartan coordinates.
 # ---------------------------------------------------------------------------
 
-class Poly2(SparseTerms):
-    """Sparse polynomial in the coordinates (Ha, Hb) over GaussRat.
+class Poly2:
+    """Sparse polynomial in the coordinates (Ha, Hb) over the Gaussian
+    rationals, stored the way GaussRat stores one number: ``_c`` maps each
+    exponent pair (ea, eb) to a nonzero Gaussian-integer pair (a, b), and
+    the coefficient is (a + b*i)/d for the one denominator ``_d`` > 0, with
+    gcd(all a, all b, d) = 1.  The form is unique, so structural equality
+    is field equality.  Ring operations work in plain ints with one gcd
+    pass per result; ``terms``, the map to GaussRat coefficients, is built
+    on read.
 
-    Terms map exponent pairs to nonzero coefficients.  The leading term is
-    taken in lex order on (ea, eb); canonical denominators are normalized
-    to leading coefficient 1.
+    The leading term is taken in lex order on (ea, eb); canonical
+    denominators are normalized to leading coefficient 1.
     """
 
-    __slots__ = ()
+    __slots__ = ("_c", "_d")
+
+    def __new__(cls, terms=None):
+        t = {e: c for e, c in (terms or {}).items() if c}
+        d = lcm(*(c._d for c in t.values()))
+        return _poly({e: (c._a * (d // c._d), c._b * (d // c._d))
+                      for e, c in t.items()}, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Poly2 is immutable")
+
+    @property
+    def terms(self) -> dict:
+        d = self._d
+        return {e: GaussRat._raw(a, b, d) for e, (a, b) in self._c.items()}
 
     # -- constructors --
 
     @staticmethod
     def const(c) -> "Poly2":
         g = c if isinstance(c, GaussRat) else GaussRat(c)
-        return Poly2({(0, 0): g}) if g else Poly2()
+        return _poly({(0, 0): (g._a, g._b)}, g._d) if g else P_ZERO
 
     @staticmethod
     def affine(ca, cb, c0) -> "Poly2":
@@ -237,61 +255,80 @@ class Poly2(SparseTerms):
 
     # -- predicates --
 
+    def __bool__(self):
+        return bool(self._c)
+
+    def is_zero(self):
+        return not self._c
+
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
+        return not self._c or (len(self._c) == 1 and (0, 0) in self._c)
 
     def const_value(self) -> GaussRat:
-        if not self.terms:
-            return GR_ZERO
-        return self.terms[(0, 0)]
+        return GaussRat._raw(*self._c[(0, 0)], self._d) if self._c else GR_ZERO
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(ea + eb for ea, eb in self.terms)
+        return max((ea + eb for ea, eb in self._c), default=-1)
+
+    def __eq__(self, other):
+        if type(other) is not Poly2:
+            return NotImplemented
+        return self._d == other._d and self._c == other._c
+
+    def __hash__(self):
+        return hash((frozenset(self._c.items()), self._d))
 
     # -- ring operations --
 
+    def __add__(self, other):
+        d1, d2 = self._d, other._d
+        g = _igcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        out = (dict(self._c) if f1 == 1
+               else {e: (a * f1, b * f1) for e, (a, b) in self._c.items()})
+        return _poly(_acc(out, ((e, a * f2, b * f2)
+                                for e, (a, b) in other._c.items())), d1 * f1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _poly({e: (-a, -b) for e, (a, b) in self._c.items()}, self._d)
+
     def __mul__(self, other):
         if isinstance(other, GaussRat):
-            if not other:
-                return P_ZERO
-            return Poly2({e: c * other for e, c in self.terms.items()})
+            other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return P_ZERO
-        return Poly2(add_into({}, (((a1 + a2, b1 + b2), c1 * c2)
-                                   for (a1, b1), c1 in self.terms.items()
-                                   for (a2, b2), c2 in other.terms.items())))
+        return _poly(_acc({}, (((a1 + a2, b1 + b2), x1 * x2 - y1 * y2,
+                                x1 * y2 + y1 * x2)
+                               for (a1, b1), (x1, y1) in self._c.items()
+                               for (a2, b2), (x2, y2) in other._c.items())),
+                     self._d * other._d)
 
     def __pow__(self, n: int):
         return power(self, n, P_ONE)
 
-    def scaled(self, c: GaussRat) -> "Poly2":
-        return self * c
-
     # -- leading data (lex on (ea, eb)) --
 
-    def lead_exp(self):
-        return max(self.terms)
-
     def lead_coeff(self) -> GaussRat:
-        return self.terms[max(self.terms)]
+        return GaussRat._raw(*self._c[max(self._c)], self._d)
 
     def monic(self) -> "Poly2":
-        if not self.terms:
+        if not self._c:
             return self
         lc = self.lead_coeff()
-        if lc == GR_ONE:
-            return self
-        inv = lc.inv()
-        return Poly2({e: c * inv for e, c in self.terms.items()})
+        return self if lc == GR_ONE else self * lc.inv()
 
     def leading_form(self) -> "Poly2":
         """Top total-degree homogeneous part."""
         d = self.total_degree()
-        return Poly2({e: c for e, c in self.terms.items() if e[0] + e[1] == d})
+        return _poly({e: c for e, c in self._c.items() if e[0] + e[1] == d},
+                     self._d)
+
+    def sorted_keys(self) -> list:
+        """Keys by descending total degree, then descending key."""
+        return sorted(self._c, key=lambda e: (e[0] + e[1], e), reverse=True)
 
     # -- substitution and evaluation --
 
@@ -299,28 +336,21 @@ class Poly2(SparseTerms):
         """Substitute Ha -> Ha + da, Hb -> Hb + db."""
         if da == 0 and db == 0:
             return self
-        return Poly2(add_into({}, self._shift_terms(da, db)))
+        return _poly(_acc({}, self._shift_terms(da, db)), self._d)
 
     def _shift_terms(self, da: int, db: int):
-        for (ea, eb), c in self.terms.items():
+        for (ea, eb), (x, y) in self._c.items():
             for ia in range(ea + 1):
                 ka = comb(ea, ia) * da ** (ea - ia)
                 if ka:
                     for ib in range(eb + 1):
                         k = ka * comb(eb, ib) * db ** (eb - ib)
                         if k:
-                            yield (ia, ib), c * k
+                            yield (ia, ib), k * x, k * y
 
     def eval_at(self, pa: GaussRat, pb: GaussRat) -> GaussRat:
-        total = GR_ZERO
-        for (ea, eb), c in self.terms.items():
-            v = c
-            for _ in range(ea):
-                v = v * pa
-            for _ in range(eb):
-                v = v * pb
-            total = total + v
-        return total
+        return sum((c * power(pa, ea, GR_ONE) * power(pb, eb, GR_ONE)
+                    for (ea, eb), c in self.terms.items()), GR_ZERO)
 
     # -- exact division --
 
@@ -328,29 +358,77 @@ class Poly2(SparseTerms):
         """Exact quotient self / g; raises ArithmeticError on nonzero remainder."""
         if g.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if g.is_const():
-            return self * g.const_value().inv()
-        rem = dict(self.terms)
-        ge = max(g.terms)
-        gc = g.terms[ge]
-        neg_gcinv = -gc.inv()
-        quot = {}
-        while rem:
-            le = max(rem)
-            if le[0] < ge[0] or le[1] < ge[1]:
-                raise ArithmeticError("inexact polynomial division")
-            qe = (le[0] - ge[0], le[1] - ge[1])
-            neg_qc = rem[le] * neg_gcinv
-            quot[qe] = -neg_qc
-            add_into(rem, (((e[0] + qe[0], e[1] + qe[1]), neg_qc * c)
-                           for e, c in g.terms.items()))
-        return Poly2(quot)
+        quot, rem = _divrem(self, g)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        return quot
 
     def __repr__(self):
         return f"Poly2({self.terms!r})"
 
     def __str__(self):
         return poly_str(self)
+
+
+def _poly(c: dict, d: int) -> Poly2:
+    """A Poly2 from nonzero integer pairs over d > 0: the one gcd pass that
+    puts it in lowest terms."""
+    g = _igcd(d, *(x for xy in c.values() for x in xy)) if d > 1 else 1
+    if g > 1:
+        c = {e: (a // g, b // g) for e, (a, b) in c.items()}
+        d //= g
+    p = object.__new__(Poly2)
+    object.__setattr__(p, "_c", c)
+    object.__setattr__(p, "_d", d)
+    return p
+
+
+def _acc(out: dict, items) -> dict:
+    """Add nonzero (key, re, im) triples into out, a map of nonzero
+    integer pairs, and return it; a key whose sum cancels is removed."""
+    get = out.get
+    for e, x, y in items:
+        s = get(e)
+        if s is None:
+            out[e] = (x, y)
+        else:
+            s = (s[0] + x, s[1] + y)
+            if s == (0, 0):
+                del out[e]
+            else:
+                out[e] = s
+    return out
+
+
+def _divrem(p: Poly2, g: Poly2) -> tuple:
+    """Quotient and remainder of p by g: divide while g's leading term
+    divides the leading term of what is left, in Gaussian-integer pairs
+    with p * scale = quot * g + rem, scaling only when a quotient
+    coefficient would not be integral."""
+    ge = max(g._c)
+    x, y = g._c[ge]
+    n = x * x + y * y
+    rem, quot, scale = dict(p._c), {}, 1
+    while rem:
+        le = max(rem)
+        if le[0] < ge[0] or le[1] < ge[1]:
+            break
+        qe = (le[0] - ge[0], le[1] - ge[1])
+        a, b = rem[le]
+        # (a + b*i)/(x + y*i) = (a + b*i)(x - y*i)/n
+        qa, qb = a * x + b * y, b * x - a * y
+        f = n // _igcd(n, qa, qb)
+        if f > 1:
+            rem, quot = ({e: (u * f, v * f) for e, (u, v) in m.items()}
+                         for m in (rem, quot))
+            scale *= f
+        qa, qb = qa * f // n, qb * f // n
+        quot[qe] = (qa, qb)
+        _acc(rem, (((e[0] + qe[0], e[1] + qe[1]),
+                    qb * v - qa * u, -qa * v - qb * u)
+                   for e, (u, v) in g._c.items()))
+    return (_poly({e: (a * g._d, b * g._d) for e, (a, b) in quot.items()},
+                  scale * p._d), _poly(rem, scale * p._d))
 
 
 P_ZERO = Poly2()
@@ -381,22 +459,20 @@ def _term_str(e, c: GaussRat) -> str:
 
 
 def poly_str(p: Poly2) -> str:
-    if not p.terms:
+    if not p:
         return "0"
-    keys = p.sorted_keys()
-    out = _term_str(keys[0], p.terms[keys[0]])
+    keys, terms = p.sorted_keys(), p.terms
+    out = _term_str(keys[0], terms[keys[0]])
     for e in keys[1:]:
-        t = _term_str(e, p.terms[e])
+        t = _term_str(e, terms[e])
         out += "+" + t if not t.startswith("-") else t
     return out
 
 
 def poly_json(p: Poly2) -> list:
-    rows = []
-    for e in p.sorted_keys():
-        c = p.terms[e]
-        rows.append([e[0], e[1], _frac_str(c.re), _frac_str(c.im)])
-    return rows
+    terms = p.terms
+    return [[e[0], e[1], str(terms[e].re), str(terms[e].im)]
+            for e in p.sorted_keys()]
 
 
 def poly_from_json(rows) -> Poly2:
@@ -411,66 +487,36 @@ def poly_from_json(rows) -> Poly2:
 # denominators factored (see below) and cancels them by a line test, so a
 # gcd is taken only of what does not split into such lines, which only
 # parser or hand-built input has.  It is a plain primitive remainder
-# sequence in Ha with contents in Hb.  Coefficients live in the field of
-# Gaussian rationals, so divisions of coefficients always succeed.
+# sequence in Ha with contents in Hb over the Gaussian rationals.  Its
+# divisions work in Poly2's Gaussian-integer pairs and scale a remainder
+# only where a quotient coefficient would not be integral.
 # ---------------------------------------------------------------------------
 
-def _upoly(p: Poly2) -> dict:
-    """An Hb-only polynomial as a univariate exponent map."""
-    return {eb: c for (_, eb), c in p.terms.items()}
-
-
-def _upoly_to_poly(u: dict) -> Poly2:
-    return Poly2({(0, k): c for k, c in u.items()})
-
-
-def _umonic(u: dict) -> dict:
-    if not u:
-        return {}
-    lc = u[max(u)].inv()
-    return {k: c * lc for k, c in u.items()}
-
-
-def _uclear(p: dict) -> dict:
-    """Clear denominators: coefficient map to Gaussian-integer pairs."""
-    scale = lcm(*(c._d for c in p.values()))
-    return {k: (c._a * (scale // c._d), c._b * (scale // c._d))
-            for k, c in p.items()}
-
-
-def _ugcd(u: dict, v: dict) -> dict:
-    """Monic gcd of univariate polynomials over the Gaussian rationals, by
-    Euclid's algorithm with monic divisors."""
+def _ugcd(u: Poly2, v: Poly2) -> Poly2:
+    """Monic gcd of two polynomials in Hb alone, by Euclid's algorithm
+    with monic divisors, which keeps the remainders' coefficients small."""
     while v:
-        v = _umonic(v)
-        dv = max(v)
-        r = dict(u)
-        while r and max(r) >= dv:
-            dr = max(r)
-            c = -r[dr]
-            add_into(r, ((k + dr - dv, c * x) for k, x in v.items()))
-        u, v = v, r
-    return _umonic(u)
+        v = v.monic()
+        u, v = v, _divrem(u, v)[1]
+    return u.monic()
 
 
 def _coeffs_in_a(p: Poly2) -> dict:
     """View p as a polynomial in Ha whose coefficients are Hb-polynomials."""
     out = {}
-    for (ea, eb), c in p.terms.items():
-        row = out.setdefault(ea, {})
-        row[eb] = c
-    return {k: Poly2({(0, e): c for e, c in row.items()}) for k, row in out.items()}
+    for (ea, eb), xy in p._c.items():
+        out.setdefault(ea, {})[(0, eb)] = xy
+    return {k: _poly(row, p._d) for k, row in out.items()}
 
 
 def _primitive(coeffs: dict) -> tuple:
     """Ha-coefficients divided by their content in Hb, and that content."""
-    g = {}
+    g = P_ZERO
     for poly in coeffs.values():
-        g = _ugcd(g, _upoly(poly))
-        if max(g) == 0:
+        g = _ugcd(g, poly)
+        if g.is_const():
             return coeffs, P_ONE
-    cont = _upoly_to_poly(g)
-    return {k: v.divexact(cont) for k, v in coeffs.items()}, cont
+    return {k: v.divexact(g) for k, v in coeffs.items()}, g
 
 
 def _prem(a: dict, b: dict) -> dict:
@@ -517,7 +563,7 @@ def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
         a, b = b, r
     body = Poly2({(k, e[1]): c for k, v in a.items() for e, c in v.terms.items()})
     if not (ca.is_const() or cb.is_const()):
-        body = body * _upoly_to_poly(_ugcd(_upoly(ca), _upoly(cb)))
+        body = body * _ugcd(ca, cb)
     return body.monic()
 
 
@@ -532,36 +578,30 @@ COROOT_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, 2))
 
 def _expand(lines: dict, part: dict) -> Poly2:
     """The product of the lines with their multiplicities, less those in
-    part (a divisor of lines), multiplied out in integers."""
-    out = {(0, 0): 1}
+    part (a divisor of lines)."""
+    out = P_ONE
     for key, m in lines.items():
         (ca, cb), k = key
+        line = _poly({e: (f, 0) for e, f in (((1, 0), ca), ((0, 1), cb),
+                                              ((0, 0), k)) if f}, 1)
         for _ in range(m - part.get(key, 0)):
-            nxt = {}
-            for (ea, eb), x in out.items():
-                for e, f in (((ea + 1, eb), ca), ((ea, eb + 1), cb),
-                             ((ea, eb), k)):
-                    if f:
-                        nxt[e] = nxt.get(e, 0) + f * x
-            out = nxt
-    return Poly2({e: GaussRat._raw(x, 0, 1) for e, x in out.items()})
+            out = _times(out, line)
+    return out
 
 
 def _divide_out(p: Poly2, key, limit: int) -> tuple:
     """p divided by the line as often as it divides, at most limit times,
     and how often.  A nonzero value where the line meets v = 0 rules it out
-    at once; otherwise p, cleared of denominators, is divided synthetically
-    in the line's variable u over the other, v, staying integral."""
+    at once; otherwise p's integer pairs are divided synthetically in the
+    line's variable u over the other, v, staying integral."""
     (ca, cb), k = key
     cv = cb if ca else 0  # the line is u + cv*v + k
-    axis = _uclear({e[1 - ca]: c for e, c in p.terms.items() if not e[ca]})
+    axis = {e[1 - ca]: xy for e, xy in p._c.items() if not e[ca]}
     if any(sum(xy[j] * (-k) ** u for u, xy in axis.items()) for j in (0, 1)):
         return p, 0
-    scale = lcm(*(c._d for c in p.terms.values()))
     rows, n = {}, 0
-    for e, c in p.terms.items():
-        f = scale // c._d
-        rows.setdefault(e[1 - ca], {})[e[ca]] = (c._a * f, c._b * f)
+    for e, xy in p._c.items():
+        rows.setdefault(e[1 - ca], {})[e[ca]] = xy
     while n < limit:
         quot = _synthetic(rows, cv, k)
         if quot is None:
@@ -569,8 +609,8 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
         rows, n = quot, n + 1
     if not n:
         return p, 0
-    return Poly2({((u, v) if ca else (v, u)): GaussRat._raw(x, y, scale)
-                  for u, r in rows.items() for v, (x, y) in r.items()}), n
+    return _poly({((u, v) if ca else (v, u)): xy for u, r in rows.items()
+                  for v, xy in r.items() if xy != (0, 0)}, p._d), n
 
 
 def _synthetic(rows: dict, cv: int, k: int):
@@ -618,15 +658,14 @@ def _crossings(c: list, pts: list) -> list:
 
 
 def _int_roots(u: dict) -> list:
-    """Candidate integer roots of a nonzero univariate polynomial over the
-    Gaussian rationals: those of its real part, or of its imaginary part
-    if that is all.  They lie within the Cauchy bound; each derivative's
+    """Candidate integer roots of a nonzero univariate polynomial given by
+    Gaussian-integer pairs: those of its real part, or of its imaginary
+    part if that is all.  They lie within the Cauchy bound; each derivative's
     sign changes, found from the next derivative's, cut that interval into
     pieces on which the one before is monotone, down to the polynomial."""
-    pairs = _uclear(u)
-    part = 0 if any(x for x, _ in pairs.values()) else 1
-    c = [0] * (max(pairs) + 1)
-    for e, xy in pairs.items():
+    part = 0 if any(x for x, _ in u.values()) else 1
+    c = [0] * (max(u) + 1)
+    for e, xy in u.items():
         c[e] = xy[part]
     while not c[-1]:
         c.pop()
@@ -651,13 +690,13 @@ def _split_lines(p: Poly2) -> tuple:
     lines = {}
     if p.is_const():
         return lines, P_ONE
-    top = max(ea for ea, _ in p.terms)
+    top = max(ea for ea, _ in p._c)
     p = _strip(p, [((0, 1), -r) for r in _int_roots(
-        {eb: c for (ea, eb), c in p.terms.items() if ea == top})], lines)
+        {eb: xy for (ea, eb), xy in p._c.items() if ea == top})], lines)
     # With no Hb + k factor left, p(Ha, 0) is not zero, and a line
     # Ha + cb*Hb + k dividing p gives it the root Ha = -k.
     p = _strip(p, [(d, -r) for r in _int_roots(
-        {ea: c for (ea, eb), c in p.terms.items() if eb == 0})
+        {ea: xy for (ea, eb), xy in p._c.items() if eb == 0})
         for d in COROOT_DIRECTIONS if d[0]], lines)
     return lines, P_ONE if p.is_const() else p.monic()
 
@@ -916,7 +955,7 @@ class RatFunc:
         if dn > dd:
             return DIVERGENT
         fn, fd = self.num.leading_form(), self.den.leading_form()
-        ratio = fn.terms[fn.lead_exp()] / fd.terms[fd.lead_exp()]
+        ratio = fn.lead_coeff() / fd.lead_coeff()
         if fd * ratio == fn:
             return ratio
         return UNDEFINED

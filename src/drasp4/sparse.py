@@ -1,8 +1,10 @@
-"""The sparse-term container shared by every element type.
+"""The sparse-term container shared by the algebra element types.
 
 An element is a map from monomial keys to nonzero coefficients.  Keeping
 zero coefficients out makes structural equality of the maps equality of
 the elements, which is how every identity of the engine is checked.
+Scalar polynomials (``scalars.Poly2``) keep the same rule on a map of
+Gaussian-integer pairs over one denominator instead.
 """
 
 from __future__ import annotations

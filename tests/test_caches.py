@@ -4,6 +4,7 @@ import random
 import drasp4
 from drasp4 import DraElem, GwaRealization, diamond, dra
 from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
+from drasp4.weyl import D1, X1
 
 NAMES = {
     "drasp4.scalars._poly_gcd_impl",
@@ -23,7 +24,8 @@ def sample():
     t1 = real.alg.t(1)
     return (diamond(DraElem.gen("x2"), DraElem({(0, 2, 0, 0): RF_ONE})),
             real.phi(real.alg.x(1).scaled(t1 * t1)),
-            poly_gcd(((HA + 1) * (HB + 2)).num, ((HA + 1) * (HA + HB)).num))
+            poly_gcd(((HA + 1) * (HB + 2)).num, ((HA + 1) * (HA + HB)).num),
+            (X1 * X1) * (D1 * D1))
 
 
 def test_cache_info_names_every_engine_cache():
@@ -31,6 +33,7 @@ def test_cache_info_names_every_engine_cache():
 
 
 def test_clear_caches_empties_them_and_results_stay_equal():
+    drasp4.clear_caches()
     first = sample()
     assert all(info.currsize > 0 for info in drasp4.cache_info().values())
     drasp4.clear_caches()

@@ -157,23 +157,33 @@ def test_phi_a1_identities(alg, real):
         assert lhs == rhs
 
 
+def rand_gwa_elem(rng, alg, bound):
+    """One or two terms with exponents in [-bound, bound]^2, each with an
+    affine coefficient, times t_1 or t_2 or not."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        m = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        c = BasePoly.const(2, HA * rng.randint(-2, 2)
+                           + HB * rng.randint(-2, 2) + rng.randint(1, 3))
+        i = rng.randint(0, 2)
+        terms[m] = c * alg.t(i) if i else c
+    return GwaElem(alg, terms)
+
+
 def test_phi_is_multiplicative_on_random_elements(alg, real):
     """The realization theorem as a second engine: GWA products only shift
     and multiply, while the diamond side runs the extremal projector."""
     rng = random.Random(63)
-
-    def rand_elem():
-        terms = {}
-        for _ in range(rng.randint(1, 2)):
-            m = (rng.randint(-1, 1), rng.randint(-1, 1))
-            c = BasePoly.const(2, HA * rng.randint(-2, 2)
-                               + HB * rng.randint(-2, 2) + rng.randint(1, 3))
-            i = rng.randint(0, 2)
-            terms[m] = c * alg.t(i) if i else c
-        return GwaElem(alg, terms)
-
     for _ in range(20):
-        u, v = rand_elem(), rand_elem()
+        u, v = rand_gwa_elem(rng, alg, 1), rand_gwa_elem(rng, alg, 1)
+        assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))
+
+
+def test_phi_is_multiplicative_at_higher_degree(alg, real):
+    """The same at the exponents of the gwa_native benchmark, [-2, 2]^2."""
+    rng = random.Random(64)
+    for _ in range(10):
+        u, v = rand_gwa_elem(rng, alg, 2), rand_gwa_elem(rng, alg, 2)
         assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))
 
 

@@ -353,3 +353,90 @@ def test_line_cancellation_against_sympy():
             cancelled += r.lines != lcm
     # 37 of the 200 sums and differences lost a line both operands had
     assert cancelled == 37
+
+
+# Gaussian values whose products can share a content: (1+i)(1-i) = 2.
+GAUSS_PARTS = ((1, 1), (1, -1), (0, 2), (2, 1), (1, 2), (3, -1))
+RING, RA, RB = sympy.ring("Ha,Hb", sympy.QQ_I)
+
+
+def to_ring(p: Poly2):
+    return RING({e: sympy.QQ_I(sympy.QQ(c.re.numerator, c.re.denominator),
+                               sympy.QQ(c.im.numerator, c.im.denominator))
+                 for e, c in p.terms.items()})
+
+
+def ring_shift(pq, da, db):
+    return tuple(x.compose([(RA, RA + da), (RB, RB + db)]) for x in pq)
+
+
+def gaussian_leaf(rng):
+    """A non-real Gaussian constant, or one times a coroot line or an
+    affine form, and the same as a sympy fraction (num, den)."""
+    (re, im), den = rng.choice(GAUSS_PARTS), rng.choice((1, 2, 5))
+    z = GaussRat(Fraction(re, den), Fraction(im, den))
+    sz = RING(sympy.QQ_I(sympy.QQ(re, den), sympy.QQ(im, den)))
+    k = rng.randint(0, 2)
+    if k == 0:
+        return RatFunc.const(z), (sz, RING.one)
+    if k == 1:
+        (ca, cb), c = rng.choice(scalars.COROOT_DIRECTIONS), rng.randint(-2, 2)
+        return rf_affine(ca, cb, c) * z, ((ca * RA + cb * RB + c) * sz,
+                                          RING.one)
+    (wa, wb), c = rng.choice(GAUSS_PARTS), rng.randint(-3, 3)
+    sw = sympy.QQ_I(wa, wb)
+    return (HA * z + HB * GaussRat(wa, wb) + c,
+            (RA * sz + RB * sw + c, RING.one))
+
+
+def gaussian_scalar(rng, depth=0):
+    """Seeded sums, products, quotients and shifts of Gaussian leaves, and
+    the same expression as a sympy fraction (num, den), not cancelled."""
+    if depth > 2 or rng.random() < 0.3:
+        return gaussian_leaf(rng)
+    x, (p, q) = gaussian_scalar(rng, depth + 1)
+    op = rng.randint(0, 3)
+    if op == 3:
+        da, db = rng.randint(-2, 2), rng.randint(-2, 2)
+        return x.shift(da, db), ring_shift((p, q), da, db)
+    y, (r, s) = gaussian_scalar(rng, depth + 1)
+    if op == 0:
+        return x + y, (p * s + r * q, q * s)
+    if op == 1:
+        return x * y, (p * r, q * s)
+    return (x / y, (p * s, q * r)) if y else (x, (p, q))
+
+
+def assert_cancelled(f, reference):
+    """f equals the sympy fraction and has the denominator degree that
+    sympy's cancel leaves, so it is in lowest terms over Q(i)."""
+    p, q = reference[0].cancel(reference[1])
+    num, den = to_ring(f.num), to_ring(f.den)
+    assert num * q == den * p
+    assert den.degrees() == q.degrees()
+    assert f.den.lead_coeff() == GR_ONE
+
+
+def test_gaussian_content_against_sympy():
+    """Gaussian-integer numerators over one denominator stay in lowest
+    terms when factors share a content, so that equal values built in
+    different ways are equal and hash alike."""
+    i = RatFunc.const(GaussRat(0, 1))
+    shrinks = ((1 + i) * HA + 1 + i) * ((1 - i) * HB) / 2
+    assert shrinks == (HA + 1) * HB and hash(shrinks) == hash((HA + 1) * HB)
+    assert shrinks.num.terms == {(1, 1): GR_ONE, (0, 1): GR_ONE}
+    rng = random.Random(1312)
+    for _ in range(60):
+        (a, sa), (b, sb), (c, sc) = (gaussian_scalar(rng) for _ in range(3))
+        da, db = rng.randint(-2, 2), rng.randint(-2, 2)
+        cases = [(a + b, (sa[0] * sb[1] + sb[0] * sa[1], sa[1] * sb[1])),
+                 (a * b, (sa[0] * sb[0], sa[1] * sb[1])),
+                 (a.shift(da, db), ring_shift(sa, da, db))]
+        if b:
+            cases.append((a / b, (sa[0] * sb[1], sa[1] * sb[0])))
+            assert (a / b) * b == a
+        for r, reference in cases:
+            assert_cancelled(r, reference)
+        left, right = (a * b) * c, a * (b * c)
+        assert left == right and hash(left) == hash(right)
+        assert_cancelled(left, (sa[0] * sb[0] * sc[0], sa[1] * sb[1] * sc[1]))
