@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 # Every memo of the engine: unbounded, kept for the life of the process.
 _MEMOS = (scalars._poly_gcd_impl, weyl._mono_mul, ambient._norm_word,
           dra.projector_coeff, dra._apply_p, dra._basis_diamond,
-          dra._basis_word, gwa._sigma_power_image, gwa._t_monomial_image)
+          dra._basis_word, gwa._sigma_image, gwa._contraction,
+          gwa._t_monomial_image, gwa._weyl_mono_image)
 
 
 def cache_info() -> dict:

@@ -8,6 +8,22 @@ others.  Elements are left combinations of signed-exponent monomials: a
 positive exponent is a power of the raising generator of that index, a
 negative one a power of the lowering generator; mixed products reduce
 eagerly through the defining contractions.
+
+A term product is a shift and a multiplication:
+
+    (b1 Z^m1) (b2 Z^m2) = b1 sigma^m1(b2) prod_i c_i(m1_i, m2_i) Z^(m1 + m2)
+
+where c_i(p, q), the contraction with Z_i^p Z_i^q = c_i(p, q) Z_i^(p+q),
+is a product of images sigma_i^k(t_i) (and 1 when p and q do not have
+opposite signs).  Moving c_i to the left past the generators of the other
+indices would twist it by their automorphisms, but the twist is the
+identity: the automorphisms commute and sigma_j fixes t_i for j != i, so
+sigma_j(sigma_i^k(t_i)) = sigma_i^k(sigma_j(t_i)) = sigma_i^k(t_i).  The
+first premise is checked when an algebra is built; the second is the shape
+of a skew-affine automorphism.  The contractions and the affine images
+sigma^m(t_1..t_n) depend on the algebra only, so both are cached;
+algebras compare and hash by value, so each built-in instance has one set
+of entries however often it is constructed.
 """
 
 from __future__ import annotations
@@ -128,10 +144,11 @@ class SkewAffineSigma:
     own central generator: t_i -> c + sum_j g_j t_j, fixing t_j for j != i.
 
     The diagonal coefficient g_i must be invertible so the map has an
-    inverse of the same shape.
+    inverse of the same shape.  Two automorphisms are equal when their
+    data are.
     """
 
-    __slots__ = ("rank", "index", "shift", "c", "g")
+    __slots__ = ("rank", "index", "shift", "c", "g", "_hash")
 
     def __init__(self, rank: int, index: int, shift, c: RatFunc, g):
         if not (1 <= index <= rank):
@@ -145,9 +162,21 @@ class SkewAffineSigma:
         object.__setattr__(self, "shift", (int(shift[0]), int(shift[1])))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", tuple(g))
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAffineSigma is immutable")
+
+    def _key(self):
+        return self.rank, self.index, self.shift, self.c, self.g
+
+    def __eq__(self, other):
+        if not isinstance(other, SkewAffineSigma):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return self._hash
 
     def on_scalar_inv(self, f: RatFunc) -> RatFunc:
         return f.shift(-self.shift[0], -self.shift[1])
@@ -175,44 +204,39 @@ class SkewAffineSigma:
                     terms[tuple(e)] = terms.get(tuple(e), RF_ZERO) - gj * inv
         return BasePoly(self.rank, terms)
 
-    def power(self, k: int, b: BasePoly) -> BasePoly:
-        """sigma^k(b) in one pass: every scalar shifts by k times the
-        shift, and the own generator goes to its cached image under
-        sigma^k."""
-        if k == 0:
-            return b
-        da, db = k * self.shift[0], k * self.shift[1]
-        image = _sigma_power_image(self, k)
-        out = BasePoly(self.rank)
-        i = self.index - 1
-        powers = {0: BasePoly.const(self.rank, 1)}
-        for e, cf in b.terms.items():
-            n = e[i]
-            if n not in powers:
-                powers[n] = image ** n
-            rest = list(e)
-            rest[i] = 0
-            mono = BasePoly(self.rank, {tuple(rest): cf.shift(da, db)})
-            out = out + mono * powers[n]
-        return out
-
     def apply(self, b: BasePoly) -> BasePoly:
-        return self.power(1, b)
+        return _substitute(b, self.shift, {self.index - 1: self.t_image()})
 
     def apply_inv(self, b: BasePoly) -> BasePoly:
-        return self.power(-1, b)
+        return _substitute(b, (-self.shift[0], -self.shift[1]),
+                           {self.index - 1: self.t_image_inv()})
 
 
-@cache
-def _sigma_power_image(s: SkewAffineSigma, k: int) -> BasePoly:
-    """sigma^k(t_i) for the own generator t_i of s, an affine polynomial:
-    sigma^(k - step) applied to sigma^step(t_i), step the sign of k."""
-    if k == 1:
-        return s.t_image()
-    if k == -1:
-        return s.t_image_inv()
-    step = 1 if k > 0 else -1
-    return s.power(k - step, _sigma_power_image(s, step))
+def _substitute(b: BasePoly, shift, images: dict) -> BasePoly:
+    """The ring map that shifts every scalar by ``shift``, sends t_j to
+    ``images[j]`` for the indices j listed there and fixes the others."""
+    da, db = shift
+    rank = b.rank
+    powers = {}
+    out = {}
+    for e, cf in b.terms.items():
+        f = cf.shift(da, db)
+        fixed = list(e)
+        img = None
+        for j, image in images.items():
+            n = e[j]
+            if n:
+                fixed[j] = 0
+                pw = powers.get((j, n))
+                if pw is None:
+                    pw = powers[j, n] = image ** n
+                img = pw if img is None else img * pw
+        if img is None:
+            add_into(out, ((e, f),))
+        else:
+            add_into(out, ((tuple(a + k for a, k in zip(fixed, ek)), f * v)
+                           for ek, v in img.terms.items()))
+    return BasePoly(rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +245,26 @@ def _sigma_power_image(s: SkewAffineSigma, k: int) -> BasePoly:
 
 
 class GwaAlgebra:
-    """A generalized Weyl algebra B(sigma, t) with B = R[t_1..t_n]."""
+    """A generalized Weyl algebra B(sigma, t) with B = R[t_1..t_n]; two are
+    equal when their automorphisms are."""
 
     def __init__(self, rank: int, sigmas):
         if len(sigmas) != rank:
             raise ValueError("need one automorphism per index")
         self.rank = rank
         self.sigmas = tuple(sigmas)
+        self._hash = hash((rank, self.sigmas))
         self._check_inverses()
         self._check_commuting()
+
+    def __eq__(self, other):
+        if not isinstance(other, GwaAlgebra):
+            return NotImplemented
+        return self is other or (self.rank == other.rank
+                                 and self.sigmas == other.sigmas)
+
+    def __hash__(self):
+        return self._hash
 
     def _check_inverses(self):
         for i in range(1, self.rank + 1):
@@ -278,51 +313,71 @@ class GwaAlgebra:
         e[i - 1] = -1
         return GwaElem(self, {tuple(e): BasePoly.const(self.rank, 1)})
 
-    # -- automorphism helpers --
+    # -- automorphisms --
 
     def sigma(self, i: int, b: BasePoly) -> BasePoly:
-        return self.sigmas[i - 1].apply(b)
+        return self._sigma(self._unit(i, 1), b)
 
     def sigma_pow(self, i: int, k: int, b: BasePoly) -> BasePoly:
-        return self.sigmas[i - 1].power(k, b)
+        return self._sigma(self._unit(i, k), b)
 
     def sigma_vec(self, m, b: BasePoly) -> BasePoly:
-        for i, k in enumerate(m, start=1):
-            if k:
-                b = self.sigma_pow(i, k, b)
-        return b
+        return self._sigma(tuple(m), b)
 
-    def _contract(self, i: int, p: int, q: int):
-        """Normalize Z_i^p Z_i^q; returns (exponent, coefficient)."""
-        if p == 0 or q == 0 or (p > 0) == (q > 0):
-            return p + q, BasePoly.const(self.rank, 1)
-        t = BasePoly.tvar(self.rank, i)
-        coeff = BasePoly.const(self.rank, 1)
-        if p > 0:
-            r = min(p, -q)
-            for j in range(r):
-                coeff = coeff * self.sigma_pow(i, p - j, t)
-        else:
-            r = min(-p, q)
-            for j in range(r):
-                coeff = coeff * self.sigma_pow(i, p + 1 + j, t)
-        return p + q, coeff
+    def _unit(self, i: int, k: int) -> tuple:
+        m = [0] * self.rank
+        m[i - 1] = k
+        return tuple(m)
+
+    def _sigma(self, m: tuple, b: BasePoly) -> BasePoly:
+        """sigma^m(b) = sigma_1^m_1 ... sigma_n^m_n (b): every scalar
+        shifts by the sum of m_i times the shift of sigma_i, and each t_j
+        with m_j != 0 goes to its cached image sigma^m(t_j)."""
+        if not any(m):
+            return b
+        images = _sigma_image(self, m)
+        return _substitute(
+            b, (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
+                sum(k * s.shift[1] for k, s in zip(m, self.sigmas))),
+            {j: images[j] for j, k in enumerate(m) if k})
 
     def _term_mul(self, m1, b1: BasePoly, m2, b2: BasePoly):
+        """b1 sigma^m1(b2) times the contraction of each index whose two
+        exponents have opposite signs; see the module docstring for why
+        the contractions need no twist."""
         coeff = b1 * self.sigma_vec(m1, b2)
-        exps = []
-        extras = []
-        for i in range(1, self.rank + 1):
-            e, ci = self._contract(i, m1[i - 1], m2[i - 1])
-            exps.append(e)
-            extras.append(ci)
-        prefix = [0] * self.rank
-        for i in range(self.rank):
-            ci = extras[i]
-            if not ci.is_scalar() or ci.scalar_value() != RF_ONE:
-                coeff = coeff * self.sigma_vec(tuple(prefix), ci)
-            prefix[i] = exps[i]
-        return tuple(exps), coeff
+        for i, (p, q) in enumerate(zip(m1, m2), start=1):
+            if p * q < 0:
+                coeff = coeff * _contraction(self, i, p, q)
+        return tuple(p + q for p, q in zip(m1, m2)), coeff
+
+
+@cache
+def _sigma_image(alg: GwaAlgebra, m: tuple) -> tuple:
+    """sigma^m(t_1), ..., sigma^m(t_n), affine polynomials: one step of
+    the first index with m_i != 0 applied to the images at the neighbour
+    vector, m less the sign of m_i at i."""
+    for i, k in enumerate(m):
+        if k:
+            step = 1 if k > 0 else -1
+            s = alg.sigmas[i]
+            one_step = s.apply if step > 0 else s.apply_inv
+            near = m[:i] + (k - step,) + m[i + 1:]
+            return tuple(one_step(t) for t in _sigma_image(alg, near))
+    return tuple(BasePoly.tvar(alg.rank, j) for j in range(1, alg.rank + 1))
+
+
+@cache
+def _contraction(alg: GwaAlgebra, i: int, p: int, q: int) -> BasePoly:
+    """c with Z_i^p Z_i^q = c Z_i^(p+q) for exponents of opposite signs:
+    X_i^p Y_i^-q is the product of sigma_i^k(t_i) over the top r values
+    k <= p, and Y_i^-p X_i^q over the r values k > p, r = min(|p|, |q|)."""
+    r = min(abs(p), abs(q))
+    ks = range(p - r + 1, p + 1) if p > 0 else range(p + 1, p + r + 1)
+    out = BasePoly.const(alg.rank, 1)
+    for k in ks:
+        out = out * _sigma_image(alg, alg._unit(i, k))[i - 1]
+    return out
 
 
 class GwaElem(SparseTerms):
@@ -339,10 +394,10 @@ class GwaElem(SparseTerms):
 
     def __eq__(self, other):
         eq = SparseTerms.__eq__(self, other)
-        return eq if eq is NotImplemented else eq and self.alg is other.alg
+        return eq if eq is NotImplemented else eq and self.alg == other.alg
 
     def __hash__(self):
-        return hash((id(self.alg), SparseTerms.__hash__(self)))
+        return hash((hash(self.alg), SparseTerms.__hash__(self)))
 
     def sorted_keys(self) -> list:
         """Signed exponents order by absolute degree, then by key."""
@@ -357,7 +412,7 @@ class GwaElem(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, GwaElem):
             return NotImplemented
-        if self.alg is not other.alg:
+        if self.alg != other.alg:
             raise ValueError("elements of different algebras")
         alg = self.alg
         return GwaElem(alg, add_into({}, (alg._term_mul(m1, b1, m2, b2)
@@ -474,24 +529,31 @@ def _t_monomial_image(e: tuple) -> "_dra.DraElem":
 def weyl_gwa_image(u: GwaElem) -> WeylElem:
     """Image of an element of the classical instance in the Weyl algebra:
     X_i to x_i, Y_i to d_i, u_i to d_i x_i (rank at most two)."""
-    n = u.alg.rank
-    if n > 2:
+    if u.alg.rank > 2:
         raise ValueError("comparison map implemented for rank <= 2")
-    xg = (WeylElem.gen("x1"), WeylElem.gen("x2"))
-    dg = (WeylElem.gen("d1"), WeylElem.gen("d2"))
-    tg = tuple(dg[i] * xg[i] for i in range(n))
-    out = WeylElem()
+    out = {}
     for m, b in u.terms.items():
         for e, cf in b.terms.items():
             if not cf.is_const():
                 raise ValueError("coefficient is not constant")
-            img = WeylElem.const(cf.const_value())
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    img = img * tg[i]
-            for i, k in enumerate(m):
-                word = xg[i] if k > 0 else dg[i]
-                for _ in range(abs(k)):
-                    img = img * word
-            out = out + img
-    return out
+            c = cf.const_value()
+            add_into(out, ((w, c * v) for w, v
+                           in _weyl_mono_image(m, e).terms.items()))
+    return WeylElem(out)
+
+
+@cache
+def _weyl_mono_image(m: tuple, e: tuple) -> WeylElem:
+    """Image of u^e Z^m: the factors d_i x_i, then the words x_i^m_i or
+    d_i^-m_i, each in index order."""
+    xg = (WeylElem.gen("x1"), WeylElem.gen("x2"))
+    dg = (WeylElem.gen("d1"), WeylElem.gen("d2"))
+    img = WeylElem.const(1)
+    for i, k in enumerate(e):
+        for _ in range(k):
+            img = img * dg[i] * xg[i]
+    for i, k in enumerate(m):
+        word = xg[i] if k > 0 else dg[i]
+        for _ in range(abs(k)):
+            img = img * word
+    return img

@@ -596,8 +596,13 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
     line's variable u over the other, v, staying integral."""
     (ca, cb), k = key
     cv = cb if ca else 0  # the line is u + cv*v + k
-    axis = {e[1 - ca]: xy for e, xy in p._c.items() if not e[ca]}
-    if any(sum(xy[j] * (-k) ** u for u, xy in axis.items()) for j in (0, 1)):
+    re = im = 0
+    for e, (x, y) in p._c.items():
+        if not e[ca]:
+            w = (-k) ** e[1 - ca]
+            re += x * w
+            im += y * w
+    if re or im:
         return p, 0
     rows, n = {}, 0
     for e, xy in p._c.items():

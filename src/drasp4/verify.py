@@ -449,12 +449,11 @@ def weyl_example_report(n: int, maxdeg: int = 3) -> Report:
             continue
         elem = _gwa.GwaElem(alg, {mono: _gwa.BasePoly.const(n, 1)})
         monos.append((mono, elem))
+    images = [_gwa.weyl_gwa_image(elem) for _, elem in monos]
     bad = []
-    for m1, u in monos:
-        for m2, v in monos:
-            lhs = _gwa.weyl_gwa_image(u * v)
-            rhs = _gwa.weyl_gwa_image(u) * _gwa.weyl_gwa_image(v)
-            if lhs != rhs:
+    for (m1, u), img_u in zip(monos, images):
+        for (m2, v), img_v in zip(monos, images):
+            if _gwa.weyl_gwa_image(u * v) != img_u * img_v:
                 bad.append((m1, m2))
     rep.add_flag(f"ex.products.deg{maxdeg}", not bad,
                  f"mismatch at {bad[:3]}")

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import drasp4
-from drasp4 import DraElem, GwaRealization, diamond, dra
+from drasp4 import (DraElem, GwaRealization, diamond, dra, weyl_gwa,
+                    weyl_gwa_image)
 from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
 from drasp4.weyl import D1, X1
 
@@ -14,8 +15,10 @@ NAMES = {
     "drasp4.dra._apply_p",
     "drasp4.dra._basis_diamond",
     "drasp4.dra._basis_word",
-    "drasp4.gwa._sigma_power_image",
+    "drasp4.gwa._sigma_image",
+    "drasp4.gwa._contraction",
     "drasp4.gwa._t_monomial_image",
+    "drasp4.gwa._weyl_mono_image",
 }
 
 
@@ -25,7 +28,9 @@ def sample():
     return (diamond(DraElem.gen("x2"), DraElem({(0, 2, 0, 0): RF_ONE})),
             real.phi(real.alg.x(1).scaled(t1 * t1)),
             poly_gcd(((HA + 1) * (HB + 2)).num, ((HA + 1) * (HA + HB)).num),
-            (X1 * X1) * (D1 * D1))
+            (X1 * X1) * (D1 * D1),
+            real.alg.x(1) * real.alg.y(1),
+            weyl_gwa_image(weyl_gwa(2).x(1)))
 
 
 def test_cache_info_names_every_engine_cache():
@@ -70,3 +75,20 @@ def test_caches_are_keyed_per_monomial(monkeypatch):
     info = drasp4.cache_info()
     assert info["drasp4.dra._basis_diamond"].currsize == 0
     assert info["drasp4.dra._basis_word"].currsize == 0
+
+
+def test_gwa_caches_stay_bounded_across_rebuilt_algebras():
+    """Each report builds its algebra afresh; equal algebras share entries."""
+    from drasp4.verify import gwa_iso_report, sigma_commute_report
+
+    def gwa_sizes():
+        return {name: info.currsize
+                for name, info in drasp4.cache_info().items()
+                if name.startswith("drasp4.gwa.")}
+
+    gwa_iso_report(3)
+    sigma_commute_report()
+    before = gwa_sizes()
+    gwa_iso_report(3)
+    sigma_commute_report()
+    assert gwa_sizes() == before

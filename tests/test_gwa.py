@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -79,6 +80,91 @@ def test_commutation_identities(alg):
     assert len(rep.checks) == 6
 
 
+def test_algebras_compare_by_value(alg):
+    again = reduction_gwa()
+    assert again is not alg and again == alg and hash(again) == hash(alg)
+    assert again.sigmas[0] == alg.sigmas[0] != alg.sigmas[1]
+    term = {(1, 0): alg.t(1)}
+    assert GwaElem(again, term) == GwaElem(alg, term)
+    assert again.x(1) * alg.y(1) == alg.x(1) * alg.y(1)
+    assert weyl_gwa(2) != alg
+    with pytest.raises(ValueError, match="different algebras"):
+        weyl_gwa(2).x(1) * alg.x(1)
+
+
+def _one_step_fold(alg, m, b):
+    """sigma^m(b) by one-step maps only."""
+    for s, k in zip(alg.sigmas, m):
+        for _ in range(abs(k)):
+            b = s.apply(b) if k > 0 else s.apply_inv(b)
+    return b
+
+
+@pytest.mark.parametrize("make", [reduction_gwa, lambda: weyl_gwa(2)])
+def test_other_automorphisms_fix_the_orbit_of_t(make):
+    """The premise that lets a contraction factor pass the generators of
+    the other indices untwisted: sigma_j(sigma_i^k(t_i)) = sigma_i^k(t_i)
+    for j != i."""
+    a = make()
+    for i, j in ((1, 2), (2, 1)):
+        for k in range(-3, 4):
+            m = (k, 0) if i == 1 else (0, k)
+            orbit = _one_step_fold(a, m, a.t(i))
+            assert a.sigma_pow(i, k, a.t(i)) == orbit
+            s = a.sigmas[j - 1]
+            assert s.apply(orbit) == orbit
+            assert s.apply_inv(orbit) == orbit
+
+
+def test_sigma_vec_is_the_fold_of_one_step_maps(alg):
+    rng = random.Random(65)
+    for m in itertools.product(range(-3, 4), repeat=2):
+        b = BasePoly(2, {(rng.randint(0, 2), rng.randint(0, 1)):
+                         HA * rng.randint(-1, 1) + HB + rng.randint(-2, 2),
+                         (0, 0): HB * rng.randint(-2, 2) + 1})
+        assert alg.sigma_vec(m, b) == _one_step_fold(alg, m, b)
+
+
+def _times_generator(alg, u, i, sign):
+    """u times X_i (sign 1) or Y_i (sign -1) from the defining relations
+    alone: Y_i X_i = t_i, X_i Y_i = sigma_i(t_i), generators of different
+    indices commute, and the factor a contraction leaves is moved past the
+    lower indices with their automorphisms applied in full."""
+    out = alg.zero()
+    for m, b in u.terms.items():
+        k = m[i - 1]
+        n = list(m)
+        n[i - 1] = k + sign
+        c = BasePoly.const(alg.rank, 1)
+        if k * sign < 0:
+            # X_i^a Y_i = sigma_i^a(t_i) X_i^(a-1),
+            # Y_i^a X_i = sigma_i^(1-a)(t_i) Y_i^(a-1)
+            e = [0] * alg.rank
+            e[i - 1] = k if k > 0 else k + 1
+            c = _one_step_fold(alg, e, alg.t(i))
+            c = _one_step_fold(alg, m[:i - 1] + (0,) * (alg.rank - i + 1), c)
+        out = out + GwaElem(alg, {tuple(n): b * c})
+    return out
+
+
+def test_monomial_products_are_folds_of_generator_products(alg):
+    """Contractions of length up to three against products by one
+    generator at a time, written out from the defining relations."""
+    rng = random.Random(66)
+    box = list(itertools.product(range(-3, 4), repeat=2))
+    pairs = [((3, -3), (-3, 3)), ((-3, 3), (3, -3)), ((3, 3), (-3, -3)),
+             ((-3, -3), (3, 3))]
+    pairs += [(rng.choice(box), rng.choice(box)) for _ in range(30)]
+    one = BasePoly.const(2, 1)
+    for m1, m2 in pairs:
+        u = GwaElem(alg, {m1: one})
+        fold = u
+        for i, k in enumerate(m2, start=1):
+            for _ in range(abs(k)):
+                fold = _times_generator(alg, fold, i, 1 if k > 0 else -1)
+        assert u * GwaElem(alg, {m2: one}) == fold, (m1, m2)
+
+
 def test_non_commuting_ansatz_rejected():
     bad = [SkewAffineSigma(2, 1, (-1, 0), RatFunc.const(1), (RF_ONE, RF_ONE)),
            SkewAffineSigma(2, 2, (0, -1), HA, (RF_ZERO, RF_ONE))]
@@ -127,6 +213,7 @@ def test_weyl_example_products():
     from drasp4.verify import weyl_example_report
     assert weyl_example_report(1).passed
     assert weyl_example_report(2).passed
+    assert weyl_example_report(2, maxdeg=5).passed
 
 
 def test_weyl_example_image():

@@ -1,10 +1,11 @@
 import pytest
 
-from drasp4.scalars import GaussRat, HA, HB, Poly2, RF_ONE
+from drasp4.scalars import GaussRat, HA, HB, Poly2, RF_ONE, RatFunc
 from drasp4.weyl import WeylElem
 from drasp4.ambient import AmbientElem
 from drasp4.dra import DraElem
-from drasp4.gwa import BasePoly, GwaElem, weyl_gwa
+from drasp4.gwa import (BasePoly, GwaAlgebra, GwaElem, SkewAffineSigma,
+                        weyl_gwa)
 from drasp4.sparse import add_into, power
 
 ALG = weyl_gwa(1)
@@ -48,10 +49,13 @@ def test_extra_fields_take_part_in_equality():
     t = {(0, 0): RF_ONE}
     assert BasePoly(2, t) != BasePoly(3, t)
     assert BasePoly(1) != BasePoly(2)
-    other = weyl_gwa(1)
+    # algebras are equal when their automorphisms are: u_1 -> u_1 - 2 here
+    other = GwaAlgebra(1, [SkewAffineSigma(1, 1, (0, 0), RatFunc.const(-2),
+                                           (RF_ONE,))])
     b = {(1,): BasePoly.const(1, 1)}
     assert GwaElem(ALG, b) != GwaElem(other, b)
     assert GwaElem(ALG, b) == GwaElem(ALG, dict(b))
+    assert GwaElem(ALG, b) == GwaElem(weyl_gwa(1), b)
 
 
 def test_add_into_and_power():
