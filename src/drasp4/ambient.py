@@ -21,21 +21,17 @@ from heapq import heappop, heappush
 
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, rf_json, rf_latex,
                       rf_str)
-from .sparse import SparseTerms, add_into
+from .sparse import SparseTerms, add_into, bracketed_sum, mono_text
 from .weyl import WeylElem
-from . import sp4
+from . import sp4, weyl
 
-LETTERS = ("Fb", "Fba", "Fb2a", "Fa", "d1", "d2", "x2", "x1",
-           "Ea", "Eb2a", "Eba", "Eb")
+LETTERS = (tuple(sp4.F_NAME[g] for g in sp4.CONVEX_ORDER) + weyl.NAMES
+           + tuple(sp4.E_NAME[g] for g in sp4.CONVEX_ORDER_REV))
 LETTER_INDEX = {name: i for i, name in enumerate(LETTERS)}
 LETTER_WEIGHT = tuple(sp4.WEIGHT[name] for name in LETTERS)
 
-_W_MONO_TO_LETTER = {
-    (1, 0, 0, 0): LETTER_INDEX["d1"],
-    (0, 1, 0, 0): LETTER_INDEX["d2"],
-    (0, 0, 1, 0): LETTER_INDEX["x2"],
-    (0, 0, 0, 1): LETTER_INDEX["x1"],
-}
+_W_MONO_TO_LETTER = {m: LETTER_INDEX[name]
+                     for name, m in weyl.GEN_MONO.items()}
 
 ZERO_MONO = (0,) * 12
 
@@ -301,16 +297,6 @@ def amb_theta(u: AmbientElem) -> AmbientElem:
 
 # -- rendering --
 
-def amb_mono_str(m, names=LETTERS) -> str:
-    parts = []
-    for k in range(12):
-        if m[k] == 1:
-            parts.append(names[k])
-        elif m[k] > 1:
-            parts.append(f"{names[k]}^{m[k]}")
-    return " ".join(parts) if parts else "1"
-
-
 _LATEX_LETTERS = ("F_{\\beta}", "F_{\\beta+\\alpha}", "F_{\\beta+2\\alpha}",
                   "F_{\\alpha}", "\\partial_1", "\\partial_2", "x_2", "x_1",
                   "E_{\\alpha}", "E_{\\beta+2\\alpha}", "E_{\\beta+\\alpha}",
@@ -318,31 +304,14 @@ _LATEX_LETTERS = ("F_{\\beta}", "F_{\\beta+\\alpha}", "F_{\\beta+2\\alpha}",
 
 
 def amb_str(u: AmbientElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        c = rf_str(u.terms[m])
-        body = amb_mono_str(m)
-        if body == "1":
-            chunks.append(f"({c})")
-        else:
-            chunks.append(f"({c}) {body}")
-    return " + ".join(chunks)
+    return bracketed_sum(((rf_str(u.terms[m]), mono_text(m, LETTERS, " "))
+                          for m in u.sorted_keys()), "(", ")")
 
 
 def amb_latex(u: AmbientElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        c = rf_latex(u.terms[m])
-        body = amb_mono_str(m, _LATEX_LETTERS)
-        if body == "1":
-            chunks.append(f"\\left({c}\\right)")
-        else:
-            chunks.append(f"\\left({c}\\right) {body}")
-    return " + ".join(chunks)
+    return bracketed_sum(((rf_latex(u.terms[m]),
+                           mono_text(m, _LATEX_LETTERS, " "))
+                          for m in u.sorted_keys()), "\\left(", "\\right)")
 
 
 def amb_json(u: AmbientElem) -> list:

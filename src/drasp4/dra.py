@@ -16,6 +16,7 @@ from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json
 from .sparse import SparseTerms, add_into
+from .weyl import GEN_MONO
 from . import sp4
 from .ambient import (AmbientElem, amb_latex, amb_str, amb_theta, e_gen,
                       f_gen, mono_weight, red)
@@ -101,10 +102,9 @@ class DraElem(SparseTerms):
 
     @staticmethod
     def gen(name: str) -> "DraElem":
-        if name not in ("d1", "d2", "x2", "x1"):
+        if name not in GEN_MONO:
             raise KeyError(f"unknown reduction algebra generator: {name}")
-        mono = tuple(1 if g == name else 0 for g in ("d1", "d2", "x2", "x1"))
-        return DraElem({mono: RF_ONE})
+        return DraElem({GEN_MONO[name]: RF_ONE})
 
     @staticmethod
     def scalar(c) -> "DraElem":

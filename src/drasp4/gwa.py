@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cache
 
 from .scalars import RF_ONE, RF_ZERO, RatFunc, rf_json, rf_str
-from .sparse import SparseTerms, add_into, power
+from .sparse import SparseTerms, add_into, bracketed_sum, mono_text, power
 from .weyl import WeylElem
 from . import dra as _dra
 
@@ -113,20 +113,9 @@ class BasePoly(SparseTerms):
 
 
 def base_str(b: BasePoly) -> str:
-    if not b.terms:
-        return "0"
-    chunks = []
-    for e in b.sorted_keys():
-        parts = []
-        for k, p in enumerate(e):
-            if p == 1:
-                parts.append(f"t{k + 1}")
-            elif p > 1:
-                parts.append(f"t{k + 1}^{p}")
-        body = " ".join(parts)
-        c = rf_str(b.terms[e])
-        chunks.append(f"({c}) {body}" if body else f"({c})")
-    return " + ".join(chunks)
+    names = [f"t{i}" for i in range(1, b.rank + 1)]
+    return bracketed_sum(((rf_str(b.terms[e]), mono_text(e, names, " "))
+                          for e in b.sorted_keys()), "(", ")")
 
 
 def base_json(b: BasePoly) -> list:
@@ -354,17 +343,26 @@ class GwaAlgebra:
 
 @cache
 def _sigma_image(alg: GwaAlgebra, m: tuple) -> tuple:
-    """sigma^m(t_1), ..., sigma^m(t_n), affine polynomials: one step of
-    the first index with m_i != 0 applied to the images at the neighbour
-    vector, m less the sign of m_i at i."""
-    for i, k in enumerate(m):
-        if k:
-            step = 1 if k > 0 else -1
-            s = alg.sigmas[i]
-            one_step = s.apply if step > 0 else s.apply_inv
-            near = m[:i] + (k - step,) + m[i + 1:]
-            return tuple(one_step(t) for t in _sigma_image(alg, near))
-    return tuple(BasePoly.tvar(alg.rank, j) for j in range(1, alg.rank + 1))
+    """sigma^m(t_1), ..., sigma^m(t_n), affine polynomials.  A unit vector
+    applies one step of its automorphism; any longer m splits into two
+    nonzero parts h and m - h of about half its size each, and
+    sigma^m(t_j) = sigma^h(sigma^(m-h)(t_j)), so the depth is logarithmic
+    in |m|."""
+    size = sum(map(abs, m))
+    if size <= 1:
+        ts = [BasePoly.tvar(alg.rank, j) for j in range(1, alg.rank + 1)]
+        for s, k in zip(alg.sigmas, m):
+            if k:
+                return tuple(map(s.apply if k > 0 else s.apply_inv, ts))
+        return tuple(ts)
+    need, h = size // 2, []
+    for k in m:
+        take = min(abs(k), need)
+        need -= take
+        h.append(take if k > 0 else -take)
+    h = tuple(h)
+    rest = tuple(k - j for k, j in zip(m, h))
+    return tuple(alg._sigma(h, t) for t in _sigma_image(alg, rest))
 
 
 @cache
@@ -430,20 +428,12 @@ class GwaElem(SparseTerms):
 
 
 def gwa_str(u: GwaElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        parts = []
-        for i, k in enumerate(m, start=1):
-            if k > 0:
-                parts.append(f"X{i}" if k == 1 else f"X{i}^{k}")
-            elif k < 0:
-                parts.append(f"Y{i}" if k == -1 else f"Y{i}^{-k}")
-        body = " ".join(parts)
-        c = base_str(u.terms[m])
-        chunks.append(f"[{c}] {body}" if body else f"[{c}]")
-    return " + ".join(chunks)
+    """Positive exponents as powers of X_i, negative ones of Y_i."""
+    return bracketed_sum(
+        ((base_str(u.terms[m]),
+          mono_text(map(abs, m), [f"X{i}" if k > 0 else f"Y{i}"
+                                  for i, k in enumerate(m, start=1)], " "))
+         for m in u.sorted_keys()), "[", "]")
 
 
 def gwa_json(u: GwaElem) -> list:

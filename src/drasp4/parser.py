@@ -22,6 +22,8 @@ from .scalars import HA, HB, RF_I, RatFunc, RF_ONE
 from .ambient import AmbientElem, red
 from .dra import DraElem, diamond
 from .gwa import BasePoly
+from .weyl import NAMES
+from . import sp4
 
 
 class ParseError(ValueError):
@@ -171,8 +173,8 @@ def parse(src: str):
     return _Parser(src).parse()
 
 
-W_NAMES = ("x1", "x2", "d1", "d2")
-EF_NAMES = ("Ea", "Eb", "Eba", "Eb2a", "Fa", "Fb", "Fba", "Fb2a")
+W_NAMES = NAMES
+EF_NAMES = tuple(sp4.E_NAME.values()) + tuple(sp4.F_NAME.values())
 SCALAR_ATOMS = {"Ha": HA, "Hb": HB, "i": RF_I}
 
 

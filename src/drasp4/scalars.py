@@ -25,7 +25,7 @@ from functools import cache
 from math import comb, lcm
 from math import gcd as _igcd
 
-from .sparse import add_into, power
+from .sparse import add_into, mono_text, power, signed_sum
 
 
 class GaussRat:
@@ -439,34 +439,10 @@ P_HB = Poly2({(0, 1): GR_ONE})
 _VAR_NAMES = ("Ha", "Hb")
 
 
-def _term_str(e, c: GaussRat) -> str:
-    parts = []
-    for k in (0, 1):
-        if e[k] == 1:
-            parts.append(_VAR_NAMES[k])
-        elif e[k] > 1:
-            parts.append(f"{_VAR_NAMES[k]}^{e[k]}")
-    cs = gauss_str(c)
-    if not parts:
-        return cs if ("+" not in cs[1:]) and ("-" not in cs[1:]) else f"({cs})"
-    if cs == "1":
-        return "*".join(parts)
-    if cs == "-1":
-        return "-" + "*".join(parts)
-    if ("+" in cs[1:]) or ("-" in cs[1:]):
-        cs = f"({cs})"
-    return cs + "*" + "*".join(parts)
-
-
 def poly_str(p: Poly2) -> str:
-    if not p:
-        return "0"
-    keys, terms = p.sorted_keys(), p.terms
-    out = _term_str(keys[0], terms[keys[0]])
-    for e in keys[1:]:
-        t = _term_str(e, terms[e])
-        out += "+" + t if not t.startswith("-") else t
-    return out
+    terms = p.terms
+    return signed_sum(((gauss_str(terms[e]), mono_text(e, _VAR_NAMES, "*"))
+                       for e in p.sorted_keys()), "*")
 
 
 def poly_json(p: Poly2) -> list:
@@ -486,7 +462,7 @@ def poly_from_json(rows) -> Poly2:
 # Polynomial gcd.  RatFunc keeps the integer-shift coroot lines of its
 # denominators factored (see below) and cancels them by a line test, so a
 # gcd is taken only of what does not split into such lines, which only
-# parser or hand-built input has.  It is a plain primitive remainder
+# parser or hand-built input has.  It is a subresultant remainder
 # sequence in Ha with contents in Hb over the Gaussian rationals.  Its
 # divisions work in Poly2's Gaussian-integer pairs and scale a remainder
 # only where a quotient coefficient would not be integral.
@@ -520,16 +496,22 @@ def _primitive(coeffs: dict) -> tuple:
 
 
 def _prem(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of Ha-coefficient maps (coefficients in K[Hb])."""
+    """Pseudo-remainder of Ha-coefficient maps (coefficients in K[Hb]):
+    the remainder of lc(b)^(deg a - deg b + 1) * a on division by b."""
     db = max(b)
     lb = b[db]
-    r = {k: v for k, v in a.items()}
+    r = dict(a)
+    steps = max(a) - db + 1
     while r and max(r) >= db:
         dr = max(r)
         neg_lr = -r[dr]
         # r <- lb*r - lr*Ha^(dr-db)*b
         r = add_into({k: v * lb for k, v in r.items() if k != dr},
                      ((k + dr - db, neg_lr * v) for k, v in b.items() if k != db))
+        steps -= 1
+    if steps and r:
+        f = power(lb, steps, P_ONE)
+        r = {k: v * f for k, v in r.items()}
     return r
 
 
@@ -550,18 +532,30 @@ def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
 
 
 def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """gcd by a primitive remainder sequence in Ha: the gcd of the two
-    contents in Hb times the last nonzero primitive remainder."""
+    """gcd by the subresultant remainder sequence in Ha: the gcd of the two
+    contents in Hb times the primitive part of the last nonzero remainder.
+
+    Each pseudo-remainder is divided exactly by g * h^delta (Collins and
+    Brown), which keeps the coefficients to the size of subresultants
+    without a content gcd per step.
+    """
     a, ca = _primitive(_coeffs_in_a(p))
     b, cb = _primitive(_coeffs_in_a(q))
     if max(a) < max(b):
         a, b = b, a
-    while b:
+    g = h = P_ONE
+    while True:
+        delta = max(a) - max(b)
         r = _prem(a, b)
-        if r:
-            r, _ = _primitive(r)
-        a, b = b, r
-    body = Poly2({(k, e[1]): c for k, v in a.items() for e, c in v.terms.items()})
+        if not r:
+            break
+        div = g * power(h, delta, P_ONE)
+        a, b = b, {k: v.divexact(div) for k, v in r.items()}
+        g = a[max(a)]
+        if delta:
+            h = power(g, delta, P_ONE).divexact(power(h, delta - 1, P_ONE))
+    b, _ = _primitive(b)
+    body = Poly2({(k, e[1]): c for k, v in b.items() for e, c in v.terms.items()})
     if not (ca.is_const() or cb.is_const()):
         body = body * _ugcd(ca, cb)
     return body.monic()

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, _split_lines
 from .sparse import add_into
-from .weyl import D1, D2, W_ONE, WeylElem, X1, X2, vartheta
+from .weyl import D2, NAMES, W_ONE, WeylElem, X1, X2, vartheta
 
 ALPHA = "a"
 BETA = "b"
@@ -217,8 +217,8 @@ def _build_weights() -> dict:
         return tuple(out)
 
     table = {}
-    for name, img in (("x1", X1), ("x2", X2), ("d1", D1), ("d2", D2)):
-        table[name] = weight(img)
+    for name in NAMES:
+        table[name] = weight(WeylElem.gen(name))
     for g in POS_ROOTS:
         table[E_NAME[g]] = weight(OSC[E_NAME[g]])
         table[F_NAME[g]] = tuple(-v for v in table[E_NAME[g]])
@@ -269,28 +269,11 @@ def denominator_factors(den) -> list | None:
 
     Returns a list of (root, n, multiplicity) with the product of the
     corresponding affine forms equal to the denominator up to a constant,
-    or None if some factor is not of that shape.  Integer shifts are
-    searched in a generous window around the degree.
+    or None if some factor is not of that shape.  The lines are those the
+    scalar field splits off its denominators.
     """
-    from .scalars import Poly2
-
-    rem = den
-    found = []
-    bound = 16 + 2 * max(0, den.total_degree())
-    for g in POS_ROOTS:
-        ca, cb, c0 = COROOT_FORM[g]
-        for n in range(-bound, bound + 1):
-            form = Poly2.affine(ca, cb, c0 + n)
-            mult = 0
-            while True:
-                try:
-                    nxt = rem.divexact(form)
-                except ArithmeticError:
-                    break
-                rem = nxt
-                mult += 1
-            if mult:
-                found.append((g, n, mult))
-    if rem.is_const():
-        return found
-    return None
+    lines, rest = _split_lines(den)
+    if not rest.is_const():
+        return None
+    return [(g, k - c0, m) for g, (ca, cb, c0) in COROOT_FORM.items()
+            for (d, k), m in sorted(lines.items()) if d == (ca, cb)]

@@ -5,6 +5,10 @@ zero coefficients out makes structural equality of the maps equality of
 the elements, which is how every identity of the engine is checked.
 Scalar polynomials (``scalars.Poly2``) keep the same rule on a map of
 Gaussian-integer pairs over one denominator instead.
+
+Every element type renders through the same three helpers: a monomial
+word, and one of two sum formats over (coefficient text, monomial text)
+pairs in ``sorted_keys()`` order.
 """
 
 from __future__ import annotations
@@ -99,3 +103,41 @@ class SparseTerms:
     def sorted_keys(self) -> list:
         """Keys by descending total degree, then descending key."""
         return sorted(self.terms, key=_degree_key, reverse=True)
+
+
+# -- rendering --
+
+def mono_text(exps, names, sep: str) -> str:
+    """The letters with a positive exponent, as ``name`` or ``name^k``,
+    joined by ``sep``; ``""`` for the unit monomial."""
+    return sep.join(n if k == 1 else f"{n}^{k}"
+                    for n, k in zip(names, exps) if k > 0)
+
+
+def signed_sum(pairs, sep: str) -> str:
+    """Signed juxtaposition such as ``Ha^2-2*Hb+1`` or ``d1 x1-2*i x2-1``.
+
+    A coefficient with an inner sign is parenthesized, ``1`` and ``-1``
+    before a monomial are left out except for the sign, and ``sep`` joins
+    a coefficient to its monomial.
+    """
+    out = ""
+    for c, word in pairs:
+        if "+" in c[1:] or "-" in c[1:]:
+            c = f"({c})"
+        if not word:
+            t = c
+        elif c == "1":
+            t = word
+        elif c == "-1":
+            t = "-" + word
+        else:
+            t = c + sep + word
+        out += t if not out or t[0] == "-" else "+" + t
+    return out or "0"
+
+
+def bracketed_sum(pairs, left: str, right: str) -> str:
+    """Bracketed terms joined by `` + ``, such as ``(c) x2 x1 + (c) d1``."""
+    return " + ".join(f"{left}{c}{right} {word}" if word
+                      else f"{left}{c}{right}" for c, word in pairs) or "0"

@@ -12,16 +12,14 @@ from functools import cache
 from math import comb, factorial
 
 from .scalars import GR_ONE, GaussRat, gauss_json, gauss_str
-from .sparse import SparseTerms, add_into
+from .sparse import SparseTerms, add_into, mono_text, signed_sum
 
 Mono = tuple  # (a, b, c, d) exponents of d1, d2, x2, x1
 
-_GEN_MONO = {
-    "d1": (1, 0, 0, 0),
-    "d2": (0, 1, 0, 0),
-    "x2": (0, 0, 1, 0),
-    "x1": (0, 0, 0, 1),
-}
+# The generators in normal order: the letter of each monomial exponent.
+NAMES = ("d1", "d2", "x2", "x1")
+GEN_MONO = {name: tuple(int(k == i) for k in range(4))
+            for i, name in enumerate(NAMES)}
 
 
 class WeylElem(SparseTerms):
@@ -31,7 +29,7 @@ class WeylElem(SparseTerms):
 
     @staticmethod
     def gen(name: str) -> "WeylElem":
-        return WeylElem({_GEN_MONO[name]: GR_ONE})
+        return WeylElem({GEN_MONO[name]: GR_ONE})
 
     @staticmethod
     def const(c) -> "WeylElem":
@@ -109,41 +107,9 @@ D1 = WeylElem.gen("d1")
 D2 = WeylElem.gen("d2")
 
 
-_NAMES = ("d1", "d2", "x2", "x1")
-
-
-def mono_str(m: Mono) -> str:
-    parts = []
-    for k in range(4):
-        if m[k] == 1:
-            parts.append(_NAMES[k])
-        elif m[k] > 1:
-            parts.append(f"{_NAMES[k]}^{m[k]}")
-    return " ".join(parts) if parts else "1"
-
-
 def weyl_str(u: WeylElem) -> str:
-    if not u.terms:
-        return "0"
-    chunks = []
-    for m in u.sorted_keys():
-        c = gauss_str(u.terms[m])
-        body = mono_str(m)
-        if body == "1":
-            chunk = c if ("+" not in c[1:] and "-" not in c[1:]) else f"({c})"
-        elif c == "1":
-            chunk = body
-        elif c == "-1":
-            chunk = "-" + body
-        else:
-            if "+" in c[1:] or "-" in c[1:]:
-                c = f"({c})"
-            chunk = f"{c} {body}"
-        if chunks and not chunk.startswith("-"):
-            chunks.append("+" + chunk)
-        else:
-            chunks.append(chunk)
-    return "".join(chunks)
+    return signed_sum(((gauss_str(u.terms[m]), mono_text(m, NAMES, " "))
+                       for m in u.sorted_keys()), " ")
 
 
 def weyl_json(u: WeylElem) -> list:

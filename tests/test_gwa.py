@@ -125,6 +125,18 @@ def test_sigma_vec_is_the_fold_of_one_step_maps(alg):
         assert alg.sigma_vec(m, b) == _one_step_fold(alg, m, b)
 
 
+def test_sigma_pow_at_large_exponents(alg):
+    """sigma^m is composed from halves of m, so large exponents do not
+    exhaust the stack."""
+    w = weyl_gwa(1)
+    u = w.t(1)
+    for k in (5000, -5000):
+        assert w.sigma_pow(1, k, u) == u - BasePoly.const(1, k)
+    t1 = alg.t(1)
+    assert alg.sigma_pow(1, 1200, t1) \
+        == alg.sigma(1, alg.sigma_pow(1, 1199, t1))
+
+
 def _times_generator(alg, u, i, sign):
     """u times X_i (sign 1) or Y_i (sign -1) from the defining relations
     alone: Y_i X_i = t_i, X_i Y_i = sigma_i(t_i), generators of different

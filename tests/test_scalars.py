@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from drasp4 import clear_caches, scalars, sp4
+from drasp4.parser import evaluate
 from drasp4.scalars import (DIVERGENT, GR_ONE, GR_ZERO, GaussRat, HA, HB,
                             P_ONE, Poly2, RF_ONE, RF_ZERO, RatFunc,
                             UNDEFINED, poly_gcd, rf_affine, rf_from_json,
@@ -257,7 +258,9 @@ def rand_rf_pair(rng, pool, depth=0):
     return (p, sp) if k == 3 else (RF_ONE / p, 1 / sp)
 
 
-def test_residual_gcd_against_sympy(monkeypatch):
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Empties the caches and records each call of the residual gcd."""
     clear_caches()
     calls = []
     residual_gcd = scalars._residual_gcd
@@ -267,6 +270,10 @@ def test_residual_gcd_against_sympy(monkeypatch):
         return residual_gcd(p, q)
 
     monkeypatch.setattr(scalars, "_residual_gcd", counted)
+    return calls
+
+
+def test_residual_gcd_against_sympy(gcd_calls):
     rng = random.Random(4242)
     for _ in range(200):
         pool = [off_direction_factor(rng) for _ in range(2)]
@@ -275,7 +282,59 @@ def test_residual_gcd_against_sympy(monkeypatch):
         assert sympy.cancel(num / den - reference, gaussian=True) == 0
         assert sympy.gcd(num, den, gaussian=True).is_number
         assert f.den.lead_coeff() == GR_ONE
-    assert calls
+    assert gcd_calls
+
+
+# Parser input whose gcds run long remainder sequences in Ha; a primitive
+# sequence took seconds on it, the subresultant one a fraction of that.
+LONG_GCD_PAIR = (
+    "(((((1+2*i)*Ha+2*i*Hb+2)^3/(Ha-3))+((Ha+2*Hb-3)*(Ha-2*Hb-1)))"
+    "*(((Ha+4)^2-(Hb+3))-((Hb-4)/(Ha-2*Hb-2))))",
+    "((((1/7)/(Ha*Hb-4)^3)/(Ha-1))+(((0+2*i)^3+(Ha+3)^3)"
+    "+((1/5)*((2+1*i)*Ha+-1*i*Hb+0))))")
+
+
+def test_long_remainder_sequence_against_sympy(gcd_calls):
+    f, g = (evaluate(src, "scalar") for src in LONG_GCD_PAIR)
+    sf, sg = (sympy.sympify(src.replace("^", "**"),
+                            locals={"Ha": SA, "Hb": SB, "i": sympy.I})
+              for src in LONG_GCD_PAIR)
+    num, den = sympy.fraction(sympy.together(sf / sg))
+    assert_cancelled(f / g, (RING.from_expr(sympy.expand(num)),
+                             RING.from_expr(sympy.expand(den))))
+    assert gcd_calls
+
+
+def test_gcd_with_gaps_in_ha_against_sympy():
+    """Remainders whose degree in Ha drops by more than one in a step: the
+    subresultant divisions are exact only if every pseudo-remainder
+    carries the full power of the leading coefficient."""
+    rng = random.Random(1)
+    # real coefficients: sympy's gcd over Q is far faster than over Q(i)
+    ring = sympy.ring("Ha,Hb", sympy.QQ)[0]
+
+    def to_qq(p: Poly2):
+        assert all(not c.im for c in p.terms.values())
+        return ring({e: sympy.QQ(c.re.numerator, c.re.denominator)
+                     for e, c in p.terms.items()})
+
+    def sparse_in_ha():
+        f = RF_ZERO
+        for d in rng.sample(range(5), 3):
+            f = f + (HB * HB * rng.randint(0, 1) + HB * rng.randint(-2, 2)
+                     + rng.randint(-2, 2)) * HA ** d
+        return f
+
+    checked = 0
+    for _ in range(40):
+        c = sparse_in_ha()
+        p, q = (sparse_in_ha() * c for _ in range(2))
+        if not p or not q or p.num.is_const() or q.num.is_const():
+            continue
+        g, ref = to_qq(poly_gcd(p.num, q.num)), to_qq(p.num).gcd(to_qq(q.num))
+        assert g * ref.LC == ref * g.LC
+        checked += 1
+    assert checked > 30
 
 
 def test_text_and_json_round_trip():

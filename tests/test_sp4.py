@@ -109,3 +109,8 @@ def test_denominator_factor_diagnostic():
     assert factors is not None
     assert ("a", 1, 1) in factors and ("ba", 3, 1) in factors
     assert sp4.denominator_factors((HA * HA + HB).num) is None
+    assert sp4.denominator_factors((HA + 19).num) == [("a", 19, 1)]
+    big = ((HA + 2 * HB + 400) * (HB - 250) ** 2 * (HA + HB - 7)).num
+    assert sp4.denominator_factors(big) == [("b", -250, 2), ("ba", 398, 1),
+                                            ("b2a", -8, 1)]
+    assert sp4.denominator_factors(((HA + 300) * (HA * HA + HB)).num) is None
