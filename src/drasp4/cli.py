@@ -47,24 +47,39 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    default="text", help="output format")
 
 
-def load_ansatz(data: dict) -> GwaAlgebra:
-    """Build a rank-two algebra from a config mapping with keys
-    'shift' (two integer pairs), 'c' (two scalar expressions) and
-    'g' (two rows of two scalar expressions)."""
+class AnsatzError(ValueError):
+    """An --ansatz file that is not JSON of the documented shape."""
+
+
+def load_ansatz(data) -> GwaAlgebra:
+    """Build a rank-two algebra from a config mapping with exactly the keys
+    'shift' (two pairs of integers), 'c' (two scalars) and 'g' (two rows
+    of two scalars), each scalar a JSON integer or an expression string.
+    Any other shape raises AnsatzError."""
+
+    def pair(src, what: str) -> list:
+        if not isinstance(src, list) or len(src) != 2:
+            raise AnsatzError(f"ansatz {what} must be a list of two entries")
+        return src
 
     def scalar(src) -> RatFunc:
-        if isinstance(src, (int, float)):
-            return RatFunc.const(int(src))
-        return evaluate(str(src), "scalar")
+        if isinstance(src, str):
+            return evaluate(src, "scalar")
+        if type(src) is int:
+            return RatFunc.const(src)
+        raise AnsatzError(f"ansatz scalar {json.dumps(src)} is neither an "
+                          "integer nor an expression string")
 
-    shifts = data["shift"]
-    cs = data["c"]
-    rows = data["g"]
+    if not isinstance(data, dict) or set(data) != {"shift", "c", "g"}:
+        raise AnsatzError("ansatz must be an object with the keys shift, c, g")
     sigmas = []
-    for i in (1, 2):
+    for i, shift, c, row in zip((1, 2), pair(data["shift"], "shift"),
+                                pair(data["c"], "c"), pair(data["g"], "g")):
+        if any(type(s) is not int for s in pair(shift, f"shift {i}")):
+            raise AnsatzError(f"ansatz shift {i} must be two integers")
         sigmas.append(SkewAffineSigma(
-            2, i, tuple(shifts[i - 1]), scalar(cs[i - 1]),
-            tuple(scalar(v) for v in rows[i - 1])))
+            2, i, tuple(shift), scalar(c),
+            tuple(scalar(v) for v in pair(row, f"g row {i}"))))
     return GwaAlgebra(2, sigmas)
 
 
@@ -133,7 +148,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, AnsatzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
@@ -170,7 +185,11 @@ def _dispatch(args) -> int:
     if cmd == "sigma":
         if args.ansatz:
             with open(args.ansatz, encoding="utf-8") as fh:
-                alg = load_ansatz(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    raise AnsatzError(f"ansatz is not JSON: {exc}") from None
+            alg = load_ansatz(data)
         else:
             alg = reduction_gwa()
         b = evaluate(args.expr, "base")

@@ -5,7 +5,8 @@ The projector acts on coset representatives (no raising block) as a
 product of one factor per positive root, taken in convex order.  Each
 factor is an exact finite sum because the iterated raising commutator of
 any coset representative vanishes; only the full-commutator term of each
-series order survives modulo the raising ideal.
+series order survives modulo the raising ideal.  The diamond product
+projects only the four generators, which then act by Weyl commutators.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json
+from .scalars import GR_ONE, RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json
 from .sparse import SparseTerms, add_into
-from .weyl import GEN_MONO
+from .weyl import GEN_MONO, WeylElem
 from . import sp4
-from .ambient import (AmbientElem, amb_latex, amb_str, amb_theta, e_gen,
-                      f_gen, mono_weight, red)
+from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
+                      e_gen, f_gen, mono_weight, red)
 
 TRUNCATION_MARGIN = 8
 
@@ -131,14 +132,7 @@ class DraElem(SparseTerms):
         return DraElem({m: f * v for m, v in self.terms.items()})
 
     def rmul_scalar(self, c) -> "DraElem":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        out = {}
-        for m, v in self.terms.items():
-            wa, wb = _weyl_weight(m)
-            g = v * f.shift(-wa, -wb)
-            if g:
-                out[m] = g
-        return DraElem(out)
+        return diamond(self, DraElem.scalar(c))
 
     def coeff(self, mono) -> RatFunc:
         return self.terms.get(tuple(mono), RF_ZERO)
@@ -208,8 +202,11 @@ def _basis_word(n: tuple) -> DraElem:
 def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     """m <> n for two basis monomials with unit coefficients.
 
-    Only a right factor of degree <= 1 is projected: red(m P(n), II).
-    Any other n is reached through its ordered word W(n), as
+    For n of degree <= 1, a term c F_i1 ... F_ik w of the cached P(n),
+    lowering letters in block order, adds c.shift(-wt m) [...[m, F_i1],
+    ..., F_ik] w (oscillator brackets) to red(m P(n), II): m F = F m +
+    [m, F], and red(., II) drops every term that starts with a lowering
+    letter.  Any other n is reached through its ordered word W(n), as
 
         m <> n = (m <> g1 <> ... <> gk) - m <> (W(n) - n),
 
@@ -221,9 +218,18 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     ends; up to degree 12 it is at most 7 levels deep.
     """
     if sum(n) <= 1:
-        prod = (DraElem({m: RF_ONE}).to_ambient()
-                * apply_p(DraElem({n: RF_ONE}).to_ambient()))
-        return DraElem.from_ambient(red(prod, "II"))
+        wa, wb = _weyl_weight(m)
+        out = {}
+        p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
+        for k, c in p_n.terms.items():
+            x = WeylElem({m: GR_ONE})
+            for f, e in zip(LETTERS, k[:4]):
+                for _ in range(e):
+                    x = x.bracket(sp4.osc(f))
+            c = c.shift(-wa, -wb)
+            add_into(out, ((w, c * g) for w, g in
+                           (x * WeylElem({k[4:8]: GR_ONE})).terms.items()))
+        return DraElem(out)
     left = DraElem({m: RF_ONE})
     lower = _basis_word(n) - DraElem({n: RF_ONE})
     return _fold_letters(left, n) - diamond(left, lower)
@@ -235,13 +241,7 @@ def diamond_commutator(u: DraElem, v: DraElem) -> DraElem:
 
 def diamond_product(factors) -> DraElem:
     """The ordered product f1 <> f2 <> ... <> fn of an iterable of factors,
-    as the left fold ((1 <> f1) <> f2) <> ... .
-
-    Whatever the factors, the projector acts only on single generators:
-    diamond reaches a right monomial of higher degree through a fold over
-    its generators, which rests on associativity and on W(n) being n plus
-    lower terms (see _basis_diamond).
-    """
+    as the left fold ((1 <> f1) <> f2) <> ... ."""
     out = DRA_ONE
     for f in factors:
         out = diamond(out, f)

@@ -146,9 +146,12 @@ class SkewAffineSigma:
             raise ValueError("affine row has wrong length")
         if g[index - 1].is_zero():
             raise ValueError("affine action is not invertible")
+        shift = tuple(shift)
+        if len(shift) != 2 or any(type(s) is not int for s in shift):
+            raise ValueError("scalar shift must be a pair of integers")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "shift", (int(shift[0]), int(shift[1])))
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", tuple(g))
         object.__setattr__(self, "_hash", hash(self._key()))

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drasp4
 from drasp4 import dra, sp4
@@ -143,13 +144,31 @@ def direct(m, n):
 
 
 def test_basis_diamond_agrees_with_direct_definition():
-    monos = [m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4]
+    monos = [m for m in itertools.product(range(7), repeat=4) if sum(m) <= 6]
     pairs = [(m, n) for m in monos for n in monos
              if sum(n) <= 3 and sum(m) + sum(n) <= 4]
     assert len(pairs) == 460
+    # the base case applies a projected generator by commutators: check it
+    # on every left monomial up to degree 6
+    pairs += [(m, n) for m in monos for n in monos
+              if sum(n) == 1 and sum(m) >= 4]
+    assert len(pairs) == 1160
     for m, n in pairs:
         got = diamond(DraElem({m: RF_ONE}), DraElem({n: RF_ONE}))
         assert got == direct(m, n), (m, n)
+
+
+def test_generator_products_straighten_no_ambient_word():
+    # once the four generators are projected, a product folded over them
+    # straightens nothing in the ambient algebra
+    drasp4.clear_caches()
+    for g in (D1_BAR, D2_BAR, X2_BAR, X1_BAR):
+        apply_p(g.to_ambient())
+    words = drasp4.cache_info()["drasp4.ambient._norm_word"]
+    uv = diamond(DraElem({(0, 0, 4, 4): RF_ONE}),
+                 DraElem({(4, 4, 0, 0): RF_ONE}))
+    assert uv.coeff((4, 4, 4, 4)) and len(uv.terms) == 45
+    assert drasp4.cache_info()["drasp4.ambient._norm_word"] == words
 
 
 def rand_ambient(rng):
@@ -203,6 +222,21 @@ def test_theta():
     for _ in range(8):
         u, v = rand_dra(rng), rand_dra(rng)
         assert dra_theta(diamond(u, v)) == diamond(dra_theta(v), dra_theta(u))
+
+
+AFFINE = st.builds(lambda a, b, c: HA * a + HB * b + c,
+                   *[st.integers(-2, 2)] * 3).filter(bool)
+COEFF = st.one_of(AFFINE, st.builds(
+    lambda f, root, k: f / (h_form(root) + k),
+    AFFINE, st.sampled_from(sp4.POS_ROOTS), st.integers(0, 2)))
+MONO = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda m: sum(m) <= 3)
+OPERAND = st.dictionaries(MONO, COEFF, min_size=1, max_size=2).map(DraElem)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(OPERAND, OPERAND)
+def test_theta_reverses_diamond_products(u, v):
+    assert dra_theta(diamond(u, v)) == diamond(dra_theta(v), dra_theta(u))
 
 
 def test_degree_twelve_product_under_default_recursion_limit():

@@ -184,6 +184,12 @@ def test_non_commuting_ansatz_rejected():
         GwaAlgebra(2, bad)
 
 
+def test_shift_must_be_two_integers():
+    for shift in ((-1.5, 0), (-1.0, 0), (1,), (0, 0, 0), (True, 0)):
+        with pytest.raises(ValueError, match="pair of integers"):
+            SkewAffineSigma(2, 1, shift, RF_ONE, (RF_ONE, RF_ZERO))
+
+
 def test_defining_relations(alg):
     t1 = alg.t(1)
     assert alg.y(1) * alg.x(1) == alg.base(t1)

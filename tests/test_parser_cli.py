@@ -214,6 +214,27 @@ def test_cli_ansatz_file(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, _, err = run_cli(capsys, "sigma", "1", "t1", "--ansatz", str(path))
     assert code == 1 and "commute" in err
+    # scalars may also be JSON integers
+    path.write_text(json.dumps(dict(config, c=[-1, "-1"], g=[[1, 0], [0, 1]])))
+    code, out, _ = run_cli(capsys, "sigma", "1", "t1", "--ansatz", str(path))
+    assert code == 0 and out.strip() == "(1) t1 + (-1)"
+    # any other shape is one error line with the usage exit code, whether it
+    # used to end in a traceback or in a silently truncated number
+    malformed = [dict(config, shift=[[1], [0, 0]]), dict(config, c=[0]),
+                 [config], dict(config, c=[1.5, 0]),
+                 dict(config, shift=[[-1.0, 0], [0, -1]]),
+                 dict(config, c=[True, 0]), dict(config, g=[["1", "0"], "01"]),
+                 {k: v for k, v in config.items() if k != "g"},
+                 dict(config, extra=1)]
+    for data in malformed:
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "sigma", "1", "t1", "--ansatz",
+                                 str(path))
+        assert code == 2 and not out, data
+        assert err.startswith("error: ansatz") and err.count("\n") == 1, data
+    path.write_text("{not json")
+    code, _, err = run_cli(capsys, "sigma", "1", "t1", "--ansatz", str(path))
+    assert code == 2 and err.startswith("error: ansatz is not JSON")
 
 
 def test_cli_gwa_check(capsys):
