@@ -19,8 +19,8 @@ from __future__ import annotations
 from functools import cache
 from heapq import heappop, heappush
 
-from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, rf_json, rf_latex,
-                      rf_str)
+from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json,
+                      rf_latex, rf_str)
 from .sparse import SparseTerms, add_into, bracketed_sum, mono_text
 from .weyl import WeylElem
 from . import sp4, weyl
@@ -160,6 +160,8 @@ class AmbientElem(SparseTerms):
     """Left combination of PBW monomials over the dynamical scalars."""
 
     __slots__ = ()
+    UNIT = ZERO_MONO
+    _coeff = staticmethod(as_rf)
 
     @staticmethod
     def gen(name: str) -> "AmbientElem":
@@ -169,26 +171,11 @@ class AmbientElem(SparseTerms):
 
     @staticmethod
     def scalar(c) -> "AmbientElem":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        return AmbientElem({ZERO_MONO: f}) if f else AmbientElem()
-
-    def scaled(self, c) -> "AmbientElem":
-        """Left multiplication by a dynamical scalar."""
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        if not f:
-            return AmbientElem()
-        return AmbientElem({m: f * v for m, v in self.terms.items()})
+        return AmbientElem({ZERO_MONO: as_rf(c)})
 
     def rmul_scalar(self, c) -> "AmbientElem":
         """Right multiplication by a dynamical scalar (shifts per weight)."""
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        out = {}
-        for m, v in self.terms.items():
-            wa, wb = mono_weight(m)
-            g = v * f.shift(-wa, -wb)
-            if g:
-                out[m] = g
-        return AmbientElem(out)
+        return self * AmbientElem.scalar(c)
 
     def __mul__(self, other):
         if isinstance(other, RatFunc):
@@ -215,28 +202,6 @@ class AmbientElem(SparseTerms):
         if isinstance(other, RatFunc):
             return self.scaled(other)
         return NotImplemented
-
-    # -- structure queries --
-
-    def is_scalar(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO_MONO in self.terms)
-
-    def scalar_value(self) -> RatFunc:
-        if not self.terms:
-            return RF_ZERO
-        if not self.is_scalar():
-            raise ValueError("not a dynamical scalar")
-        return self.terms[ZERO_MONO]
-
-    def degree(self) -> int:
-        """The largest total letter count of a monomial, all twelve blocks;
-        -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def __repr__(self):
-        return f"AmbientElem({self.terms!r})"
 
     def __str__(self):
         return amb_str(self)

@@ -42,9 +42,17 @@ def _render(value, fmt: str) -> str:
     raise TypeError(f"no renderer for {type(value).__name__}")
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text", help="output format")
+def _add_format(p: argparse.ArgumentParser,
+                formats=("text", "json", "latex")) -> None:
+    p.add_argument("--format", choices=formats, default="text",
+                   help="output format")
+
+
+def _nonneg_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected an integer N >= 0, got {text!r}")
+    return int(text)
 
 
 class AnsatzError(ValueError):
@@ -125,11 +133,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--ansatz", metavar="FILE",
                    help="JSON file with user-supplied skew-affine data")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
 
     p = sub.add_parser("limit", help="leading-form limit of a scalar")
     p.add_argument("expr")
-    _add_format(p)
+    _add_format(p, ("text", "json"))
 
     p = sub.add_parser("verify", help="run exact identity suites")
     p.add_argument("--suite", choices=verify.SUITE_NAMES + ("all",),
@@ -138,7 +146,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gwa-check",
                        help="verify the generalized Weyl algebra realization")
-    p.add_argument("--maxdeg", type=int, default=3)
+    p.add_argument("--maxdeg", type=_nonneg_int, default=3, metavar="N")
     p.add_argument("--json", action="store_true")
     return ap
 

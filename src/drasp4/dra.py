@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
-from .scalars import GR_ONE, RF_ONE, RF_ZERO, HA, RatFunc, rf_affine, rf_json
+from .scalars import (GR_ONE, RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine,
+                      rf_json)
 from .sparse import SparseTerms, add_into
 from .weyl import GEN_MONO, WeylElem
 from . import sp4
@@ -100,6 +101,8 @@ class DraElem(SparseTerms):
     dynamical scalars, of normal-ordered Weyl monomials d1^a d2^b x2^c x1^d."""
 
     __slots__ = ()
+    UNIT = (0, 0, 0, 0)
+    _coeff = staticmethod(as_rf)
 
     @staticmethod
     def gen(name: str) -> "DraElem":
@@ -109,8 +112,7 @@ class DraElem(SparseTerms):
 
     @staticmethod
     def scalar(c) -> "DraElem":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        return DraElem({(0, 0, 0, 0): f}) if f else DraElem()
+        return DraElem({DraElem.UNIT: as_rf(c)})
 
     @staticmethod
     def from_ambient(u: AmbientElem) -> "DraElem":
@@ -125,31 +127,11 @@ class DraElem(SparseTerms):
         return AmbientElem({(0, 0, 0, 0) + m + (0, 0, 0, 0): c
                             for m, c in self.terms.items()})
 
-    def scaled(self, c) -> "DraElem":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        if not f:
-            return DraElem()
-        return DraElem({m: f * v for m, v in self.terms.items()})
-
     def rmul_scalar(self, c) -> "DraElem":
         return diamond(self, DraElem.scalar(c))
 
     def coeff(self, mono) -> RatFunc:
         return self.terms.get(tuple(mono), RF_ZERO)
-
-    def is_scalar(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and (0, 0, 0, 0) in self.terms)
-
-    def scalar_value(self) -> RatFunc:
-        if not self.terms:
-            return RF_ZERO
-        if not self.is_scalar():
-            raise ValueError("not a dynamical scalar")
-        return self.terms[(0, 0, 0, 0)]
-
-    def __repr__(self):
-        return f"DraElem({self.terms!r})"
 
     def __str__(self):
         return dra_str(self)

@@ -15,22 +15,28 @@ A term product is a shift and a multiplication:
 
 where c_i(p, q), the contraction with Z_i^p Z_i^q = c_i(p, q) Z_i^(p+q),
 is a product of images sigma_i^k(t_i) (and 1 when p and q do not have
-opposite signs).  Moving c_i to the left past the generators of the other
-indices would twist it by their automorphisms, but the twist is the
-identity: the automorphisms commute and sigma_j fixes t_i for j != i, so
+opposite signs).  Two premises make sigma_i^k(t_i) the only image ever
+needed: the automorphisms commute, and sigma_j fixes t_i for j != i.
+The first is checked when an algebra is built (``_check_commuting``); the
+second is the shape of a skew-affine automorphism.  Together they give,
+for every exponent vector m with m_i = k,
+
+    sigma^m(t_i) = sigma_i^k(prod_{j != i} sigma_j^m_j (t_i)) = sigma_i^k(t_i),
+
+so sigma^m acts on t_i through the image for index i and exponent m_i
+alone.  For the same reason the contraction c_i needs no twist when it
+moves to the left past the generators of the other indices:
 sigma_j(sigma_i^k(t_i)) = sigma_i^k(sigma_j(t_i)) = sigma_i^k(t_i).  The
-first premise is checked when an algebra is built; the second is the shape
-of a skew-affine automorphism.  The contractions and the affine images
-sigma^m(t_1..t_n) depend on the algebra only, so both are cached;
-algebras compare and hash by value, so each built-in instance has one set
-of entries however often it is constructed.
+contractions and the images sigma_i^k(t_i) depend on the algebra only, so
+both are cached; algebras compare and hash by value, so each built-in
+instance has one set of entries however often it is constructed.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .scalars import RF_ONE, RF_ZERO, RatFunc, rf_json, rf_str
+from .scalars import RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
 from .sparse import SparseTerms, add_into, bracketed_sum, mono_text, power
 from .weyl import WeylElem
 from . import dra as _dra
@@ -40,52 +46,31 @@ from . import dra as _dra
 # ---------------------------------------------------------------------------
 
 
+def _unit_vec(rank: int, i: int, k: int = 1) -> tuple:
+    """The exponent vector with k at the 1-based index i and 0 elsewhere."""
+    return tuple(k if j == i else 0 for j in range(1, rank + 1))
+
+
 class BasePoly(SparseTerms):
     """Sparse polynomial in the central generators over RatFunc."""
 
     __slots__ = ("rank",)
+    _coeff = staticmethod(as_rf)
 
     def __init__(self, rank: int, terms=None):
         object.__setattr__(self, "rank", rank)
         super().__init__(terms)
 
-    def _new(self, terms):
-        return BasePoly(self.rank, terms)
+    def _unit(self):
+        return (0,) * self.rank
 
     @staticmethod
     def const(rank: int, c) -> "BasePoly":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        return BasePoly(rank, {(0,) * rank: f}) if f else BasePoly(rank)
+        return BasePoly(rank, {(0,) * rank: as_rf(c)})
 
     @staticmethod
     def tvar(rank: int, i: int) -> "BasePoly":
-        e = [0] * rank
-        e[i - 1] = 1
-        return BasePoly(rank, {tuple(e): RF_ONE})
-
-    def is_scalar(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and (0,) * self.rank in self.terms)
-
-    def scalar_value(self) -> RatFunc:
-        if not self.terms:
-            return RF_ZERO
-        if not self.is_scalar():
-            raise ValueError("not a dynamical scalar")
-        return self.terms[(0,) * self.rank]
-
-    def __eq__(self, other):
-        eq = SparseTerms.__eq__(self, other)
-        return eq if eq is NotImplemented else eq and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.rank, SparseTerms.__hash__(self)))
-
-    def scaled(self, c) -> "BasePoly":
-        f = c if isinstance(c, RatFunc) else RatFunc.const(c)
-        if not f:
-            return BasePoly(self.rank)
-        return BasePoly(self.rank, {e: f * v for e, v in self.terms.items()})
+        return BasePoly(rank, {_unit_vec(rank, i): RF_ONE})
 
     def __mul__(self, other):
         if isinstance(other, RatFunc):
@@ -104,9 +89,6 @@ class BasePoly(SparseTerms):
 
     def __pow__(self, n: int):
         return power(self, n, BasePoly.const(self.rank, 1))
-
-    def __repr__(self):
-        return f"BasePoly({self.rank}, {self.terms!r})"
 
     def __str__(self):
         return base_str(self)
@@ -175,25 +157,16 @@ class SkewAffineSigma:
 
     def t_image(self) -> BasePoly:
         terms = {(0,) * self.rank: self.c}
-        for j, gj in enumerate(self.g):
-            e = [0] * self.rank
-            e[j] = 1
-            terms[tuple(e)] = gj
+        for j, gj in enumerate(self.g, start=1):
+            terms[_unit_vec(self.rank, j)] = gj
         return BasePoly(self.rank, terms)
 
     def t_image_inv(self) -> BasePoly:
-        gi = self.on_scalar_inv(self.g[self.index - 1])
-        inv = gi.inv()
+        inv = self.on_scalar_inv(self.g[self.index - 1]).inv()
         terms = {(0,) * self.rank: -self.on_scalar_inv(self.c) * inv}
-        for j in range(self.rank):
-            e = [0] * self.rank
-            e[j] = 1
-            if j == self.index - 1:
-                terms[tuple(e)] = inv
-            else:
-                gj = self.on_scalar_inv(self.g[j])
-                if gj:
-                    terms[tuple(e)] = terms.get(tuple(e), RF_ZERO) - gj * inv
+        for j, gj in enumerate(self.g, start=1):
+            terms[_unit_vec(self.rank, j)] = (
+                inv if j == self.index else -self.on_scalar_inv(gj) * inv)
         return BasePoly(self.rank, terms)
 
     def apply(self, b: BasePoly) -> BasePoly:
@@ -266,6 +239,8 @@ class GwaAlgebra:
                 raise ValueError(f"automorphism {i} has a wrong inverse")
 
     def _check_commuting(self):
+        """The automorphisms commute, so sigma^m(t_i) is the cached
+        sigma_i^m_i(t_i) (see the module docstring)."""
         # generators: the two scalar coordinates and every t variable
         from .scalars import HA, HB
         gens = [BasePoly.const(self.rank, HA), BasePoly.const(self.rank, HB)]
@@ -296,42 +271,36 @@ class GwaAlgebra:
         return BasePoly.tvar(self.rank, i)
 
     def x(self, i: int) -> "GwaElem":
-        e = [0] * self.rank
-        e[i - 1] = 1
-        return GwaElem(self, {tuple(e): BasePoly.const(self.rank, 1)})
+        return GwaElem(self, {_unit_vec(self.rank, i):
+                              BasePoly.const(self.rank, 1)})
 
     def y(self, i: int) -> "GwaElem":
-        e = [0] * self.rank
-        e[i - 1] = -1
-        return GwaElem(self, {tuple(e): BasePoly.const(self.rank, 1)})
+        return GwaElem(self, {_unit_vec(self.rank, i, -1):
+                              BasePoly.const(self.rank, 1)})
 
     # -- automorphisms --
 
     def sigma(self, i: int, b: BasePoly) -> BasePoly:
-        return self._sigma(self._unit(i, 1), b)
+        return self._sigma(_unit_vec(self.rank, i), b)
 
     def sigma_pow(self, i: int, k: int, b: BasePoly) -> BasePoly:
-        return self._sigma(self._unit(i, k), b)
+        return self._sigma(_unit_vec(self.rank, i, k), b)
 
     def sigma_vec(self, m, b: BasePoly) -> BasePoly:
         return self._sigma(tuple(m), b)
 
-    def _unit(self, i: int, k: int) -> tuple:
-        m = [0] * self.rank
-        m[i - 1] = k
-        return tuple(m)
-
     def _sigma(self, m: tuple, b: BasePoly) -> BasePoly:
         """sigma^m(b) = sigma_1^m_1 ... sigma_n^m_n (b): every scalar
-        shifts by the sum of m_i times the shift of sigma_i, and each t_j
-        with m_j != 0 goes to its cached image sigma^m(t_j)."""
+        shifts by the sum of m_i times the shift of sigma_i, and each t_i
+        with m_i != 0 goes to its cached image sigma_i^m_i(t_i), which is
+        sigma^m(t_i) (see the module docstring)."""
         if not any(m):
             return b
-        images = _sigma_image(self, m)
         return _substitute(
             b, (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
                 sum(k * s.shift[1] for k, s in zip(m, self.sigmas))),
-            {j: images[j] for j, k in enumerate(m) if k})
+            {j: _sigma_image(self, j + 1, k)
+             for j, k in enumerate(m) if k})
 
     def _term_mul(self, m1, b1: BasePoly, m2, b2: BasePoly):
         """b1 sigma^m1(b2) times the contraction of each index whose two
@@ -345,27 +314,19 @@ class GwaAlgebra:
 
 
 @cache
-def _sigma_image(alg: GwaAlgebra, m: tuple) -> tuple:
-    """sigma^m(t_1), ..., sigma^m(t_n), affine polynomials.  A unit vector
-    applies one step of its automorphism; any longer m splits into two
-    nonzero parts h and m - h of about half its size each, and
-    sigma^m(t_j) = sigma^h(sigma^(m-h)(t_j)), so the depth is logarithmic
-    in |m|."""
-    size = sum(map(abs, m))
-    if size <= 1:
-        ts = [BasePoly.tvar(alg.rank, j) for j in range(1, alg.rank + 1)]
-        for s, k in zip(alg.sigmas, m):
-            if k:
-                return tuple(map(s.apply if k > 0 else s.apply_inv, ts))
-        return tuple(ts)
-    need, h = size // 2, []
-    for k in m:
-        take = min(abs(k), need)
-        need -= take
-        h.append(take if k > 0 else -take)
-    h = tuple(h)
-    rest = tuple(k - j for k, j in zip(m, h))
-    return tuple(alg._sigma(h, t) for t in _sigma_image(alg, rest))
+def _sigma_image(alg: GwaAlgebra, i: int, k: int) -> BasePoly:
+    """sigma_i^k(t_i), an affine polynomial.  For |k| = 1 it is one step
+    of sigma_i or of its inverse; any longer k splits into h = k // 2 and
+    k - h, and sigma_i^k(t_i) = sigma_i^h(sigma_i^(k-h)(t_i)), so the
+    depth is logarithmic in |k|."""
+    t = BasePoly.tvar(alg.rank, i)
+    if k == 0:
+        return t
+    if abs(k) == 1:
+        s = alg.sigmas[i - 1]
+        return s.apply(t) if k > 0 else s.apply_inv(t)
+    h = k // 2
+    return alg._sigma(_unit_vec(alg.rank, i, h), _sigma_image(alg, i, k - h))
 
 
 @cache
@@ -377,7 +338,7 @@ def _contraction(alg: GwaAlgebra, i: int, p: int, q: int) -> BasePoly:
     ks = range(p - r + 1, p + 1) if p > 0 else range(p + 1, p + r + 1)
     out = BasePoly.const(alg.rank, 1)
     for k in ks:
-        out = out * _sigma_image(alg, alg._unit(i, k))[i - 1]
+        out = out * _sigma_image(alg, i, k)
     return out
 
 
@@ -390,25 +351,11 @@ class GwaElem(SparseTerms):
         object.__setattr__(self, "alg", alg)
         super().__init__(terms)
 
-    def _new(self, terms):
-        return GwaElem(self.alg, terms)
+    def _unit(self):
+        return (0,) * self.alg.rank
 
-    def __eq__(self, other):
-        eq = SparseTerms.__eq__(self, other)
-        return eq if eq is NotImplemented else eq and self.alg == other.alg
-
-    def __hash__(self):
-        return hash((hash(self.alg), SparseTerms.__hash__(self)))
-
-    def sorted_keys(self) -> list:
-        """Signed exponents order by absolute degree, then by key."""
-        return sorted(self.terms, key=lambda m: (sum(abs(k) for k in m), m),
-                      reverse=True)
-
-    def scaled(self, b) -> "GwaElem":
-        if not isinstance(b, BasePoly):
-            b = BasePoly.const(self.alg.rank, b)
-        return GwaElem(self.alg, {m: b * v for m, v in self.terms.items()})
+    def _coeff(self, b) -> BasePoly:
+        return b if isinstance(b, BasePoly) else BasePoly.const(self.alg.rank, b)
 
     def __mul__(self, other):
         if not isinstance(other, GwaElem):
@@ -422,9 +369,6 @@ class GwaElem(SparseTerms):
 
     def __pow__(self, n: int):
         return power(self, n, self.alg.one())
-
-    def __repr__(self):
-        return f"GwaElem({self.terms!r})"
 
     def __str__(self):
         return gwa_str(self)

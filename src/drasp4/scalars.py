@@ -1005,6 +1005,12 @@ HA = _rf(P_HA, {}, P_ONE)
 HB = _rf(P_HB, {}, P_ONE)
 
 
+def as_rf(c) -> RatFunc:
+    """``c`` as a dynamical scalar: a RatFunc as it is, a number as a
+    constant."""
+    return c if isinstance(c, RatFunc) else RatFunc.const(c)
+
+
 def rf_affine(ca, cb, c0) -> RatFunc:
     """The polynomial scalar ca*Ha + cb*Hb + c0."""
     return _rf(Poly2.affine(ca, cb, c0), {}, P_ONE)

@@ -47,16 +47,31 @@ def power(x, n: int, one):
     return result
 
 
+def _degree(m) -> int:
+    """The degree of a key, the sum of its absolute exponents (generalized
+    Weyl algebra monomials have signed ones)."""
+    return sum(map(abs, m))
+
+
 def _degree_key(m):
-    return sum(m), m
+    return _degree(m), m
 
 
 class SparseTerms:
     """Immutable, hashable map from monomial keys to nonzero coefficients.
 
-    Subclasses whose elements carry more than the map override ``_new``,
-    which builds an element of the same kind from a new map, and extend
-    ``__eq__`` and ``__hash__`` with that field.
+    A subclass whose elements carry fields besides the map, such as a
+    rank, names them in its ``__slots__`` and takes them before the map in
+    its constructor.  They take part in ``_new`` (an element of the same
+    kind from a new map), equality, hashing and ``__repr__``.
+
+    The scalar interface (``scaled``, ``is_scalar``, ``scalar_value``) is
+    shared through two hooks of each subclass:
+
+    - the unit key, the monomial of the scalars: a class attribute
+      ``UNIT``, or a ``_unit()`` method where the key length depends on a
+      field of the element;
+    - ``_coeff(c)``, which coerces a scalar into a coefficient.
     """
 
     __slots__ = ("terms", "_hash")
@@ -66,8 +81,11 @@ class SparseTerms:
         object.__setattr__(self, "terms", t)
         object.__setattr__(self, "_hash", None)
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
     def _new(self, terms):
-        return type(self)(terms)
+        return type(self)(*self._fields(), terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -81,12 +99,12 @@ class SparseTerms:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == other.terms and self._fields() == other._fields()
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash((frozenset(self.terms.items()), self._fields()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -101,8 +119,37 @@ class SparseTerms:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def sorted_keys(self) -> list:
-        """Keys by descending total degree, then descending key."""
+        """Keys by descending degree, then descending key."""
         return sorted(self.terms, key=_degree_key, reverse=True)
+
+    # -- the scalar interface --
+
+    def _unit(self):
+        return self.UNIT
+
+    def scaled(self, c):
+        """Left multiplication by a scalar."""
+        f = self._coeff(c)
+        return self._new({k: f * v for k, v in self.terms.items()})
+
+    def is_scalar(self):
+        return not self.terms or (len(self.terms) == 1
+                                  and self._unit() in self.terms)
+
+    def scalar_value(self):
+        """The coefficient of the unit key; ValueError if another key has
+        one."""
+        if not self.is_scalar():
+            raise ValueError("not a scalar")
+        return self.terms.get(self._unit()) or self._coeff(0)
+
+    def degree(self) -> int:
+        """The largest degree of a key; -1 for zero."""
+        return max(map(_degree, self.terms), default=-1)
+
+    def __repr__(self):
+        fields = "".join(f"{f!r}, " for f in self._fields())
+        return f"{type(self).__name__}({fields}{self.terms!r})"
 
 
 # -- rendering --

@@ -26,6 +26,11 @@ class WeylElem(SparseTerms):
     """A finite GaussRat-linear combination of normal-ordered monomials."""
 
     __slots__ = ()
+    UNIT = (0, 0, 0, 0)
+
+    @staticmethod
+    def _coeff(c) -> GaussRat:
+        return c if isinstance(c, GaussRat) else GaussRat(c)
 
     @staticmethod
     def gen(name: str) -> "WeylElem":
@@ -33,14 +38,7 @@ class WeylElem(SparseTerms):
 
     @staticmethod
     def const(c) -> "WeylElem":
-        g = c if isinstance(c, GaussRat) else GaussRat(c)
-        return WeylElem({(0, 0, 0, 0): g})
-
-    def scaled(self, c) -> "WeylElem":
-        g = c if isinstance(c, GaussRat) else GaussRat(c)
-        if not g:
-            return WeylElem()
-        return WeylElem({m: v * g for m, v in self.terms.items()})
+        return WeylElem({WeylElem.UNIT: WeylElem._coeff(c)})
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, int)):
@@ -61,14 +59,6 @@ class WeylElem(SparseTerms):
 
     def bracket(self, other: "WeylElem") -> "WeylElem":
         return self * other - other * self
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def __repr__(self):
-        return f"WeylElem({self.terms!r})"
 
     def __str__(self):
         return weyl_str(self)

@@ -244,6 +244,26 @@ def test_cli_gwa_check(capsys):
     assert "[PASS] rel.Y1X1" in out
 
 
+def test_cli_usage_errors_exit_two(capsys):
+    # --maxdeg -1 used to pass while checking no monomial, and sigma and
+    # limit have no latex renderer, so they printed plain text with exit 0
+    for argv, message in (
+            (("gwa-check", "--maxdeg", "-1"), "--maxdeg: expected an integer"),
+            (("gwa-check", "--maxdeg", "two"), "--maxdeg: expected an integer"),
+            (("sigma", "2", "--format", "latex", "t1^2"), "--format"),
+            (("limit", "--format", "latex", "(Hb+2)/(2*Hb+1)"), "--format")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out, argv
+        assert message in err.splitlines()[-1], argv
+    code, out, _ = run_cli(capsys, "sigma", "2", "--format", "json", "t1^2")
+    assert code == 0 and json.loads(out)
+    code, out, _ = run_cli(capsys, "limit", "--format", "json",
+                           "(Hb+2)/(2*Hb+1)")
+    assert code == 0 and json.loads(out) == {"limit": "1/2"}
+
+
 def test_failing_report_exits_one(capsys):
     from drasp4.verify import Check, Report
     broken = Report("demo", [Check("demo.id", False, "residual text")])

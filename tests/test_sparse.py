@@ -45,6 +45,43 @@ def test_element_container_protocol(name):
         u.other = 1
 
 
+# per SparseTerms type: the unit key, the coefficient that 2 coerces to,
+# the zero coefficient, the degree of make({k1: c1, k2: c2}) and its repr
+# before the map
+SCALAR_CASES = {
+    "WeylElem": ((0, 0, 0, 0), GaussRat(2), GaussRat(0), 2, "WeylElem("),
+    "AmbientElem": ((0,) * 12, RatFunc.const(2), RatFunc.const(0), 2,
+                    "AmbientElem("),
+    "DraElem": ((0, 0, 0, 0), RatFunc.const(2), RatFunc.const(0), 2,
+                "DraElem("),
+    "BasePoly": ((0, 0), RatFunc.const(2), RatFunc.const(0), 1,
+                 "BasePoly(2, "),
+    "GwaElem": ((0,), BasePoly.const(1, 2), BasePoly(1), 1,
+                f"GwaElem({ALG!r}, "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_shared_scalar_interface(name):
+    make, k1, k2, c1, c2 = CASES[name]
+    unit, two, zero, degree, head = SCALAR_CASES[name]
+    u = make({k1: c1, k2: c2})
+    assert u.scaled(2) == make({k1: two * c1, k2: two * c2})
+    assert u.scaled(c2) == make({k1: c2 * c1, k2: c2 * c2})
+    assert u.scaled(0) == make({}) and not u.scaled(0)
+
+    s, z = make({unit: c1}), make({})
+    assert s.is_scalar() and s.scalar_value() == c1
+    assert z.is_scalar() and z.scalar_value() == zero
+    assert type(z.scalar_value()) is type(zero)
+    assert not u.is_scalar() and not make({k1: c1}).is_scalar()
+    with pytest.raises(ValueError):
+        u.scalar_value()
+
+    assert (u.degree(), s.degree(), z.degree()) == (degree, 0, -1)
+    assert repr(u) == f"{head}{u.terms!r})"
+
+
 def test_extra_fields_take_part_in_equality():
     t = {(0, 0): RF_ONE}
     assert BasePoly(2, t) != BasePoly(3, t)
