@@ -16,6 +16,12 @@ parser or hand-built input has it) stays one residual polynomial, reduced
 by a gcd.  A polynomial keeps Gaussian-integer coefficient pairs over one
 denominator, the way a Gaussian rational keeps one number, so its ring
 operations run in plain ints with one gcd pass per result.
+
+A constant factor scales the other factor's numerator and cancels
+nothing: a nonzero constant divides by no line and changes no gcd, so the
+product keeps the other factor's lines and residual as they are.  A
+one-term polynomial factor maps the other factor's terms directly, since
+their shifted keys cannot collide.
 """
 
 from __future__ import annotations
@@ -300,6 +306,15 @@ class Poly2:
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
+        if len(other._c) == 1 or len(self._c) == 1:
+            # a one-term factor maps terms directly: shifted keys stay
+            # distinct and a product of nonzero Gaussian integers is nonzero
+            p, q = (self, other) if len(other._c) == 1 else (other, self)
+            ((a2, b2), (x2, y2)), = q._c.items()
+            return _poly({(a1 + a2, b1 + b2): (x1 * x2 - y1 * y2,
+                                               x1 * y2 + y1 * x2)
+                          for (a1, b1), (x1, y1) in p._c.items()},
+                         self._d * other._d)
         return _poly(_acc({}, (((a1 + a2, b1 + b2), x1 * x2 - y1 * y2,
                                 x1 * y2 + y1 * x2)
                                for (a1, b1), (x1, y1) in self._c.items()
@@ -877,12 +892,13 @@ class RatFunc:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        if self is RF_ONE:
-            return g
-        if g is RF_ONE:
-            return self
         if self.num.is_zero() or g.num.is_zero():
             return RF_ZERO
+        # a nonzero constant cancels no line and changes no gcd
+        if self.is_const():
+            return _rf(_times(self.num, g.num), g.lines, g.res)
+        if g.is_const():
+            return _rf(_times(self.num, g.num), self.lines, self.res)
         # cross-cancel; both inputs are reduced, so the result is too
         n1, l2 = _cancel(self.num, g.lines, g.lines)
         n2, l1 = _cancel(g.num, self.lines, self.lines)
@@ -925,7 +941,7 @@ class RatFunc:
     def shift(self, da: int, db: int) -> "RatFunc":
         """Substitute Ha -> Ha + da, Hb -> Hb + db (a field automorphism);
         each line keeps its direction and moves its constant."""
-        if da == 0 and db == 0:
+        if (da == 0 and db == 0) or self.is_const():
             return self
         lines = {(d, k + d[0] * da + d[1] * db): m
                  for (d, k), m in self.lines.items()}

@@ -285,11 +285,23 @@ def _is_triangular(elem: DraElem, lead, unit: bool) -> tuple:
     return True, ""
 
 
+def _check_maxdeg(maxdeg: int) -> None:
+    """Refuse a negative degree bound: it selects no monomial, so a report
+    would pass without checking any."""
+    if maxdeg < 0:
+        raise ValueError(f"maxdeg must be >= 0, got {maxdeg}")
+
+
+def _monos(maxdeg: int) -> list:
+    """Exponent vectors of the four letters with total degree <= maxdeg."""
+    _check_maxdeg(maxdeg)
+    return sorted(m for m in iproduct(range(maxdeg + 1), repeat=4)
+                  if sum(m) <= maxdeg)
+
+
 def suite_triangular(maxdeg: int = 3) -> Report:
     rep = Report("triangular")
-    monos = sorted(m for m in iproduct(range(maxdeg + 1), repeat=4)
-                   if sum(m) <= maxdeg)
-    for m in monos:
+    for m in _monos(maxdeg):
         # the ordered word W(m) whose unitriangularity the diamond relies on
         ok, why = _is_triangular(_basis_word(m), m, unit=True)
         rep.add_flag("tri." + "".join(map(str, m)), ok, why)
@@ -303,9 +315,7 @@ def suite_triangular(maxdeg: int = 3) -> Report:
 def projector_order_report(maxdeg: int = 3) -> Report:
     """Both convex factor orders give the same projected coset forms."""
     rep = Report("projector_order")
-    monos = sorted(m for m in iproduct(range(maxdeg + 1), repeat=4)
-                   if sum(m) <= maxdeg)
-    for m in monos:
+    for m in _monos(maxdeg):
         v = DraElem({m: RF_ONE}).to_ambient()
         rep.add("order." + "".join(map(str, m)),
                 apply_p(v, sp4.CONVEX_ORDER), apply_p(v, sp4.CONVEX_ORDER_REV))
@@ -392,6 +402,7 @@ def _signed_monos(maxdeg: int):
 def gwa_iso_report(maxdeg: int = 3) -> Report:
     """The realization map preserves every defining relation and carries
     the left-module monomials triangularly onto the monomial basis."""
+    monos = _monos(maxdeg)
     rep = Report("gwa_iso")
     alg = _gwa.reduction_gwa()
     real = _gwa.GwaRealization(alg)
@@ -418,8 +429,6 @@ def gwa_iso_report(maxdeg: int = 3) -> Report:
     rep.add("rel.X2Y1", diamond(real.x_hat[1], real.d_hat[0]),
             diamond(real.d_hat[0], real.x_hat[1]))
 
-    monos = sorted((m for m in iproduct(range(maxdeg + 1), repeat=4)
-                    if sum(m) <= maxdeg))
     gens = real.d_hat + real.x_hat
     for a, b, c, d in monos:
         elem = diamond_product(g for g, e in zip(gens, (a, b, c, d))
@@ -434,6 +443,7 @@ def weyl_example_report(n: int, maxdeg: int = 3) -> Report:
     """Product preservation of the classical-instance comparison map."""
     if n > 2:
         raise ValueError("desk-scale example supports n <= 2")
+    _check_maxdeg(maxdeg)
     rep = Report(f"weyl_example_{n}")
     alg = _gwa.weyl_gwa(n)
     if n == 1:

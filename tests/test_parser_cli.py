@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from drasp4 import cli
+from drasp4 import cli, verify
 from drasp4.scalars import HA, HB, RF_ONE, RatFunc
 from drasp4.ambient import AmbientElem
 from drasp4.dra import D2_BAR, DraElem, X2_BAR, diamond, dra_str
@@ -262,6 +262,18 @@ def test_cli_usage_errors_exit_two(capsys):
     code, out, _ = run_cli(capsys, "limit", "--format", "json",
                            "(Hb+2)/(2*Hb+1)")
     assert code == 0 and json.loads(out) == {"limit": "1/2"}
+
+
+@pytest.mark.parametrize("report", [
+    lambda: verify.gwa_iso_report(-1),
+    lambda: verify.weyl_example_report(1, -1),
+    lambda: verify.suite_triangular(-1),
+    lambda: verify.projector_order_report(-1),
+], ids=["gwa_iso", "weyl_example", "triangular", "projector_order"])
+def test_reports_refuse_negative_maxdeg(report):
+    # each used to return a passing report that checked no monomial
+    with pytest.raises(ValueError, match="maxdeg must be >= 0"):
+        report()
 
 
 def test_failing_report_exits_one(capsys):

@@ -376,15 +376,16 @@ def line_fraction(rng, pool):
     return num, snum
 
 
-def assert_lowest_terms(f, reference):
+def assert_lowest_terms(f, reference, res=P_ONE):
     """f equals the sympy expression, and its denominator has the degree
-    of the one sympy's cancel leaves, so f is in lowest terms."""
+    of the one sympy's cancel leaves, so f is in lowest terms; res is the
+    residual f should keep."""
     p, q = sympy.fraction(sympy.cancel(reference))
     num, den = to_sympy(f.num), to_sympy(f.den)
     assert sympy.Poly(num * q - den * p, SA, SB).is_zero
     assert sympy.Poly(den, SA, SB).total_degree() \
         == sympy.Poly(q, SA, SB).total_degree()
-    assert f.res == P_ONE and f.den.lead_coeff() == GR_ONE
+    assert f.res == res and f.den.lead_coeff() == GR_ONE
 
 
 def test_line_cancellation_against_sympy():
@@ -412,6 +413,91 @@ def test_line_cancellation_against_sympy():
             cancelled += r.lines != lcm
     # 37 of the 200 sums and differences lost a line both operands had
     assert cancelled == 37
+
+
+def constant_factor(rng, kind):
+    """A nonzero constant, real (kind 0), negative (1) or Gaussian over a
+    denominator d > 1 (2), and the same constant in sympy."""
+    re = rng.randint(1, 7) * (-1 if kind == 1 else rng.choice((-1, 1)))
+    im = rng.choice((-3, -1, 1, 3)) if kind == 2 else 0
+    d = rng.choice((2, 4)) if kind == 2 else rng.choice((1, 1, 5))
+    c = RatFunc.const(GaussRat(Fraction(re, d), Fraction(im, d)))
+    assert kind < 2 or c.num._d == d > 1
+    return c, (sympy.Integer(re) + im * sympy.I) / d
+
+
+def residual_fraction(rng):
+    """A parser scalar whose denominator keeps a residual off the coroot
+    lines, and the same fraction in sympy."""
+    a, b, c, k = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 4),
+                  rng.randint(-2, 2))
+    text = f"({a}*Ha+Hb+{b})/((Ha^2+{c})*(Hb+{k}))"
+    f = evaluate(text, "scalar")
+    assert f.res != P_ONE
+    return f, sympy.sympify(text.replace("^", "**"),
+                            locals={"Ha": SA, "Hb": SB})
+
+
+def test_constant_factor_against_sympy():
+    """c * f and f * c for a constant c scale f's numerator and keep its
+    lines and residual, and the result is in lowest terms as it is."""
+    rng = random.Random(1313)
+    for n in range(60):
+        c, sc = constant_factor(rng, n % 3)
+        f, sf = (line_fraction(rng, line_pool(rng)) if n % 2
+                 else residual_fraction(rng))
+        for r in (c * f, f * c):
+            assert r.lines == f.lines
+            assert_lowest_terms(r, sc * sf, res=f.res)
+
+
+def rand_poly(rng, size):
+    """A Poly2 of size terms with Gaussian coefficients over a shared
+    denominator."""
+    d = rng.choice((1, 2, 3, 6))
+    terms = {}
+    while len(terms) < size:
+        re, im = rng.randint(-9, 9), rng.randint(-4, 4)
+        if re or im:
+            terms[(rng.randint(0, 4), rng.randint(0, 3))] = GaussRat(
+                Fraction(re, d), Fraction(im, d))
+    return Poly2(terms)
+
+
+def from_sympy(expr) -> Poly2:
+    return Poly2({e: GaussRat(Fraction(str(sympy.re(c))),
+                              Fraction(str(sympy.im(c))))
+                  for e, c in sympy.Poly(expr, SA, SB).terms()})
+
+
+def test_one_term_poly_product_against_sympy():
+    """A one-term factor maps the other factor's terms directly; the
+    product is expanded and stored in the canonical form."""
+    rng = random.Random(2718)
+    for _ in range(80):
+        p, q = rand_poly(rng, 1), rand_poly(rng, rng.randint(2, 8))
+        expected = from_sympy(sympy.expand(to_sympy(p) * to_sympy(q)))
+        assert p * q == expected and q * p == expected
+        assert p * p == from_sympy(sympy.expand(to_sympy(p) ** 2))
+
+
+def test_constant_factor_probes_no_line(monkeypatch):
+    f = RF_ONE / ((HA + 1) * (HB + 2) * (HA + HB + 3))
+    assert len(f.lines) == 3
+    probes = []
+    divide_out = scalars._divide_out
+
+    def counted(*args):
+        probes.append(args)
+        return divide_out(*args)
+
+    monkeypatch.setattr(scalars, "_divide_out", counted)
+    c = RatFunc.const(GaussRat(Fraction(-2, 3), 1))
+    for r in (c * f, f * c, 3 * f, f * Fraction(1, 2)):
+        assert r.lines == f.lines
+    assert probes == []
+    assert RF_ONE * f == f and f * RF_ONE == f
+    assert c.shift(2, -1) is c and RF_ZERO.shift(1, 1) is RF_ZERO
 
 
 # Gaussian values whose products can share a content: (1+i)(1-i) = 2.
