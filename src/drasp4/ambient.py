@@ -10,8 +10,10 @@ Multiplication straightens words by adjacent swaps.  Every commutator of
 two generators is again a left combination of single generators plus a
 scalar, and scalars pass through a generator at the cost of an integer
 shift of the Cartan coordinates, so straightening terminates by the usual
-(degree, inversion count) measure.  The whole commutator table is derived
-from the oscillator realization at import time.
+(degree, inversion count) measure.  The whole commutator table is read off
+the coordinates of brackets of images at import time (``sp4.coordinates``).
+Two monomials in the Weyl generators alone multiply by the closed-form
+Weyl product instead.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from heapq import heappop, heappush
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json,
                       rf_latex, rf_str)
 from .sparse import SparseTerms, add_into, bracketed_sum, mono_text
-from .weyl import WeylElem
 from . import sp4, weyl
 
 LETTERS = (tuple(sp4.F_NAME[g] for g in sp4.CONVEX_ORDER) + weyl.NAMES
@@ -30,72 +31,26 @@ LETTERS = (tuple(sp4.F_NAME[g] for g in sp4.CONVEX_ORDER) + weyl.NAMES
 LETTER_INDEX = {name: i for i, name in enumerate(LETTERS)}
 LETTER_WEIGHT = tuple(sp4.WEIGHT[name] for name in LETTERS)
 
-_W_MONO_TO_LETTER = {m: LETTER_INDEX[name]
-                     for name, m in weyl.GEN_MONO.items()}
-
 ZERO_MONO = (0,) * 12
 
-
-def _linear_from_weyl(w: WeylElem) -> list:
-    """Express a degree-one Weyl element as [(word, coeff)] entries."""
-    out = []
-    for m, c in w.terms.items():
-        coeff = RatFunc.const(c)
-        if m == (0, 0, 0, 0):
-            out.append(((), coeff))
-        else:
-            out.append(((_W_MONO_TO_LETTER[m],), coeff))
-    return out
+_SCALAR = {"Ha": HA, "Hb": HB, "1": RF_ONE}
 
 
-def _linear_from_lie(x: sp4.LieElem) -> list:
-    """Express the image of a Lie element as [(word, coeff)] entries.
+def _letter_terms(x: dict) -> list:
+    """Coordinates over ``sp4.SPAN`` as [(word, coeff)] entries.
 
-    Cartan coordinates land in the scalar ring as the affine coordinates
-    Ha and Hb; raising and lowering coordinates stay as generators.
+    Letters stay generators; the Cartan coordinates and the constant land
+    in the scalar ring as Ha, Hb and 1.
     """
-    out = []
-    scalar = RF_ZERO
-    if x.const:
-        scalar = scalar + RatFunc.const(x.const)
-    for sym, c in x.coords.items():
-        if sym == "Ha":
-            scalar = scalar + HA * RatFunc.const(c)
-        elif sym == "Hb":
-            scalar = scalar + HB * RatFunc.const(c)
-        else:
-            out.append(((LETTER_INDEX[sym],), RatFunc.const(c)))
-    if scalar:
-        out.append(((), scalar))
-    return out
+    out = [((LETTER_INDEX[s],), RatFunc.const(c))
+           for s, c in x.items() if s in LETTER_INDEX]
+    scalar = sum((_SCALAR[s] * RatFunc.const(c)
+                  for s, c in x.items() if s in _SCALAR), RF_ZERO)
+    return out + [((), scalar)] if scalar else out
 
 
-def _build_brackets():
-    table = [[None] * 12 for _ in range(12)]
-    basis = {name: sp4.LieElem.basis(name) for name in sp4.BASIS}
-    for i, a in enumerate(LETTERS):
-        for j, b in enumerate(LETTERS):
-            if i == j:
-                table[i][j] = []
-                continue
-            a_weyl = 4 <= i <= 7
-            b_weyl = 4 <= j <= 7
-            if a_weyl and b_weyl:
-                br = WeylElem.gen(a).bracket(WeylElem.gen(b))
-                table[i][j] = _linear_from_weyl(br)
-            elif a_weyl or b_weyl:
-                if a_weyl:
-                    br = sp4.osc(b).bracket(WeylElem.gen(a)).scaled(-1)
-                else:
-                    br = sp4.osc(a).bracket(WeylElem.gen(b))
-                table[i][j] = _linear_from_weyl(br)
-            else:
-                br = sp4.lie_bracket(basis[a], basis[b])
-                table[i][j] = _linear_from_lie(br)
-    return table
-
-
-BRACKET = _build_brackets()
+BRACKET = [[_letter_terms(sp4.coordinates(sp4.IMAGE[a].bracket(sp4.IMAGE[b])))
+            for b in LETTERS] for a in LETTERS]
 
 
 def mono_word(mono) -> tuple:
@@ -121,6 +76,10 @@ def mono_weight(mono) -> tuple:
             wa += e * la
             wb += e * lb
     return wa, wb
+
+
+def _weyl_only(mono) -> bool:
+    return not any(mono[0:4]) and not any(mono[8:12])
 
 
 @cache
@@ -193,6 +152,9 @@ class AmbientElem(SparseTerms):
                 w2 = mono_word(m2)
                 if not w1 or not w2 or w1[-1] <= w2[0]:
                     items = ((tuple(x + y for x, y in zip(m1, m2)), c),)
+                elif _weyl_only(m1) and _weyl_only(m2):
+                    items = (((0,) * 4 + m + (0,) * 4, c * k) for m, k in
+                             weyl._mono_mul(m1[4:8], m2[4:8]).items())
                 else:
                     items = ((m, c * k) for m, k in _norm_word(w1 + w2).items())
                 add_into(out, items)
@@ -205,9 +167,6 @@ class AmbientElem(SparseTerms):
 
     def __str__(self):
         return amb_str(self)
-
-
-A_ONE = AmbientElem.scalar(1)
 
 
 def red(u: AmbientElem, side: str) -> AmbientElem:

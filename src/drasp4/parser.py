@@ -173,7 +173,6 @@ def parse(src: str):
     return _Parser(src).parse()
 
 
-W_NAMES = NAMES
 EF_NAMES = tuple(sp4.E_NAME.values()) + tuple(sp4.F_NAME.values())
 SCALAR_ATOMS = {"Ha": HA, "Hb": HB, "i": RF_I}
 
@@ -206,7 +205,7 @@ class _Evaluator:
             return self.from_scalar(f)
         if self.mode == "base" and name in ("t1", "t2"):
             return BasePoly.tvar(2, int(name[1]))
-        if self.mode in ("ambient", "dra") and name in W_NAMES:
+        if self.mode in ("ambient", "dra") and name in NAMES:
             return (AmbientElem.gen(name) if self.mode == "ambient"
                     else DraElem.gen(name))
         if name in EF_NAMES:

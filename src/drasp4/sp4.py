@@ -1,9 +1,10 @@
 """Type C2 root data and the oscillator realization inside the Weyl algebra.
 
-All structure constants are derived at import time by bracketing the
-oscillator images and decomposing against the 10-dimensional image space
-plus constants; nothing is transcribed by hand except the defining root
-vectors of the two simple roots and the integer shifts of the coroots.
+All structure constants are derived at import time by bracketing images
+in the Weyl algebra and reading off coordinates over one basis of its
+elements of degree <= 2: the ten oscillator images, the four generators
+and 1.  Nothing is transcribed by hand except the defining root vectors
+of the two simple roots and the integer shifts of the coroots.
 """
 
 from __future__ import annotations
@@ -30,37 +31,40 @@ BASIS = ("Fb", "Fba", "Fb2a", "Fa", "Ha", "Hb", "Ea", "Eb2a", "Eba", "Eb")
 
 E_NAME = {ALPHA: "Ea", BETA: "Eb", BETA_A: "Eba", BETA_2A: "Eb2a"}
 F_NAME = {ALPHA: "Fa", BETA: "Fb", BETA_A: "Fba", BETA_2A: "Fb2a"}
-ROOT_OF_E = {v: k for k, v in E_NAME.items()}
-ROOT_OF_F = {v: k for k, v in F_NAME.items()}
 
 # Integer shifts turning coroots into the projector-friendly coordinates.
 COROOT_SHIFT = {ALPHA: 0, BETA: 0, BETA_A: 2, BETA_2A: 1}
 
 
-def _build_osc() -> dict:
+# The ten oscillator images, the four Weyl generators and 1 are a basis of
+# the Weyl elements of degree <= 2, so every bracket of two of them has
+# unique coordinates over them; every structure constant is read off those.
+SPAN = BASIS + NAMES + ("1",)
+
+
+def _build_images() -> dict:
     e = {ALPHA: X1 * D2, BETA: (X2 * X2).scaled(GR_I * Fraction(1, 2))}
     e[BETA_A] = e[ALPHA].bracket(e[BETA])
     e[BETA_2A] = e[ALPHA].bracket(e[BETA_A]).scaled(Fraction(1, 2))
-    f = {g: vartheta(e[g]) for g in POS_ROOTS}
-    h = {g: e[g].bracket(f[g]) for g in POS_ROOTS}
     images = {}
     for g in POS_ROOTS:
         images[E_NAME[g]] = e[g]
-        images[F_NAME[g]] = f[g]
-    images["Ha"] = h[ALPHA]
-    images["Hb"] = h[BETA]
+        images[F_NAME[g]] = vartheta(e[g])
+    images["Ha"] = e[ALPHA].bracket(images["Fa"])
+    images["Hb"] = e[BETA].bracket(images["Fb"])
+    images.update((n, WeylElem.gen(n)) for n in NAMES)
+    images["1"] = W_ONE
     return images
 
 
-OSC = _build_osc()
+IMAGE = _build_images()
 
 
 def osc(sym: str) -> WeylElem:
     """Oscillator image of a basis symbol (Ea, Fb2a, Ha, ...)."""
-    try:
-        return OSC[sym]
-    except KeyError:
-        raise KeyError(f"unknown basis symbol: {sym}") from None
+    if sym not in BASIS:
+        raise KeyError(f"unknown basis symbol: {sym}")
+    return IMAGE[sym]
 
 
 class LieElem:
@@ -115,77 +119,66 @@ class LieElem:
     def to_weyl(self) -> WeylElem:
         out = WeylElem.const(self.const) if self.const else WeylElem()
         for k, v in self.coords.items():
-            out = out + OSC[k].scaled(v)
+            out = out + IMAGE[k].scaled(v)
         return out
 
     def __repr__(self):
         return f"LieElem({self.coords!r}, const={self.const!r})"
 
 
-# ---------------------------------------------------------------------------
-# Decomposition against the oscillator images: exact linear solve over the
-# 11-dimensional span (10 images plus the constant monomial).
-# ---------------------------------------------------------------------------
+def _invert_images() -> dict:
+    """The coordinates over SPAN of each monomial of degree <= 2.
 
-def _build_solver():
-    symbols = list(BASIS) + ["1"]
-    columns = [OSC[s] if s != "1" else W_ONE for s in symbols]
-    monos = sorted({m for col in columns for m in col.terms})
-    if len(monos) != len(symbols):
-        raise RuntimeError("oscillator images do not span an 11-dim space")
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(symbols)
-    # Augmented matrix [M | I], rows indexed by monomials.
-    mat = [[GR_ZERO] * (2 * n) for _ in range(n)]
-    for j, col in enumerate(columns):
-        for m, c in col.terms.items():
-            mat[index[m]][j] = c
-    for i in range(n):
-        mat[i][n + i] = GR_ONE
-    for col in range(n):
-        piv = next(r for r in range(col, n) if mat[r][col])
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col].inv()
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    inverse = [row[n:] for row in mat]
-    return symbols, index, inverse
+    Gauss-Jordan elimination on rows (w, x), w the combination of images
+    with coefficients x: once every w is a single monomial, its x are the
+    coordinates of that monomial.
+    """
+    rows = [(IMAGE[s], {s: GR_ONE}) for s in SPAN]
+    for i in range(len(rows)):
+        w, x = rows[i]
+        if w.is_zero():
+            raise RuntimeError("the images are linearly dependent")
+        m = max(w.terms)
+        k = w.terms[m].inv()
+        w, x = w.scaled(k), {s: c * k for s, c in x.items()}
+        rows[i] = w, x
+        for j, (v, y) in enumerate(rows):
+            c = v.terms.get(m)
+            if c and j != i:
+                rows[j] = (v - w.scaled(c),
+                           add_into(dict(y), ((s, -c * t) for s, t in x.items())))
+    if any(len(w.terms) != 1 for w, _ in rows):
+        raise RuntimeError("the images do not span the degree <= 2 monomials")
+    return {next(iter(w.terms)): x for w, x in rows}
 
 
-_SYMBOLS, _MONO_INDEX, _INV = _build_solver()
+_COORDS = _invert_images()
+
+
+def coordinates(w: WeylElem) -> dict:
+    """The coordinates {symbol of SPAN: coefficient} of w over IMAGE.
+
+    Raises ValueError when w has a monomial of degree above 2.
+    """
+    out = {}
+    for m, c in w.terms.items():
+        x = _COORDS.get(m)
+        if x is None:
+            raise ValueError("degree above 2")
+        add_into(out, ((s, c * t) for s, t in x.items()))
+    return out
 
 
 def decompose(w: WeylElem) -> LieElem:
     """Write w as a combination of oscillator images plus a constant.
 
-    Raises ValueError when w lies outside that 11-dimensional span.
+    Raises ValueError when w lies outside that span, that is when it has
+    degree above 2 or a nonzero coordinate on a Weyl generator.
     """
-    n = len(_SYMBOLS)
-    vec = [GR_ZERO] * n
-    for m, c in w.terms.items():
-        i = _MONO_INDEX.get(m)
-        if i is None:
-            raise ValueError("not in sp(4) + C")
-        vec[i] = c
-    coords = {}
-    const = GR_ZERO
-    for j, sym in enumerate(_SYMBOLS):
-        val = GR_ZERO
-        for i in range(n):
-            if vec[i]:
-                val = val + _INV[j][i] * vec[i]
-        if val:
-            if sym == "1":
-                const = val
-            else:
-                coords[sym] = val
-    out = LieElem(coords, const)
-    if out.to_weyl() != w:
+    x = coordinates(w) if w.degree() <= 2 else None
+    if x is None or any(n in x for n in NAMES):
         raise ValueError("not in sp(4) + C")
-    return out
+    return LieElem({s: x[s] for s in BASIS if s in x}, x.get("1", GR_ZERO))
 
 
 def lie_bracket(x: LieElem, y: LieElem) -> LieElem:
@@ -199,67 +192,47 @@ def tau(x: LieElem) -> LieElem:
     return decompose(vartheta(x.to_weyl()))
 
 
-def _build_weights() -> dict:
-    ha, hb = OSC["Ha"], OSC["Hb"]
-
-    def weight(img: WeylElem):
-        out = []
-        for h in (ha, hb):
-            br = h.bracket(img)
-            if br.is_zero():
-                out.append(0)
-                continue
-            m = next(iter(img.terms))
-            k = br.terms.get(m, GR_ZERO) / img.terms[m]
-            if br != img.scaled(k) or k.im or k.re.denominator != 1:
-                raise RuntimeError("non-diagonal weight action")
-            out.append(int(k.re))
-        return tuple(out)
-
-    table = {}
-    for name in NAMES:
-        table[name] = weight(WeylElem.gen(name))
-    for g in POS_ROOTS:
-        table[E_NAME[g]] = weight(OSC[E_NAME[g]])
-        table[F_NAME[g]] = tuple(-v for v in table[E_NAME[g]])
-    return table
+def _integer(c: GaussRat) -> int:
+    if c.im or c.re.denominator != 1:
+        raise RuntimeError("structure constant is not an integer")
+    return int(c.re)
 
 
-WEIGHT = _build_weights()
+def _weight(a: str) -> tuple:
+    """The eigenvalues of ad Ha and ad Hb on the image of a letter."""
+    out = []
+    for h in ("Ha", "Hb"):
+        x = coordinates(IMAGE[h].bracket(IMAGE[a]))
+        if set(x) - {a}:
+            raise RuntimeError("non-diagonal weight action")
+        out.append(_integer(x.get(a, GR_ZERO)))
+    return tuple(out)
+
+
+WEIGHT = {a: _weight(a) for a in SPAN if a not in ("Ha", "Hb", "1")}
 
 ROOT_WEIGHT = {g: WEIGHT[E_NAME[g]] for g in POS_ROOTS}
 
 
-def _build_coroot_forms() -> dict:
-    """Affine form (ca, cb, c0) of each shifted coroot coordinate.
-
-    The linear part comes from decomposing the derived coroot over the two
-    simple Cartan elements; the constant is the fixed integer shift.
-    """
-    out = {}
-    for g in POS_ROOTS:
-        e = decompose(OSC[E_NAME[g]])
-        f = decompose(OSC[F_NAME[g]])
-        h = lie_bracket(e, f)
-        if h.const or set(h.coords) - {"Ha", "Hb"}:
-            raise RuntimeError("coroot bracket left the Cartan part")
-        ca = h.coords.get("Ha", GR_ZERO)
-        cb = h.coords.get("Hb", GR_ZERO)
-        if ca.im or cb.im or ca.re.denominator != 1 or cb.re.denominator != 1:
-            raise RuntimeError("coroot coordinates must be integers")
-        out[g] = (int(ca.re), int(cb.re), COROOT_SHIFT[g])
-    return out
+def _coroot_form(g: str) -> tuple:
+    """Affine form (ca, cb, c0) of a shifted coroot coordinate: [E, F]
+    over the two simple Cartan elements, plus the fixed integer shift."""
+    x = coordinates(IMAGE[E_NAME[g]].bracket(IMAGE[F_NAME[g]]))
+    if set(x) - {"Ha", "Hb"}:
+        raise RuntimeError("coroot bracket left the Cartan part")
+    return (_integer(x.get("Ha", GR_ZERO)), _integer(x.get("Hb", GR_ZERO)),
+            COROOT_SHIFT[g])
 
 
-COROOT_FORM = _build_coroot_forms()
+COROOT_FORM = {g: _coroot_form(g) for g in POS_ROOTS}
 
 
 def sl2_triples() -> dict:
     """The derived triples (e, f, h') per positive root, as Weyl elements."""
     out = {}
     for g in POS_ROOTS:
-        e = OSC[E_NAME[g]]
-        f = OSC[F_NAME[g]]
+        e = IMAGE[E_NAME[g]]
+        f = IMAGE[F_NAME[g]]
         out[g] = (e, f, e.bracket(f))
     return out
 

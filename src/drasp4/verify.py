@@ -250,6 +250,8 @@ def _rand_elem(rng) -> DraElem:
 
 
 def suite_domain_sample(seed: int = DOMAIN_SEED, count: int = 100) -> Report:
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rep = Report("domain_sample")
     rng = random.Random(seed)
     bad = []
@@ -441,8 +443,8 @@ def gwa_iso_report(maxdeg: int = 3) -> Report:
 
 def weyl_example_report(n: int, maxdeg: int = 3) -> Report:
     """Product preservation of the classical-instance comparison map."""
-    if n > 2:
-        raise ValueError("desk-scale example supports n <= 2")
+    if n not in (1, 2):
+        raise ValueError(f"the desk-scale example needs n = 1 or 2, got {n}")
     _check_maxdeg(maxdeg)
     rep = Report(f"weyl_example_{n}")
     alg = _gwa.weyl_gwa(n)

@@ -7,8 +7,9 @@ import pytest
 
 from drasp4 import sp4
 from drasp4.scalars import HA, HB, RF_ONE, RatFunc
-from drasp4.ambient import (AmbientElem, LETTERS, ad_e, amb_json, amb_str,
-                            amb_theta, e_gen, f_gen, mono_weight, red)
+from drasp4.ambient import (AmbientElem, LETTERS, _norm_word, ad_e, amb_json,
+                            amb_str, amb_theta, e_gen, f_gen, mono_weight,
+                            mono_word, red)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DERIVED = json.loads((FIXTURES / "derived_values.json").read_text())
@@ -86,6 +87,17 @@ def test_pbw_straightening_confluent():
         for mono in left.terms:
             letters = [i for i in range(12) for _ in range(mono[i])]
             assert letters == sorted(letters)
+
+
+def test_weyl_only_products_match_straightening():
+    # products of Weyl-only monomials are read off the Weyl algebra; the
+    # straightening of the joined word is the reference
+    rng = random.Random(14)
+    for _ in range(60):
+        m1, m2 = ((0,) * 4 + tuple(rng.randint(0, 3) for _ in range(4))
+                  + (0,) * 4 for _ in range(2))
+        got = AmbientElem({m1: RF_ONE}) * AmbientElem({m2: RF_ONE})
+        assert got == AmbientElem(_norm_word(mono_word(m1) + mono_word(m2)))
 
 
 def test_weight_consistency():

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,20 @@ def test_cli_limits_fail_with_one_line(capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_weyl_only_product_at_high_degree(capsys):
+    # x1^n d1^n = sum_j (-1)^j C(n, j)^2 j! d1^(n-j) x1^(n-j); straightening
+    # the joined word letter by letter did not finish in minutes at n = 160
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "nf", "x1^200 d1^200")
+    elapsed = time.perf_counter() - start
+    terms = out.strip().split(" + ")
+    assert code == 0 and len(terms) == 201
+    assert terms[0] == "(1) d1^200 x1^200"
+    assert terms[1] == "(-40000) d1^199 x1^199"
+    assert terms[-1] == f"({math.factorial(200)})"
+    assert elapsed < 10.0, f"nf took {elapsed:.1f}s"
+
+
 def test_cli_project_counts_lowering_letters(capsys):
     # project reduces modulo II, which drops every lowering power
     code, out, _ = run_cli(capsys, "project", "Fa^9")
@@ -264,15 +280,20 @@ def test_cli_usage_errors_exit_two(capsys):
     assert code == 0 and json.loads(out) == {"limit": "1/2"}
 
 
-@pytest.mark.parametrize("report", [
-    lambda: verify.gwa_iso_report(-1),
-    lambda: verify.weyl_example_report(1, -1),
-    lambda: verify.suite_triangular(-1),
-    lambda: verify.projector_order_report(-1),
-], ids=["gwa_iso", "weyl_example", "triangular", "projector_order"])
-def test_reports_refuse_negative_maxdeg(report):
-    # each used to return a passing report that checked no monomial
-    with pytest.raises(ValueError, match="maxdeg must be >= 0"):
+@pytest.mark.parametrize("report, message", [
+    (lambda: verify.gwa_iso_report(-1), "maxdeg must be >= 0"),
+    (lambda: verify.weyl_example_report(1, -1), "maxdeg must be >= 0"),
+    (lambda: verify.suite_triangular(-1), "maxdeg must be >= 0"),
+    (lambda: verify.projector_order_report(-1), "maxdeg must be >= 0"),
+    (lambda: verify.weyl_example_report(0), "needs n = 1 or 2, got 0"),
+    (lambda: verify.weyl_example_report(-1), "needs n = 1 or 2, got -1"),
+    (lambda: verify.suite_domain_sample(count=0), "count must be >= 1"),
+], ids=["gwa_iso", "weyl_example", "triangular", "projector_order",
+        "weyl_example_n0", "weyl_example_negative_n", "domain_sample_count0"])
+def test_reports_refuse_negative_maxdeg(report, message):
+    # each used to return a passing report that checked nothing, or to
+    # fail with an unrelated error
+    with pytest.raises(ValueError, match=message):
         report()
 
 

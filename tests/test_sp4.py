@@ -30,8 +30,9 @@ def test_decompose_examples():
     dec = sp4.decompose(X1 * D1 + X2 * D2 + W_ONE)
     assert dec == sp4.LieElem.basis("Ha") + sp4.LieElem.basis("Hb").scaled(2)
     assert sp4.decompose(X1 * D2) == sp4.LieElem.basis("Ea")
-    with pytest.raises(ValueError, match="not in sp"):
-        sp4.decompose(X1)
+    for w in (X1, X1 + W_ONE, X1 * X1 * X2, D1 + X2 * D2):
+        with pytest.raises(ValueError, match="not in sp"):
+            sp4.decompose(w)
 
 
 def test_bracket_table():
