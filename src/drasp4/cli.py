@@ -14,11 +14,11 @@ import sys
 from .scalars import (DIVERGENT, UNDEFINED, RatFunc, gauss_str, rf_json,
                       rf_latex, rf_str)
 from .ambient import AmbientElem, amb_json, amb_latex, amb_str, amb_theta, red
-from .dra import (DraElem, TruncationError, diamond, dra_json, dra_latex,
-                  dra_str, dra_theta)
+from .dra import (DraElem, TruncationError, dra_json, dra_latex, dra_str,
+                  dra_theta)
 from .gwa import (BasePoly, GwaAlgebra, SkewAffineSigma, base_json, base_str,
                   reduction_gwa)
-from .parser import ParseError, evaluate
+from .parser import ParseError, bounded_diamond, evaluate
 from . import verify
 
 
@@ -175,7 +175,7 @@ def _dispatch(args) -> int:
     if cmd == "diamond":
         u = evaluate(args.left, "dra")
         v = evaluate(args.right, "dra")
-        print(_render(diamond(u, v), args.format))
+        print(_render(bounded_diamond(u, v), args.format))
         return 0
     if cmd == "project":
         # red(P(red(u, I)), II) == red(u, II): P is 1 plus terms that start

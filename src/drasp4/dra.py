@@ -11,7 +11,7 @@ projects only the four generators, which then act by Weyl commutators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import factorial
 
@@ -241,15 +241,12 @@ def dra_theta(u: DraElem) -> DraElem:
 # the automorphisms acting on the base of the generalized Weyl algebra.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PresentationTable:
-    a: RatFunc
-    b: RatFunc
-    c: RatFunc
-    d: RatFunc
-    f: tuple          # ((f11, f12), (f21, f22))
-    chat: tuple       # (chat1, chat2)
-    fhat: tuple       # ((fhat11, fhat12), (fhat21, fhat22))
+class PresentationTable(namedtuple("PresentationTable",
+                                   "a b c d f chat fhat")):
+    """The four affine scalars a, b, c, d; f = ((f11, f12), (f21, f22));
+    chat = (chat1, chat2); fhat = ((fhat11, fhat12), (fhat21, fhat22))."""
+
+    __slots__ = ()
 
 
 def presentation() -> PresentationTable:
@@ -275,12 +272,10 @@ def presentation() -> PresentationTable:
                              fhat=tuple(fhat))
 
 
-@dataclass(frozen=True)
-class NormalizedGens:
-    x1: DraElem
-    x2: DraElem
-    d1: DraElem
-    d2: DraElem
+class NormalizedGens(namedtuple("NormalizedGens", "x1 x2 d1 d2")):
+    """The four normalized generators."""
+
+    __slots__ = ()
 
 
 def normalized_gens() -> NormalizedGens:

@@ -75,6 +75,25 @@ MAX_NESTING = 100
 # the work of one '^' bounded; larger powers are a parse error.
 MAX_EXPONENT = 1000
 
+# The cost of a diamond product u <> v grows steeply with deg u + deg v:
+# the slowest products measured at 28 take about 40 s (13 s at 24), so
+# the command line refuses a product past that before any work.  A
+# product of one term by one term of degree <= 1 on the right is exempt:
+# it is a single projector step, a few milliseconds at any degree, so
+# powers of one generator such as x1^1000 still compute.
+MAX_DIAMOND_DEGREE = 28
+
+
+def bounded_diamond(u: DraElem, v: DraElem) -> DraElem:
+    """u <> v, or ValueError when deg u + deg v exceeds MAX_DIAMOND_DEGREE
+    and the product is not that of one term by one term of degree <= 1."""
+    deg = u.degree() + v.degree()
+    if deg > MAX_DIAMOND_DEGREE and not (
+            len(u.terms) == 1 == len(v.terms) and v.degree() <= 1):
+        raise ValueError(f"diamond product of degree {deg} is past the "
+                         f"bound deg u + deg v <= {MAX_DIAMOND_DEGREE}")
+    return diamond(u, v)
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -227,7 +246,7 @@ class _Evaluator:
 
     def mul(self, a, b):
         if self.mode == "dra":
-            return diamond(a, b)
+            return bounded_diamond(a, b)
         return a * b
 
     def juxt(self, a, b):

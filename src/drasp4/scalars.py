@@ -17,19 +17,33 @@ by a gcd.  A polynomial keeps Gaussian-integer coefficient pairs over one
 denominator, the way a Gaussian rational keeps one number, so its ring
 operations run in plain ints with one gcd pass per result.
 
+A line test looks first at the numerator's restriction to an axis, p(Ha, 0)
+or p(0, Hb), built once per cancellation: a line can divide the numerator
+only if that restriction vanishes where the line meets the axis.  The
+three lines with an Ha part and the same constant meet the axis in one
+point, so the test then looks at a second point of the line, where the
+other coordinate is 1, through the restriction there.  Synthetic
+division runs only after both tests.
+
 A constant factor scales the other factor's numerator and cancels
 nothing: a nonzero constant divides by no line and changes no gcd, so the
 product keeps the other factor's lines and residual as they are.  A
 one-term polynomial factor maps the other factor's terms directly, since
-their shifted keys cannot collide.
+their shifted keys cannot collide.  Products of larger real polynomials,
+from PACK_PAIRS term pairs on, are packed into one big-integer product
+(Kronecker substitution) and read back slot by slot; smaller ones keep
+the loop over term pairs.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache
 from math import comb, lcm
 from math import gcd as _igcd
+from operator import itemgetter
 
 from .sparse import add_into, mono_text, power, signed_sum
 
@@ -315,11 +329,12 @@ class Poly2:
                                                x1 * y2 + y1 * x2)
                           for (a1, b1), (x1, y1) in p._c.items()},
                          self._d * other._d)
-        return _poly(_acc({}, (((a1 + a2, b1 + b2), x1 * x2 - y1 * y2,
-                                x1 * y2 + y1 * x2)
-                               for (a1, b1), (x1, y1) in self._c.items()
-                               for (a2, b2), (x2, y2) in other._c.items())),
-                     self._d * other._d)
+        c1, c2 = self._c, other._c
+        if (len(c1) * len(c2) >= PACK_PAIRS
+                and not any(y for _, y in c1.values())
+                and not any(y for _, y in c2.values())):
+            return _poly(_packed_mul(c1, c2), self._d * other._d)
+        return _poly(_pair_mul(c1, c2), self._d * other._d)
 
     def __pow__(self, n: int):
         return power(self, n, P_ONE)
@@ -413,6 +428,73 @@ def _acc(out: dict, items) -> dict:
             else:
                 out[e] = s
     return out
+
+
+def _pair_mul(c1: dict, c2: dict) -> dict:
+    """The product of two pair maps, one term pair at a time."""
+    return _acc({}, (((a1 + a2, b1 + b2), x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
+                     for (a1, b1), (x1, y1) in c1.items()
+                     for (a2, b2), (x2, y2) in c2.items()))
+
+
+# A product of at least this many term pairs of real operands is packed
+# into one integer product; on the products the engine makes, the pair
+# loop was faster below it.
+PACK_PAIRS = 50
+
+# Slots of 8 bytes are read and written as one machine word each.
+_WORDS = array("Q").itemsize == 8 and sys.byteorder == "little"
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _packed_mul(c1: dict, c2: dict) -> dict:
+    """The product of two pair maps with zero imaginary parts, by Kronecker
+    substitution: the term (ea, eb) becomes the slot ea*w + eb of one
+    integer, w the product's Hb degree plus 1, so no product term spills
+    into another.  No product coefficient exceeds B = sum|x1| * sum|x2|
+    in size, so a slot of 8*size bytes with 2^(8*size - 1) > B holds any
+    of them with its sign; adding half a slot to every slot of the
+    product makes each one non-negative, so the slots read back without
+    borrows."""
+    w = max(map(_second, c1)) + max(map(_second, c2)) + 1
+    bound = (sum(map(abs, map(_first, c1.values())))
+             * sum(map(abs, map(_first, c2.values()))))
+    size = max(8, (bound.bit_length() + 8) // 8)
+    slots = (max(c1)[0] + max(c2)[0] + 1) * w
+    half = 1 << (8 * size - 1)
+    prod = (_pack(c1, w, size) * _pack(c2, w, size)
+            + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little"))
+    raw = prod.to_bytes(size * slots, "little")
+    if size == 8 and _WORDS:
+        vals = array("Q", raw)
+    else:
+        vals = [int.from_bytes(raw[i:i + size], "little")
+                for i in range(0, len(raw), size)]
+    return {divmod(i, w): (v - half, 0) for i, v in enumerate(vals)
+            if v != half}
+
+
+def _pack(c: dict, w: int, size: int) -> int:
+    """The sum of x * 2^(8*size*(ea*w + eb)) over the terms of c, each |x|
+    below 2^(8*size - 1): positive and negative parts fill the slots of
+    one integer each."""
+    n = (max(c)[0] + 1) * w
+    if size == 8 and _WORDS:
+        pos, neg = array("Q", bytes(8 * n)), array("Q", bytes(8 * n))
+        for (ea, eb), (x, _) in c.items():
+            if x > 0:
+                pos[ea * w + eb] = x
+            else:
+                neg[ea * w + eb] = -x
+    else:
+        pos, neg = bytearray(size * n), bytearray(size * n)
+        for (ea, eb), (x, _) in c.items():
+            i = (ea * w + eb) * size
+            if x > 0:
+                pos[i:i + size] = x.to_bytes(size, "little")
+            else:
+                neg[i:i + size] = (-x).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _divrem(p: Poly2, g: Poly2) -> tuple:
@@ -600,19 +682,10 @@ def _expand(lines: dict, part: dict) -> Poly2:
 
 def _divide_out(p: Poly2, key, limit: int) -> tuple:
     """p divided by the line as often as it divides, at most limit times,
-    and how often.  A nonzero value where the line meets v = 0 rules it out
-    at once; otherwise p's integer pairs are divided synthetically in the
+    and how often: p's integer pairs are divided synthetically in the
     line's variable u over the other, v, staying integral."""
     (ca, cb), k = key
     cv = cb if ca else 0  # the line is u + cv*v + k
-    re = im = 0
-    for e, (x, y) in p._c.items():
-        if not e[ca]:
-            w = (-k) ** e[1 - ca]
-            re += x * w
-            im += y * w
-    if re or im:
-        return p, 0
     rows, n = {}, 0
     for e, xy in p._c.items():
         rows.setdefault(e[1 - ca], {})[e[ca]] = xy
@@ -641,6 +714,57 @@ def _synthetic(rows: dict, cv: int, k: int):
                     a, b = below.get(w, (0, 0))
                     below[w] = (a - f * x, b - f * y)
     return None if any(x or y for x, y in rows.get(0, {}).values()) else quot
+
+
+def _zero_at(terms, t: int) -> bool:
+    """Whether the sum of (x + y*i) * t^e over the pairs (e, (x, y)) of
+    terms is zero."""
+    re = im = 0
+    for e, (x, y) in terms:
+        w = t ** e
+        re += x * w
+        im += y * w
+    return not (re or im)
+
+
+def _restriction(p: Poly2, ca: int, v: int) -> list:
+    """p with the coordinate other than u set to v (0 or 1), as (exponent
+    of u, pair) items; u is Ha if ca else Hb."""
+    if not v:
+        return [(e[1 - ca], xy) for e, xy in p._c.items() if not e[ca]]
+    out = {}
+    for e, (x, y) in p._c.items():
+        s = out.get(e[1 - ca])
+        out[e[1 - ca]] = (x, y) if s is None else (s[0] + x, s[1] + y)
+    return list(out.items())
+
+
+def _divide_lines(p: Poly2, keys, limits) -> tuple:
+    """p divided by each line of keys as often as it divides, at most
+    limits[key] times, and the lines that divided with how often.
+
+    Write a line ca*Ha + cb*Hb + k as u + cv*v + k, u its first variable
+    (Ha if ca, else Hb) and v the other.  It can divide p only if p
+    vanishes at its points (u, v) = (-k, 0) and (-k - cv, 1).  The first
+    test alone cannot tell apart the three lines with an Ha part and the
+    same k, which all pass through (-k, 0).  p's restrictions to v = 0
+    and v = 1 are built when a key first needs them, and again only after
+    a line has divided p."""
+    rest, found = {}, {}
+    for key in keys:
+        (ca, cb), k = key
+        for v, u in ((0, -k), (1, -k - (cb if ca else 0))):
+            r = rest.get((ca, v))
+            if r is None:
+                r = rest[ca, v] = _restriction(p, ca, v)
+            if not _zero_at(r, u):
+                break
+        else:
+            p, n = _divide_out(p, key, limits[key])
+            if n:
+                found[key] = n
+                rest = {}
+    return p, found
 
 
 def _ieval(c: list, x: int) -> int:
@@ -716,21 +840,20 @@ def _split_lines(p: Poly2) -> tuple:
 
 
 def _strip(p: Poly2, keys, lines: dict) -> Poly2:
-    for key in keys:
-        p, n = _divide_out(p, key, p.total_degree())
-        if n:
-            lines[key] = n
+    limits = dict.fromkeys(keys, p.total_degree())
+    p, found = _divide_lines(p, limits, limits)
+    lines.update(found)
     return p
 
 
 def _cancel(num: Poly2, lines: dict, keys) -> tuple:
     """Divide num by each line of keys as often as it divides num, up to
     its multiplicity in lines; returns num and the lines left over."""
-    left = dict(lines)
-    for key in keys:
-        num, n = _divide_out(num, key, lines[key])
-        left[key] -= n
-    return num, {key: m for key, m in left.items() if m}
+    num, found = _divide_lines(num, keys, lines)
+    if found:
+        lines = {key: m - found.get(key, 0) for key, m in lines.items()
+                 if m != found.get(key)}
+    return num, lines
 
 
 def _cancel_residual(num: Poly2, res: Poly2, part: Poly2) -> tuple:

@@ -34,16 +34,22 @@ def add_into(out: dict, items) -> dict:
 
 
 def power(x, n: int, one):
-    """``x ** n`` by square-and-multiply, for an integer ``n >= 0``."""
+    """``x ** n`` by square-and-multiply, for an integer ``n >= 0``.  The
+    product starts from the lowest power of x it needs, so ``one`` is
+    returned only for ``n = 0`` and ``x ** 1`` is ``x`` itself."""
     if n < 0:
         raise ValueError("negative power")
-    result = one
-    while n:
+    if not n:
+        return one
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    while n > 1:
+        n >>= 1
+        x = x * x
         if n & 1:
             result = result * x
-        n >>= 1
-        if n:
-            x = x * x
     return result
 
 

@@ -7,7 +7,7 @@ an exact pass/fail line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -22,11 +22,11 @@ from .dra import (D1_BAR, D2_BAR, DraElem, X1_BAR, X2_BAR, _basis_word,
 from . import gwa as _gwa
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    passed: bool
-    residual: str = ""
+class Check(namedtuple("Check", "check_id passed residual", defaults=("",))):
+    """One exact check: its id, whether it passed, and the residual text
+    of a failure."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -34,10 +34,20 @@ class Check:
         return f"[{tag}] {self.check_id}{tail}"
 
 
-@dataclass
 class Report:
-    name: str
-    checks: list = field(default_factory=list)
+    """A named list of checks."""
+
+    def __init__(self, name: str, checks=None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
+
+    def __repr__(self):
+        return f"Report(name={self.name!r}, checks={self.checks!r})"
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from drasp4 import cli, verify
+from drasp4 import cli, parser, verify
 from drasp4.scalars import HA, HB, RF_ONE, RatFunc
 from drasp4.ambient import AmbientElem
 from drasp4.dra import D2_BAR, DraElem, X2_BAR, diamond, dra_str
@@ -193,6 +193,30 @@ def test_cli_weyl_only_product_at_high_degree(capsys):
     assert terms[1] == "(-40000) d1^199 x1^199"
     assert terms[-1] == f"({math.factorial(200)})"
     assert elapsed < 10.0, f"nf took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("argv", (
+    ("diamond", "d1^7 d2^7", "x2^7 x1^8"),
+    ("nf", "(d1^7 d2^7)*(x2^7 x1^8)"),
+    ("diamond", "x1^40 x2^40", "d1^40 d2^40"),
+))
+def test_cli_refuses_diamond_products_past_the_degree_bound(capsys, argv):
+    """A diamond product with deg u + deg v past the bound, from the
+    diamond command or from '*' in dra mode, ends at once with exit 1."""
+    assert parser.MAX_DIAMOND_DEGREE == 28
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert err.startswith("error: diamond product of degree ")
+    assert len(err.strip().splitlines()) == 1
+    assert elapsed < 1.0, f"refusal took {elapsed:.1f}s"
+
+
+def test_cli_computes_diamond_products_at_the_degree_bound(capsys):
+    code, out, _ = run_cli(capsys, "diamond", "d1^7 d2^7", "x2^7 x1^7")
+    assert code == 0 and out.strip().endswith(" + (1) d1^7 d2^7 x2^7 x1^7")
+    assert run_cli(capsys, "nf", "(d1^7 d2^7)*(x2^7 x1^7)") == (0, out, "")
 
 
 def test_cli_project_counts_lowering_letters(capsys):

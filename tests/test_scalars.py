@@ -500,6 +500,108 @@ def test_constant_factor_probes_no_line(monkeypatch):
     assert c.shift(2, -1) is c and RF_ZERO.shift(1, 1) is RF_ZERO
 
 
+def wide_poly(rng, size, mag, real=True):
+    """A Poly2 of size terms on exponents with gaps, signed coefficients
+    up to mag in size over a denominator d that is often > 1, and
+    imaginary parts unless real."""
+    d = rng.choice((1, 3, 10))
+    terms = {}
+    while len(terms) < size:
+        re = rng.randint(-mag, mag)
+        im = 0 if real else rng.randint(-mag, mag)
+        if re or im:
+            terms[(rng.choice((0, 1, 2, 5, 9)), rng.choice((0, 2, 3, 8)))] = \
+                GaussRat(Fraction(re, d), Fraction(im, d))
+    return Poly2(terms)
+
+
+def pair_product(p: Poly2, q: Poly2) -> Poly2:
+    return scalars._poly(scalars._pair_mul(p._c, q._c), p._d * q._d)
+
+
+def test_packed_product_matches_pair_loop():
+    """Products on both sides of the packing cut-off equal the pair loop,
+    with coefficients that fit a 64-bit slot and ones that do not;
+    operands with an imaginary part keep the pair loop."""
+    rng = random.Random(6464)
+    packed = 0
+    for n in range(160):
+        real = n % 4 != 3
+        mag = (9, 2 ** 40, 2 ** 70, 2 ** 130)[rng.randrange(4)]
+        p, q = (wide_poly(rng, rng.randint(2, 20), mag, real)
+                for _ in range(2))
+        expected = pair_product(p, q)
+        assert p * q == expected and q * p == expected
+        if real:
+            assert scalars._packed_mul(p._c, q._c) == \
+                scalars._pair_mul(p._c, q._c)
+            packed += len(p._c) * len(q._c) >= scalars.PACK_PAIRS
+    assert packed > 30
+
+
+@pytest.mark.parametrize("bits", (64, 128))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_packed_slot_holds_the_sign_of_the_bound(bits, sign):
+    """The bound B = sum|x1| * sum|x2| on a product coefficient is bits
+    long, a whole number of bytes, and the constant coefficient x^2 is
+    above B/2: the slot needs a byte more than B for the sign."""
+    x = (1 << (bits // 2)) - (1 << (bits // 4))
+    p = Poly2({(0, 0): GaussRat(x),
+               **{(i, 0): GaussRat((-1) ** i) for i in range(1, 10)}})
+    q = Poly2({(0, 0): GaussRat(sign * x),
+               **{(0, j): GaussRat(j % 3 - 1 or 1) for j in range(1, 10)}})
+    assert ((x + 9) * (x + 9)).bit_length() == bits
+    assert len(p._c) * len(q._c) >= scalars.PACK_PAIRS
+    assert p * q == pair_product(p, q)
+    assert (p * q)._c[(0, 0)] == (sign * x * x, 0)
+
+
+def test_line_cancellation_per_direction():
+    """A line of each coroot direction cancels where it divides the
+    numerator: in a product across its two factors (Ha + k and
+    Ha + Hb + k), or in a sum whose numerator it divides though neither
+    summand's does (Hb + k and Ha + 2*Hb + k).  Each numerator is nonzero
+    where u = +k meets the axis, so the axis test has to look at -k."""
+    r, sr = HA + HB + 7, SA + SB + 7
+    m, sm = coroot_line((0, 1), 5)
+    n, sn = coroot_line((1, 1), -4)
+    a, sa = HA * HB + 1, SA * SB + 1
+    for direction, k, kind in (((1, 0), 3, "product"), ((0, 1), -2, "sum"),
+                               ((1, 1), 1, "product"), ((1, 2), -3, "sum")):
+        line, sline = coroot_line(direction, k)
+        if kind == "product":
+            f, g = line * r / m, (HA - 1) / (line * n)
+            reference = sline * sr / sm * (SA - 1) / (sline * sn)
+            result = f * g
+        else:
+            f, g = a / (line * m), (line * r - a) / (line * m)
+            reference = sa / (sline * sm) + (sline * sr - sa) / (sline * sm)
+            result = f + g
+        key = (direction, k)
+        assert key in (f.lines if kind == "sum" else g.lines), key
+        assert key not in result.lines, key
+        assert_lowest_terms(result, reference)
+
+
+def test_line_test_tells_lines_through_one_axis_point_apart(monkeypatch):
+    """Ha + 2, Ha + Hb + 2 and Ha + 2*Hb + 2 all pass through (-2, 0);
+    only the line that divides the numerator reaches synthetic division."""
+    probes = []
+    divide_out = scalars._divide_out
+
+    def counted(p, key, limit):
+        probes.append(key)
+        return divide_out(p, key, limit)
+
+    monkeypatch.setattr(scalars, "_divide_out", counted)
+    f = (HA + HB + 2) * (HB + 7)
+    g = RF_ONE / ((HA + 2) * (HA + HB + 2) * (HA + 2 * HB + 2))
+    expected = (HB + 7) / ((HA + 2) * (HA + 2 * HB + 2))
+    probes.clear()
+    assert f * g == expected
+    assert probes == [((1, 1), 2)]
+
+
 # Gaussian values whose products can share a content: (1+i)(1-i) = 2.
 GAUSS_PARTS = ((1, 1), (1, -1), (0, 2), (2, 1), (1, 2), (3, -1))
 RING, RA, RB = sympy.ring("Ha,Hb", sympy.QQ_I)

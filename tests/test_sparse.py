@@ -105,3 +105,23 @@ def test_add_into_and_power():
     assert t ** 3 == t * t * t
     u = ALG.x(1) + ALG.y(1).scaled(BasePoly.tvar(1, 1))
     assert u ** 3 == u * u * u and u ** 0 == ALG.one()
+
+
+POWER_BASES = {
+    "Poly2": lambda: Poly2({(1, 0): GaussRat(1), (0, 1): GaussRat(-2, 1),
+                            (0, 0): GaussRat(3)}),
+    "RatFunc": lambda: (HA + 2 * HB - 1) / (HB + 1),
+    "BasePoly": lambda: BasePoly.tvar(2, 1) + BasePoly.const(2, HA),
+    "GwaElem": lambda: ALG.x(1) + ALG.y(1).scaled(BasePoly.tvar(1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_starts_from_the_base(name):
+    x = POWER_BASES[name]()
+    one = x ** 0
+    assert power(x, 1, one) is x and x ** 1 is x
+    expected = one
+    for n in range(10):
+        assert power(x, n, one) == expected, n
+        expected = expected * x

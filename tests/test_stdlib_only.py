@@ -1,6 +1,7 @@
-"""The library stays standard-library only."""
+"""The library stays standard-library only, and importing it stays light."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +21,13 @@ def test_src_imports_only_the_standard_library():
     outside = sorted((name, module) for name, module in imported
                      if module not in sys.stdlib_module_names)
     assert not outside, outside
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, which every command would pay for at start-up."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import drasp4; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
