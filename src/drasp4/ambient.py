@@ -11,7 +11,8 @@ two generators is again a left combination of single generators plus a
 scalar, and scalars pass through a generator at the cost of an integer
 shift of the Cartan coordinates, so straightening terminates by the usual
 (degree, inversion count) measure.  The whole commutator table is read off
-the coordinates of brackets of images at import time (``sp4.coordinates``).
+the coordinates of brackets of images at import time (``sp4.coordinates``),
+one bracket per unordered pair of letters.
 Two monomials in the Weyl generators alone multiply by the closed-form
 Weyl product instead.
 """
@@ -49,8 +50,20 @@ def _letter_terms(x: dict) -> list:
     return out + [((), scalar)] if scalar else out
 
 
-BRACKET = [[_letter_terms(sp4.coordinates(sp4.IMAGE[a].bracket(sp4.IMAGE[b])))
-            for b in LETTERS] for a in LETTERS]
+def _bracket_table() -> list:
+    """[a, b] for every pair of letter indices.  Each unordered pair is
+    bracketed once: [b, a] = -[a, b], and [a, a] = 0 stays empty."""
+    table = [[[] for _ in LETTERS] for _ in LETTERS]
+    for i, a in enumerate(LETTERS):
+        for j in range(i + 1, len(LETTERS)):
+            terms = _letter_terms(sp4.coordinates(
+                sp4.IMAGE[a].bracket(sp4.IMAGE[LETTERS[j]])))
+            table[i][j] = terms
+            table[j][i] = [(w, -c) for w, c in terms]
+    return table
+
+
+BRACKET = _bracket_table()
 
 
 def mono_word(mono) -> tuple:

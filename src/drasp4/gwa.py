@@ -431,10 +431,9 @@ class GwaRealization:
         self.d_hat = (gens.d1, gens.d2)
 
     def base_image(self, b: BasePoly) -> "_dra.DraElem":
-        out = _dra.DraElem()
-        for e, cf in b.terms.items():
-            out = out + _t_monomial_image(e).scaled(cf)
-        return out
+        return _dra.DraElem(add_into({}, (
+            (k, cf * v) for e, cf in b.terms.items()
+            for k, v in _t_monomial_image(e).terms.items())))
 
     def monomial_image(self, m) -> "_dra.DraElem":
         """Lowering factors first, then raising ones, each in index order."""
@@ -443,19 +442,27 @@ class GwaRealization:
             + [x for x, k in zip(self.x_hat, m) for _ in range(k)])
 
     def phi(self, u: GwaElem) -> "_dra.DraElem":
-        out = _dra.DraElem()
-        for m, b in u.terms.items():
-            out = out + _dra.diamond(self.base_image(b), self.monomial_image(m))
-        return out
+        return _dra.DraElem(add_into({}, (
+            item for m, b in u.terms.items()
+            for item in _dra.diamond(self.base_image(b),
+                                     self.monomial_image(m)).terms.items())))
 
 
 @cache
 def _t_monomial_image(e: tuple) -> "_dra.DraElem":
     """Image of the base monomial t_1^e_1 t_2^e_2: the ordered diamond
-    product of the t images, t_i to the normalized d_i <> x_i."""
-    gens = _dra.normalized_gens()
-    t_img = (_dra.diamond(gens.d1, gens.x1), _dra.diamond(gens.d2, gens.x2))
-    return _dra.diamond_product(t for t, k in zip(t_img, e) for _ in range(k))
+    product of the t images, t_i to the normalized d_i <> x_i.  The left
+    fold is the cached image of e less its last factor, times that
+    factor's cached image."""
+    if not any(e):
+        return _dra.DRA_ONE
+    i = max(j for j, k in enumerate(e) if k)
+    unit = _unit_vec(len(e), i + 1)
+    if e == unit:
+        gens = _dra.normalized_gens()
+        return _dra.diamond((gens.d1, gens.d2)[i], (gens.x1, gens.x2)[i])
+    rest = tuple(k - u for k, u in zip(e, unit))
+    return _dra.diamond(_t_monomial_image(rest), _t_monomial_image(unit))
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +501,8 @@ def _weyl_mono_image(m: tuple, e: tuple) -> WeylElem:
         for _ in range(abs(k)):
             img = img * word
     return img
+
+
+# The memos of this module, for ``drasp4.cache_info`` and
+# ``drasp4.clear_caches``.
+_MEMOS = (_sigma_image, _contraction, _t_monomial_image, _weyl_mono_image)

@@ -7,9 +7,9 @@ import pytest
 
 from drasp4 import sp4
 from drasp4.scalars import HA, HB, RF_ONE, RatFunc
-from drasp4.ambient import (AmbientElem, LETTERS, _norm_word, ad_e, amb_json,
-                            amb_str, amb_theta, e_gen, f_gen, mono_weight,
-                            mono_word, red)
+from drasp4.ambient import (BRACKET, AmbientElem, LETTERS, _letter_terms,
+                            _norm_word, ad_e, amb_json, amb_str, amb_theta,
+                            e_gen, f_gen, mono_weight, mono_word, red)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DERIVED = json.loads((FIXTURES / "derived_values.json").read_text())
@@ -37,6 +37,20 @@ def rand_elem(rng, letters=LETTERS, max_letters=2):
             exps[rng.randrange(12)] += 1
         terms[tuple(exps)] = rand_coeff(rng)
     return AmbientElem(terms)
+
+
+def test_bracket_table_matches_every_direct_bracket():
+    """The table brackets each unordered pair once; every one of the 144
+    entries must still equal the bracket computed directly."""
+    direct = [[_letter_terms(sp4.coordinates(
+        sp4.IMAGE[a].bracket(sp4.IMAGE[b]))) for b in LETTERS]
+        for a in LETTERS]
+    assert len(BRACKET) == len(LETTERS)
+    for i, a in enumerate(LETTERS):
+        assert len(BRACKET[i]) == len(LETTERS)
+        assert BRACKET[i][i] == [], a
+        for j, b in enumerate(LETTERS):
+            assert BRACKET[i][j] == direct[i][j], (a, b)
 
 
 def test_scalar_passage():

@@ -1,6 +1,7 @@
 """The library stays standard-library only, and importing it stays light."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,31 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_only_the_engine_core():
+    """``gwa``, ``parser``, ``verify`` and ``cli`` load on first use of one
+    of their names; every public name still resolves, is listed by
+    ``dir`` and is bound by a star import."""
+    code = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import drasp4
+lazy = {"drasp4.gwa", "drasp4.parser", "drasp4.verify", "drasp4.cli"}
+loaded = sorted(lazy & set(sys.modules))
+unlisted = sorted(set(drasp4.__all__) - set(dir(drasp4)))
+unresolved = [n for n in drasp4.__all__ if not hasattr(drasp4, n)]
+star = {}
+exec("from drasp4 import *", star)
+unbound = [n for n in drasp4.__all__
+           if n not in star or star[n] is not getattr(drasp4, n)]
+print(json.dumps([loaded, unlisted, unresolved, unbound,
+                  hasattr(drasp4, "no_such_name"),
+                  drasp4.evaluate is drasp4.parser.evaluate,
+                  drasp4.GwaElem is drasp4.gwa.GwaElem,
+                  drasp4.cli is sys.modules["drasp4.cli"]]))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], [], [], False, True, True, True]
