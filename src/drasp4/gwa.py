@@ -26,10 +26,28 @@ for every exponent vector m with m_i = k,
 so sigma^m acts on t_i through the image for index i and exponent m_i
 alone.  For the same reason the contraction c_i needs no twist when it
 moves to the left past the generators of the other indices:
-sigma_j(sigma_i^k(t_i)) = sigma_i^k(sigma_j(t_i)) = sigma_i^k(t_i).  The
+sigma_j(sigma_i^k(t_i)) = sigma_i^k(sigma_j(t_i)) = sigma_i^k(t_i).
+
+So a product is bilinear over the base monomials, as the diamond product
+is over the basis.  For scalars f, g and base monomials t^e1, t^e2,
+
+    (f t^e1 Z^m1) (g t^e2 Z^m2)
+        = f g.shift(d) t^e1 B(e2, m1|e2, kappa) Z^(m1 + m2)
+
+where d = sum_i m1_i * shift_i moves the scalars, kappa holds (m1_i, m2_i)
+at each index where they have opposite signs and None elsewhere, and
+
+    B(e2, m, kappa) = sigma^m(t^e2) prod_{(p_i, q_i) in kappa} c_i(p_i, q_i).
+
+B holds no scalar of either factor, so it is cached per basis pair
+whatever the coefficients.  Since sigma^m1(t^e2) is the product of
+sigma_i^m1_i(t_i)^e2_i, the exponent m1_i of an index with e2_i = 0 does
+not reach B; the key keeps m1_i only where e2_i > 0 (m1|e2), so products
+whose left exponents differ only there share one entry.  B, the
 contractions and the images sigma_i^k(t_i) depend on the algebra only, so
-both are cached; algebras compare and hash by value, so each built-in
-instance has one set of entries however often it is constructed.
+all three are cached; algebras compare and hash by value, so each
+built-in instance has one set of entries however often it is
+constructed.
 """
 
 from __future__ import annotations
@@ -46,8 +64,19 @@ from . import dra as _dra
 # ---------------------------------------------------------------------------
 
 
+def _check_keys(keys, rank: int) -> None:
+    """ValueError unless every exponent vector in ``keys`` has ``rank``
+    entries."""
+    for k in keys:
+        if len(k) != rank:
+            raise ValueError(
+                f"exponent vector {k} does not have {rank} entries")
+
+
 def _unit_vec(rank: int, i: int, k: int = 1) -> tuple:
     """The exponent vector with k at the 1-based index i and 0 elsewhere."""
+    if not 1 <= i <= rank:
+        raise ValueError(f"index {i} is outside 1..{rank}")
     return tuple(k if j == i else 0 for j in range(1, rank + 1))
 
 
@@ -60,6 +89,7 @@ class BasePoly(SparseTerms):
     def __init__(self, rank: int, terms=None):
         object.__setattr__(self, "rank", rank)
         super().__init__(terms)
+        _check_keys(self.terms, rank)
 
     def _unit(self):
         return (0,) * self.rank
@@ -287,7 +317,9 @@ class GwaAlgebra:
         return self._sigma(_unit_vec(self.rank, i, k), b)
 
     def sigma_vec(self, m, b: BasePoly) -> BasePoly:
-        return self._sigma(tuple(m), b)
+        m = tuple(m)
+        _check_keys((m,), self.rank)
+        return self._sigma(m, b)
 
     def _sigma(self, m: tuple, b: BasePoly) -> BasePoly:
         """sigma^m(b) = sigma_1^m_1 ... sigma_n^m_n (b): every scalar
@@ -296,21 +328,38 @@ class GwaAlgebra:
         sigma^m(t_i) (see the module docstring)."""
         if not any(m):
             return b
-        return _substitute(
-            b, (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
-                sum(k * s.shift[1] for k, s in zip(m, self.sigmas))),
-            {j: _sigma_image(self, j + 1, k)
-             for j, k in enumerate(m) if k})
+        return _substitute(b, self._scalar_shift(m),
+                           {j: _sigma_image(self, j + 1, k)
+                            for j, k in enumerate(m) if k})
+
+    def _scalar_shift(self, m) -> tuple:
+        """The shift sigma^m makes on the scalars: the sum of m_i times
+        the shift of sigma_i."""
+        return (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
+                sum(k * s.shift[1] for k, s in zip(m, self.sigmas)))
 
     def _term_mul(self, m1, b1: BasePoly, m2, b2: BasePoly):
-        """b1 sigma^m1(b2) times the contraction of each index whose two
-        exponents have opposite signs; see the module docstring for why
-        the contractions need no twist."""
-        coeff = b1 * self.sigma_vec(m1, b2)
-        for i, (p, q) in enumerate(zip(m1, m2), start=1):
-            if p * q < 0:
-                coeff = coeff * _contraction(self, i, p, q)
-        return tuple(p + q for p, q in zip(m1, m2)), coeff
+        """(b1 Z^m1)(b2 Z^m2), bilinear over the base monomials: each pair
+        of terms f t^e1 of b1 and g t^e2 of b2 gives f g.shift(d) t^e1 times
+        the cached basis term of (e2, m1|e2, kappa); see the module
+        docstring."""
+        da, db = self._scalar_shift(m1)
+        kappa = tuple((p, q) if p * q < 0 else None for p, q in zip(m1, m2))
+        right = []
+        for e2, g in b2.terms.items():
+            masked = tuple(k if n else 0 for k, n in zip(m1, e2))
+            right.append((g.shift(da, db),
+                          _basis_term(self, e2, masked, kappa).terms.items()))
+
+        def products():
+            for e1, f in b1.terms.items():
+                for g, basis in right:
+                    fg = f * g
+                    for e, v in basis:
+                        yield tuple(a + b for a, b in zip(e1, e)), fg * v
+
+        return (tuple(p + q for p, q in zip(m1, m2)),
+                BasePoly(self.rank, add_into({}, products())))
 
 
 @cache
@@ -327,6 +376,18 @@ def _sigma_image(alg: GwaAlgebra, i: int, k: int) -> BasePoly:
         return s.apply(t) if k > 0 else s.apply_inv(t)
     h = k // 2
     return alg._sigma(_unit_vec(alg.rank, i, h), _sigma_image(alg, i, k - h))
+
+
+@cache
+def _basis_term(alg: GwaAlgebra, e: tuple, m: tuple, kappa: tuple) -> BasePoly:
+    """sigma^m(t^e) times the contraction c_i(p, q) for each index i with
+    a pair (p, q) in kappa (None where the exponents do not have opposite
+    signs)."""
+    out = alg.sigma_vec(m, BasePoly(alg.rank, {e: RF_ONE}))
+    for i, pq in enumerate(kappa, start=1):
+        if pq is not None:
+            out = out * _contraction(alg, i, *pq)
+    return out
 
 
 @cache
@@ -350,6 +411,7 @@ class GwaElem(SparseTerms):
     def __init__(self, alg: GwaAlgebra, terms=None):
         object.__setattr__(self, "alg", alg)
         super().__init__(terms)
+        _check_keys(self.terms, alg.rank)
 
     def _unit(self):
         return (0,) * self.alg.rank
@@ -505,4 +567,5 @@ def _weyl_mono_image(m: tuple, e: tuple) -> WeylElem:
 
 # The memos of this module, for ``drasp4.cache_info`` and
 # ``drasp4.clear_caches``.
-_MEMOS = (_sigma_image, _contraction, _t_monomial_image, _weyl_mono_image)
+_MEMOS = (_sigma_image, _contraction, _basis_term, _t_monomial_image,
+          _weyl_mono_image)

@@ -2,8 +2,8 @@ import itertools
 import random
 
 import drasp4
-from drasp4 import (DraElem, GwaRealization, diamond, dra, weyl_gwa,
-                    weyl_gwa_image)
+from drasp4 import (DraElem, GwaRealization, diamond, dra, reduction_gwa,
+                    weyl_gwa, weyl_gwa_image)
 from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
 from drasp4.weyl import D1, X1
 
@@ -17,6 +17,7 @@ NAMES = {
     "drasp4.dra._basis_word",
     "drasp4.gwa._sigma_image",
     "drasp4.gwa._contraction",
+    "drasp4.gwa._basis_term",
     "drasp4.gwa._t_monomial_image",
     "drasp4.gwa._weyl_mono_image",
 }
@@ -92,3 +93,29 @@ def test_gwa_caches_stay_bounded_across_rebuilt_algebras():
     gwa_iso_report(3)
     sigma_commute_report()
     assert gwa_sizes() == before
+
+
+def test_gwa_basis_terms_are_shared_across_constants():
+    """A GWA product reads each basis term product from one memo, whatever
+    the scalars, and left exponents that no base monomial of the right
+    factor sees share an entry."""
+    from drasp4.gwa import BasePoly, GwaElem, _basis_term
+    alg = reduction_gwa()
+    t1 = alg.t(1)
+
+    def product(m1, c1, c2):
+        u = GwaElem(alg, {m1: (t1 * t1).scaled(c1)})
+        v = GwaElem(alg, {(-1, 0): t1.scaled(c2) + BasePoly.const(2, c1)})
+        return u * v
+
+    drasp4.clear_caches()
+    product((1, 0), HA + 1, HB)
+    first = _basis_term.cache_info()
+    assert first.currsize == 2
+    product((1, 0), HA - HB, 3 * HB + 2)
+    product((1, 1), HB, HA)
+    again = _basis_term.cache_info()
+    assert again.currsize == first.currsize
+    assert again.hits == first.hits + 4
+    drasp4.clear_caches()
+    assert _basis_term.cache_info().currsize == 0

@@ -303,3 +303,96 @@ def test_json_shape(alg):
     rows = gwa_json(u)
     kinds = {tuple(r["m"]) for r in rows}
     assert kinds == {(1, -1), (0, 0)}
+
+
+def test_out_of_range_indices_raise(alg):
+    one = BasePoly.const(2, 1)
+    calls = [lambda: alg.t(3), lambda: alg.t(0), lambda: BasePoly.tvar(2, 3),
+             lambda: alg.x(3), lambda: alg.y(0), lambda: alg.sigma(3, one),
+             lambda: alg.sigma_pow(0, 2, one)]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside 1..2"):
+            call()
+
+
+def test_exponent_vectors_of_the_wrong_length_raise(alg):
+    one = BasePoly.const(2, 1)
+    for m in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="does not have 2 entries"):
+            alg.sigma_vec(m, one)
+        with pytest.raises(ValueError, match="does not have 2 entries"):
+            GwaElem(alg, {m: one})
+        with pytest.raises(ValueError, match="does not have 2 entries"):
+            BasePoly(2, {m: RF_ONE})
+
+
+def _reference_product(u, v):
+    """u v by the term formula b1 sigma^m1(b2) prod_i c_i(m1_i, m2_i),
+    whole base polynomials at a time."""
+    a = u.alg
+    out = a.zero()
+    for m1, b1 in u.terms.items():
+        for m2, b2 in v.terms.items():
+            coeff = b1 * a.sigma_vec(m1, b2)
+            for i, (p, q) in enumerate(zip(m1, m2), start=1):
+                if p * q < 0:
+                    coeff = coeff * gwa._contraction(a, i, p, q)
+            out = out + GwaElem(a, {tuple(p + q for p, q in zip(m1, m2)):
+                                    coeff})
+    return out
+
+
+_QUADRATIC_T = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def _rand_scalar(rng):
+    """An affine form, or an affine form over a shifted coroot form."""
+    f = HA * rng.randint(-2, 2) + HB * rng.randint(-2, 2) + rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return f
+    line = rng.choice((HA, HB, HA + HB, HA + 2 * HB))
+    return f / (line + rng.randint(-2, 2))
+
+
+def _rand_quadratic_elem(rng, a, bound):
+    """One or two terms with exponents in [-bound, bound]^2, each with a
+    base polynomial of one to three terms of degree at most 2 in t."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        m = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        monos = rng.sample(_QUADRATIC_T, rng.randint(1, 3))
+        terms[m] = BasePoly(2, {e: _rand_scalar(rng) for e in monos})
+    return GwaElem(a, terms)
+
+
+def _ansatz_gwa():
+    from drasp4.cli import load_ansatz
+    return load_ansatz({"shift": [[-1, 0], [1, -1]], "c": ["Ha+Hb", "Hb"],
+                        "g": [["2", "0"], ["0", "Hb+1"]]})
+
+
+@pytest.mark.parametrize("make", [reduction_gwa, lambda: weyl_gwa(2),
+                                  _ansatz_gwa])
+def test_products_agree_with_the_whole_polynomial_formula(make):
+    """The product reads each pair of base monomials from the basis-term
+    memo; the reference multiplies whole base polynomials."""
+    a = make()
+    rng = random.Random(67)
+    for _ in range(15):
+        u, v = _rand_quadratic_elem(rng, a, 2), _rand_quadratic_elem(rng, a, 2)
+        assert u * v == _reference_product(u, v), (u, v)
+
+
+def test_phi_is_multiplicative_on_quadratic_t_coefficients(alg, real):
+    """phi(u v) = phi(u) <> phi(v) with a coefficient of degree 2 in t on
+    the left; one-term factors keep the diamond side small."""
+    rng = random.Random(68)
+
+    def one_term(monos):
+        m = (rng.randint(-1, 1), rng.randint(-1, 1))
+        return GwaElem(alg, {m: BasePoly(2, {rng.choice(monos):
+                                             _rand_scalar(rng)})})
+
+    for _ in range(4):
+        u, v = one_term(_QUADRATIC_T[3:]), one_term(_QUADRATIC_T[:3])
+        assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))

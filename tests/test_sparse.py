@@ -83,9 +83,10 @@ def test_shared_scalar_interface(name):
 
 
 def test_extra_fields_take_part_in_equality():
-    t = {(0, 0): RF_ONE}
-    assert BasePoly(2, t) != BasePoly(3, t)
     assert BasePoly(1) != BasePoly(2)
+    # a non-empty map fixes the rank: its keys must have that many entries
+    with pytest.raises(ValueError, match="does not have 3 entries"):
+        BasePoly(3, {(0, 0): RF_ONE})
     # algebras are equal when their automorphisms are: u_1 -> u_1 - 2 here
     other = GwaAlgebra(1, [SkewAffineSigma(1, 1, (0, 0), RatFunc.const(-2),
                                            (RF_ONE,))])
