@@ -63,9 +63,8 @@ def __dir__():
 
 
 # Every memo of the engine: unbounded, kept for the life of the process.
-_MEMOS = (scalars._poly_gcd_impl, weyl._mono_mul, ambient._norm_word,
-          dra.projector_coeff, dra._apply_p, dra._basis_diamond,
-          dra._basis_word)
+_MEMOS = (weyl._mono_mul, ambient._norm_word, dra.projector_coeff,
+          dra._apply_p, dra._basis_diamond, dra._basis_word)
 
 
 def _memos() -> tuple:

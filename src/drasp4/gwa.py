@@ -73,6 +73,13 @@ def _check_keys(keys, rank: int) -> None:
                 f"exponent vector {k} does not have {rank} entries")
 
 
+def _check_rank(b: "BasePoly", rank: int) -> None:
+    """ValueError unless the base polynomial ``b`` has rank ``rank``."""
+    if b.rank != rank:
+        raise ValueError(f"a base polynomial of rank {b.rank} where rank "
+                         f"{rank} is expected")
+
+
 def _unit_vec(rank: int, i: int, k: int = 1) -> tuple:
     """The exponent vector with k at the 1-based index i and 0 elsewhere."""
     if not 1 <= i <= rank:
@@ -107,6 +114,7 @@ class BasePoly(SparseTerms):
             return self.scaled(other)
         if not isinstance(other, BasePoly):
             return NotImplemented
+        _check_rank(other, self.rank)
         return BasePoly(self.rank, add_into(
             {}, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
                  for e1, c1 in self.terms.items()
@@ -311,14 +319,17 @@ class GwaAlgebra:
     # -- automorphisms --
 
     def sigma(self, i: int, b: BasePoly) -> BasePoly:
+        _check_rank(b, self.rank)
         return self._sigma(_unit_vec(self.rank, i), b)
 
     def sigma_pow(self, i: int, k: int, b: BasePoly) -> BasePoly:
+        _check_rank(b, self.rank)
         return self._sigma(_unit_vec(self.rank, i, k), b)
 
     def sigma_vec(self, m, b: BasePoly) -> BasePoly:
         m = tuple(m)
         _check_keys((m,), self.rank)
+        _check_rank(b, self.rank)
         return self._sigma(m, b)
 
     def _sigma(self, m: tuple, b: BasePoly) -> BasePoly:
@@ -412,6 +423,8 @@ class GwaElem(SparseTerms):
         object.__setattr__(self, "alg", alg)
         super().__init__(terms)
         _check_keys(self.terms, alg.rank)
+        for b in self.terms.values():
+            _check_rank(b, alg.rank)
 
     def _unit(self):
         return (0,) * self.alg.rank
@@ -514,17 +527,16 @@ class GwaRealization:
 def _t_monomial_image(e: tuple) -> "_dra.DraElem":
     """Image of the base monomial t_1^e_1 t_2^e_2: the ordered diamond
     product of the t images, t_i to the normalized d_i <> x_i.  The left
-    fold is the cached image of e less its last factor, times that
-    factor's cached image."""
+    fold is the cached image of e less its last factor t_i, times d_i and
+    then x_i, which by associativity is that image times d_i <> x_i."""
     if not any(e):
         return _dra.DRA_ONE
     i = max(j for j, k in enumerate(e) if k)
-    unit = _unit_vec(len(e), i + 1)
-    if e == unit:
-        gens = _dra.normalized_gens()
-        return _dra.diamond((gens.d1, gens.d2)[i], (gens.x1, gens.x2)[i])
-    rest = tuple(k - u for k, u in zip(e, unit))
-    return _dra.diamond(_t_monomial_image(rest), _t_monomial_image(unit))
+    rest = tuple(k - 1 if j == i else k for j, k in enumerate(e))
+    gens = _dra.normalized_gens()
+    return _dra.diamond(_dra.diamond(_t_monomial_image(rest),
+                                     (gens.d1, gens.d2)[i]),
+                        (gens.x1, gens.x2)[i])
 
 
 # ---------------------------------------------------------------------------

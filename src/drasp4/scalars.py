@@ -13,9 +13,12 @@ its multiplicity: a product adds multiplicities, a sum takes their maximum
 and cancels a line only where the numerator vanishes on it, and a shift
 moves each line's constant.  What does not split into such lines (only
 parser or hand-built input has it) stays one residual polynomial, reduced
-by a gcd.  A polynomial keeps Gaussian-integer coefficient pairs over one
-denominator, the way a Gaussian rational keeps one number, so its ring
-operations run in plain ints with one gcd pass per result.
+by a gcd in one place, the RatFunc constructor: a sum, product or inverse
+with a residual operand is built there from expanded numerators and
+denominators, and line-only values never take a gcd.  A polynomial keeps
+Gaussian-integer coefficient pairs over one denominator, the way a
+Gaussian rational keeps one number, so its ring operations run in plain
+ints with one gcd pass per result.
 
 A line test looks first at the numerator's restriction to an axis, p(Ha, 0)
 or p(0, Hb), built once per cancellation: a line can divide the numerator
@@ -40,7 +43,6 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from functools import cache
 from math import comb, lcm
 from math import gcd as _igcd
 from operator import itemgetter
@@ -54,31 +56,21 @@ class GaussRat:
 
     __slots__ = ("_a", "_b", "_d", "_hash")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
-            a, b, d = re, im, 1
-        else:
-            fr = re if type(re) is Fraction else Fraction(re)
-            fi = im if type(im) is Fraction else Fraction(im)
-            d = fr.denominator * fi.denominator // _igcd(fr.denominator,
-                                                         fi.denominator)
-            a = fr.numerator * (d // fr.denominator)
-            b = fi.numerator * (d // fi.denominator)
-        g = _igcd(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        object.__setattr__(self, "_a", a)
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_d", d)
-        object.__setattr__(self, "_hash", None)
+            return cls._raw(re, im, 1)
+        fr = re if type(re) is Fraction else Fraction(re)
+        fi = im if type(im) is Fraction else Fraction(im)
+        d = lcm(fr.denominator, fi.denominator)
+        return cls._raw(fr.numerator * (d // fr.denominator),
+                        fi.numerator * (d // fi.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
     @classmethod
     def _raw(cls, a: int, b: int, d: int) -> "GaussRat":
+        """The normalized (a + b*i)/d for any integers a, b and d != 0."""
         self = object.__new__(cls)
         if d < 0:
             a, b, d = -a, -b, -d
@@ -620,11 +612,6 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return p.monic()
     if p.is_const() or q.is_const():
         return P_ONE
-    return _poly_gcd_impl(p, q)
-
-
-@cache
-def _poly_gcd_impl(p: Poly2, q: Poly2) -> Poly2:
     return _residual_gcd(p, q)
 
 
@@ -856,14 +843,6 @@ def _cancel(num: Poly2, lines: dict, keys) -> tuple:
     return num, lines
 
 
-def _cancel_residual(num: Poly2, res: Poly2, part: Poly2) -> tuple:
-    """num and res divided by gcd(num, part), where part divides res."""
-    if part.is_const() or num.is_const():
-        return num, res
-    g = poly_gcd(num, part)
-    return (num, res) if g.is_const() else (num.divexact(g), res.divexact(g))
-
-
 # ---------------------------------------------------------------------------
 # Rational functions: the field of dynamical scalars.
 # ---------------------------------------------------------------------------
@@ -874,7 +853,10 @@ class RatFunc:
     The denominator is stored factored: ``lines`` maps each integer-shift
     coroot line dividing it to its multiplicity, and ``res`` is the monic
     residual, which is 1 for every value the engine makes.  ``den`` is
-    their product, expanded on first read.
+    their product, expanded on first read.  The constructor is the one
+    place that splits a denominator and takes the residual gcd: sums,
+    products and inverses with a residual operand go through it, and
+    those of line-only values work on the lines alone and take no gcd.
 
     Invariants: den has leading coefficient 1 in lex order, gcd(num, den)
     = 1, and the residual never holds an integer-shift coroot line.  Lines
@@ -891,7 +873,10 @@ class RatFunc:
         if num:
             lines, res = _split_lines(den)
             num, lines = _cancel(num * den.lead_coeff().inv(), lines, lines)
-            num, res = _cancel_residual(num, res, res)
+            if res is not P_ONE:
+                g = poly_gcd(num, res)
+                if not g.is_const():
+                    num, res = num.divexact(g), res.divexact(g)
         _set(self, num, lines, res)
 
     def __setattr__(self, name, value):
@@ -955,9 +940,12 @@ class RatFunc:
     def _add_sub(self, g: "RatFunc", sign: int) -> "RatFunc":
         """Addition over the lcm of the denominators.  A line can cancel
         only where both operands have it with the same multiplicity, so
-        the sum is tested on those lines alone; residuals take gcds."""
+        the sum is tested on those lines alone.  An operand with a
+        residual sends the sum through the constructor."""
         t1, t2 = self.num, (g.num if sign > 0 else -g.num)
-        l1, l2, r1, r2 = self.lines, g.lines, self.res, g.res
+        if self.res is not P_ONE or g.res is not P_ONE:
+            return RatFunc(t1 * g.den + t2 * self.den, self.den * g.den)
+        l1, l2 = self.lines, g.lines
         if l1 == l2:
             lines = common = l1
         else:
@@ -966,19 +954,10 @@ class RatFunc:
             common = [key for key, m in l1.items() if l2.get(key) == m]
             t1 = _times(t1, _expand(lines, l1))
             t2 = _times(t2, _expand(lines, l2))
-        if r1 == r2:
-            res = g0 = r1
-        else:
-            g0 = P_ONE if P_ONE in (r1, r2) else poly_gcd(r1, r2)
-            a, b = ((r1, r2) if g0.is_const()
-                    else (r1.divexact(g0), r2.divexact(g0)))
-            t1, t2, res = t1 * b, t2 * a, r1 * b
         t = t1 + t2
         if t.is_zero():
             return RF_ZERO
-        t, lines = _cancel(t, lines, common)
-        t, res = _cancel_residual(t, res, g0)
-        return _rf(t, lines, res)
+        return _rf(*_cancel(t, lines, common), P_ONE)
 
     def __add__(self, other):
         g = self._coerce(other)
@@ -1022,25 +1001,20 @@ class RatFunc:
             return _rf(_times(self.num, g.num), g.lines, g.res)
         if g.is_const():
             return _rf(_times(self.num, g.num), self.lines, self.res)
+        if self.res is not P_ONE or g.res is not P_ONE:
+            return RatFunc(self.num * g.num, self.den * g.den)
         # cross-cancel; both inputs are reduced, so the result is too
         n1, l2 = _cancel(self.num, g.lines, g.lines)
         n2, l1 = _cancel(g.num, self.lines, self.lines)
-        n1, r2 = _cancel_residual(n1, g.res, g.res)
-        n2, r1 = _cancel_residual(n2, self.res, self.res)
         lines = dict(l1)
         for key, m in l2.items():
             lines[key] = lines.get(key, 0) + m
-        return _rf(n1 * n2, lines, _times(r1, r2))
+        return _rf(n1 * n2, lines, P_ONE)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise ZeroDivisionError("zero divisor in scalar field")
-        s = self.num.lead_coeff().inv()
-        f = _rf(self.den * s, *_split_lines(self.num))
-        object.__setattr__(f, "_den", self.num * s)  # already expanded
-        return f
+        return RatFunc(self.den, self.num)
 
     def __truediv__(self, other):
         g = self._coerce(other)

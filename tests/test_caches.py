@@ -8,7 +8,6 @@ from drasp4.scalars import HA, HB, RF_ONE, poly_gcd
 from drasp4.weyl import D1, X1
 
 NAMES = {
-    "drasp4.scalars._poly_gcd_impl",
     "drasp4.weyl._mono_mul",
     "drasp4.ambient._norm_word",
     "drasp4.dra.projector_coeff",

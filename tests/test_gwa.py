@@ -326,6 +326,21 @@ def test_exponent_vectors_of_the_wrong_length_raise(alg):
             BasePoly(2, {m: RF_ONE})
 
 
+@pytest.mark.parametrize("call", [
+    lambda alg: BasePoly.tvar(2, 1) * BasePoly.tvar(3, 3),
+    lambda alg: alg.sigma(1, BasePoly.tvar(3, 3)),
+    lambda alg: alg.sigma_pow(1, 2, BasePoly.tvar(3, 3)),
+    lambda alg: alg.sigma_vec((1, 0), BasePoly.tvar(3, 3)),
+    lambda alg: GwaElem(alg, {(1, 0): BasePoly.tvar(3, 3)}) * alg.x(1),
+    lambda alg: alg.x(1) * GwaElem(alg, {(1, 0): BasePoly.tvar(3, 3)}),
+], ids=["basepoly_mul", "sigma", "sigma_pow", "sigma_vec", "elem_times_x",
+        "x_times_elem"])
+def test_coefficients_of_another_rank_raise(alg, call):
+    # these used to drop t3 or keep it unchanged: (1) t1, (1) t3, X1^2
+    with pytest.raises(ValueError, match="rank 3 where rank 2 is expected"):
+        call(alg)
+
+
 def _reference_product(u, v):
     """u v by the term formula b1 sigma^m1(b2) prod_i c_i(m1_i, m2_i),
     whole base polynomials at a time."""
@@ -396,3 +411,13 @@ def test_phi_is_multiplicative_on_quadratic_t_coefficients(alg, real):
     for _ in range(4):
         u, v = one_term(_QUADRATIC_T[3:]), one_term(_QUADRATIC_T[:3])
         assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))
+
+
+def test_phi_is_multiplicative_on_the_frontier_pair(real):
+    """phi(X1^n X2^n Y1^n Y2^n) = phi(X1^n X2^n) <> phi(Y1^n Y2^n) at
+    n = 2: the GWA product against the diamond product of the two images.
+    CI runs the same check at n = 4."""
+    a, n = real.alg, 2
+    u = a.x(1) ** n * a.x(2) ** n
+    v = a.y(1) ** n * a.y(2) ** n
+    assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))

@@ -290,6 +290,7 @@ def test_cli_usage_errors_exit_two(capsys):
     for argv, message in (
             (("gwa-check", "--maxdeg", "-1"), "--maxdeg: expected an integer"),
             (("gwa-check", "--maxdeg", "two"), "--maxdeg: expected an integer"),
+            (("gwa-check", "--maxdeg", "17"), "--maxdeg: expected an integer"),
             (("sigma", "2", "--format", "latex", "t1^2"), "--format"),
             (("limit", "--format", "latex", "(Hb+2)/(2*Hb+1)"), "--format")):
         with pytest.raises(SystemExit) as exc:

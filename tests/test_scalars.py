@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 import sympy
 
-from drasp4 import clear_caches, scalars, sp4
+from drasp4 import (POS_ROOTS, DraElem, clear_caches, diamond, h_form,
+                    reduction_gwa, scalars, sp4, verify)
 from drasp4.parser import evaluate
 from drasp4.scalars import (DIVERGENT, GR_ONE, GR_ZERO, GaussRat, HA, HB,
                             P_ONE, Poly2, RF_ONE, RF_ZERO, RatFunc,
@@ -273,11 +275,33 @@ def gcd_calls(monkeypatch):
     return calls
 
 
+def residual_operand_cases(rng):
+    """Sums, differences, products and quotients with a residual operand
+    on the left, on the right, and on both sides with equal and with
+    unequal residuals, also beside a constant factor, and the same
+    expressions in sympy.  A shift in Hb keeps the residual Ha^2 + c of a
+    residual fraction, a shift in Ha moves it."""
+    f, sf = residual_fraction(rng)
+    same = f.shift(0, 1), sf.subs(SB, SB + 1)
+    other = f.shift(1, 0), sf.subs(SA, SA + 1)
+    line = line_fraction(rng, line_pool(rng))
+    const = constant_factor(rng, 2)
+    out = []
+    for (x, sx), (y, sy) in (((f, sf), line), (line, (f, sf)),
+                             ((f, sf), same), ((f, sf), other),
+                             (const, (f, sf)), ((f, sf), const)):
+        out += [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy),
+                (x / y, sx / sy)]
+    return out
+
+
 def test_residual_gcd_against_sympy(gcd_calls):
     rng = random.Random(4242)
+    cases = []
     for _ in range(200):
         pool = [off_direction_factor(rng) for _ in range(2)]
-        f, reference = rand_rf_pair(rng, pool)
+        cases.append(rand_rf_pair(rng, pool))
+    for f, reference in cases + residual_operand_cases(random.Random(4243)):
         num, den = to_sympy(f.num), to_sympy(f.den)
         assert sympy.cancel(num / den - reference, gaussian=True) == 0
         assert sympy.gcd(num, den, gaussian=True).is_number
@@ -687,3 +711,29 @@ def test_gaussian_content_against_sympy():
         left, right = (a * b) * c, a * (b * c)
         assert left == right and hash(left) == hash(right)
         assert_cancelled(left, (sa[0] * sb[0] * sc[0], sa[1] * sb[1] * sc[1]))
+
+
+def test_line_only_arithmetic_takes_no_gcd(monkeypatch):
+    """Values whose denominators are coroot lines only never reach the
+    residual gcd: not in domain-sample products, not in diamond products
+    with coefficients over shifted coroot forms, not in GWA products."""
+    def refuse(p, q):
+        raise AssertionError(f"gcd of {p} and {q}")
+
+    clear_caches()
+    monkeypatch.setattr(scalars, "poly_gcd", refuse)
+    assert verify.suite_domain_sample(count=20).passed
+    rng = random.Random(23)
+    monos = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 2]
+
+    def elem():
+        return DraElem({m: rf_affine(rng.randint(-2, 2), rng.randint(-2, 2),
+                                     rng.randint(1, 3))
+                        / (h_form(rng.choice(POS_ROOTS)) + rng.randint(-3, 3))
+                        for m in rng.sample(monos, rng.randint(1, 3))})
+
+    for _ in range(3):
+        assert diamond(elem(), elem())
+    alg = reduction_gwa()
+    u = alg.x(1) * alg.base(alg.t(2)) + alg.y(2)
+    assert u * (alg.y(1) + alg.x(2)) * u
