@@ -7,6 +7,9 @@ factor is an exact finite sum because the iterated raising commutator of
 any coset representative vanishes; only the full-commutator term of each
 series order survives modulo the raising ideal.  The diamond product
 projects only the four generators, which then act by Weyl commutators.
+The oscillator image of each lowering letter is one monomial times a
+Gaussian-rational scalar, so those scalars are folded into the cached
+projected terms and the commutators run on integer coefficients.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from collections import namedtuple
 from functools import cache
 from math import factorial
 
-from .scalars import (GR_ONE, RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine,
-                      rf_json)
+from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json
 from .sparse import SparseTerms, add_into
-from .weyl import GEN_MONO, WeylElem
+from .weyl import GEN_MONO, _mono_mul
 from . import sp4
 from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
                       e_gen, f_gen, mono_weight, red)
@@ -180,6 +182,54 @@ def _basis_word(n: tuple) -> DraElem:
     return _fold_letters(DRA_ONE, n)
 
 
+def _split_letter(name: str) -> tuple:
+    """The oscillator image of a lowering letter as its one Weyl monomial
+    and the Gaussian-rational scalar of that monomial."""
+    terms = sp4.osc(name).terms
+    if len(terms) != 1:
+        raise ValueError(f"the oscillator image of {name} is not one monomial")
+    (mono, s), = terms.items()
+    return mono, s
+
+
+# The lowering letters in block order, each as (monomial, scalar).
+_LOWERING = tuple(_split_letter(f) for f in LETTERS[:4])
+
+
+@cache
+def _leaf_terms(n: tuple, wt: tuple) -> tuple:
+    """The terms c F_i1 ... F_ik w of the projected generator P(n), each as
+    (the letters' monomials in block order, w, c times the letters'
+    scalars and shifted by -wt).  A scalar factor commutes with brackets
+    and a shift fixes it, so the leaf brackets integer combinations."""
+    out = []
+    p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
+    for k, c in p_n.terms.items():
+        letters = ()
+        for (f, s), e in zip(_LOWERING, k[:4]):
+            letters += (f,) * e
+            for _ in range(e):
+                c = c * s
+        out.append((letters, k[4:8], c.shift(-wt[0], -wt[1])))
+    return tuple(out)
+
+
+def _int_mul(x: dict, w: tuple) -> dict:
+    """x w for an integer combination x of Weyl monomials."""
+    out = {}
+    for k, a in x.items():
+        add_into(out, ((v, a * b) for v, b in _mono_mul(k, w).items()))
+    return out
+
+
+def _int_bracket(x: dict, f: tuple) -> dict:
+    """[x, f] = x f - f x for an integer combination x of Weyl monomials."""
+    out = _int_mul(x, f)
+    for k, a in x.items():
+        add_into(out, ((v, -a * b) for v, b in _mono_mul(f, k).items()))
+    return out
+
+
 @cache
 def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     """m <> n for two basis monomials with unit coefficients.
@@ -188,7 +238,9 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     lowering letters in block order, adds c.shift(-wt m) [...[m, F_i1],
     ..., F_ik] w (oscillator brackets) to red(m P(n), II): m F = F m +
     [m, F], and red(., II) drops every term that starts with a lowering
-    letter.  Any other n is reached through its ordered word W(n), as
+    letter.  The brackets and the product by w run on integer
+    combinations of monomials; _leaf_terms holds the scalars.  Any other
+    n is reached through its ordered word W(n), as
 
         m <> n = (m <> g1 <> ... <> gk) - m <> (W(n) - n),
 
@@ -200,17 +252,12 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     ends; up to degree 12 it is at most 7 levels deep.
     """
     if sum(n) <= 1:
-        wa, wb = _weyl_weight(m)
         out = {}
-        p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
-        for k, c in p_n.terms.items():
-            x = WeylElem({m: GR_ONE})
-            for f, e in zip(LETTERS, k[:4]):
-                for _ in range(e):
-                    x = x.bracket(sp4.osc(f))
-            c = c.shift(-wa, -wb)
-            add_into(out, ((w, c * g) for w, g in
-                           (x * WeylElem({k[4:8]: GR_ONE})).terms.items()))
+        for letters, w, c in _leaf_terms(n, _weyl_weight(m)):
+            x = {m: 1}
+            for f in letters:
+                x = _int_bracket(x, f)
+            add_into(out, ((v, c * b) for v, b in _int_mul(x, w).items()))
         return DraElem(out)
     left = DraElem({m: RF_ONE})
     lower = _basis_word(n) - DraElem({n: RF_ONE})

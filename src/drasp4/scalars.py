@@ -31,6 +31,8 @@ division runs only after both tests.
 A constant factor scales the other factor's numerator and cancels
 nothing: a nonzero constant divides by no line and changes no gcd, so the
 product keeps the other factor's lines and residual as they are.  A
+factor equal to 1 returns the other factor itself, and a plain int
+scales the numerator's pairs without being built into a constant.  A
 one-term polynomial factor maps the other factor's terms directly, since
 their shifted keys cannot collide.  Products of larger real polynomials,
 from PACK_PAIRS term pairs on, are packed into one big-integer product
@@ -991,15 +993,30 @@ class RatFunc:
         return _rf(-self.num, self.lines, self.res)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # scales the numerator's pairs, builds no constant
+            if not other or not self.num:
+                return RF_ZERO
+            if other == 1:
+                return self
+            n = self.num
+            return _rf(_poly({e: (a * other, b * other)
+                              for e, (a, b) in n._c.items()}, n._d),
+                       self.lines, self.res)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
         if self.num.is_zero() or g.num.is_zero():
             return RF_ZERO
-        # a nonzero constant cancels no line and changes no gcd
-        if self.is_const():
-            return _rf(_times(self.num, g.num), g.lines, g.res)
-        if g.is_const():
+        # a factor equal to 1 gives the other factor itself, and a nonzero
+        # constant cancels no line and changes no gcd
+        c1, c2 = self.is_const(), g.is_const()
+        if c2 and g.num == P_ONE:
+            return self
+        if c1:
+            return g if self.num == P_ONE else _rf(
+                _times(self.num, g.num), g.lines, g.res)
+        if c2:
             return _rf(_times(self.num, g.num), self.lines, self.res)
         if self.res is not P_ONE or g.res is not P_ONE:
             return RatFunc(self.num * g.num, self.den * g.den)

@@ -12,6 +12,7 @@ NAMES = {
     "drasp4.ambient._norm_word",
     "drasp4.dra.projector_coeff",
     "drasp4.dra._apply_p",
+    "drasp4.dra._leaf_terms",
     "drasp4.dra._basis_diamond",
     "drasp4.dra._basis_word",
     "drasp4.gwa._sigma_image",

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import drasp4
 from drasp4 import dra, sp4
-from drasp4.scalars import HA, HB, RF_ONE, RF_ZERO
+from drasp4.scalars import GR_ONE, HA, HB, RF_ONE, RF_ZERO
+from drasp4.sparse import add_into
+from drasp4.weyl import WeylElem
 from drasp4.ambient import LETTERS, AmbientElem, e_gen, red
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
@@ -156,6 +158,47 @@ def test_basis_diamond_agrees_with_direct_definition():
     for m, n in pairs:
         got = diamond(DraElem({m: RF_ONE}), DraElem({n: RF_ONE}))
         assert got == direct(m, n), (m, n)
+
+
+GENERATORS_AND_ONE = ((0, 0, 0, 0),) + tuple(
+    dra.GEN_MONO[name] for name in ("d1", "d2", "x2", "x1"))
+
+
+def reference_leaf(m, n):
+    """m <> n for n a generator or 1, the leaf as Weyl algebra brackets:
+    each term c F_i1 ... F_ik w of P(n) adds c.shift(-wt m) times
+    [...[m, F_i1], ..., F_ik] w, bracketed with the oscillator images and
+    their Gaussian-rational coefficients."""
+    wa, wb = dra._weyl_weight(m)
+    out = {}
+    p_n = apply_p(DraElem({n: RF_ONE}).to_ambient())
+    for k, c in p_n.terms.items():
+        x = WeylElem({m: GR_ONE})
+        for f, e in zip(LETTERS, k[:4]):
+            for _ in range(e):
+                x = x.bracket(sp4.osc(f))
+        c = c.shift(-wa, -wb)
+        add_into(out, ((w, c * g) for w, g in
+                       (x * WeylElem({k[4:8]: GR_ONE})).terms.items()))
+    return DraElem(out)
+
+
+def leaf_mismatches(maxdeg):
+    """The pairs (m, n), m a left monomial of degree <= maxdeg and n a
+    generator or 1, where the leaf of _basis_diamond differs from
+    reference_leaf; and the number of pairs compared."""
+    monos = [m for m in itertools.product(range(maxdeg + 1), repeat=4)
+             if sum(m) <= maxdeg]
+    pairs = [(m, n) for m in monos for n in GENERATORS_AND_ONE]
+    bad = [(m, n) for m, n in pairs
+           if dra._basis_diamond(m, n) != reference_leaf(m, n)]
+    return bad, len(pairs)
+
+
+def test_integer_leaf_agrees_with_weyl_brackets():
+    bad, count = leaf_mismatches(6)
+    assert count == 1050
+    assert not bad, bad[:5]
 
 
 def test_generator_products_straighten_no_ambient_word():

@@ -524,6 +524,29 @@ def test_constant_factor_probes_no_line(monkeypatch):
     assert c.shift(2, -1) is c and RF_ZERO.shift(1, 1) is RF_ZERO
 
 
+def test_int_factor_agrees_with_its_constant():
+    """An int scales the numerator without being made a constant: f * k,
+    k * f and f * RatFunc.const(k) agree, over line-only scalars (some with
+    a Gaussian numerator over a denominator > 1) and residual ones; a
+    factor equal to 1 returns the other factor itself."""
+    rng = random.Random(1717)
+    for n in range(30):
+        if n % 3 == 0:
+            f = residual_fraction(rng)[0]
+        else:
+            f = line_fraction(rng, line_pool(rng))[0]
+            if n % 3 == 2:
+                f = f * constant_factor(rng, 2)[0]
+        for k in range(-3, 4):
+            c = RatFunc.const(k)
+            assert f * k == k * f == f * c == c * f
+            assert (f * k).lines == (f.lines if k else {})
+            assert (f * k).res == (f.res if k else P_ONE)
+        assert f * 1 is f and 1 * f is f
+        assert f * RatFunc.const(1) is f and RatFunc.const(GR_ONE) * f is f
+    assert RF_ZERO * 5 is RF_ZERO and HA * 0 is RF_ZERO
+
+
 def wide_poly(rng, size, mag, real=True):
     """A Poly2 of size terms on exponents with gaps, signed coefficients
     up to mag in size over a denominator d that is often > 1, and

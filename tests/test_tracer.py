@@ -22,6 +22,8 @@ alg = drasp4.reduction_gwa()
 u = alg.x(1) + alg.y(2).scaled(alg.t(1))
 assert u * u == u ** 2 and (alg.t(1) + alg.t(2)) ** 2
 assert drasp4.AmbientElem.gen("x1").rmul_scalar(drasp4.HA)
+# the diamond brackets integer combinations, so the Weyl layer needs its own
+assert drasp4.weyl.X1 * drasp4.weyl.D1
 stats = tracer.summary(t)["stats"]
 for group in ("scalars.add", "scalars.mul", "scalars.shift", "weyl.mul",
               "ambient.mul", "dra.diamond", "gwa.mul", "gwa.sigma",
