@@ -20,7 +20,7 @@ from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json
 from .sparse import SparseTerms, add_into
-from .weyl import GEN_MONO, _mono_mul
+from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
 from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
                       e_gen, f_gen, mono_weight, red)
@@ -164,22 +164,9 @@ def diamond(u: DraElem, v: DraElem) -> DraElem:
     return DraElem(out)
 
 
-_GENS = (D1_BAR, D2_BAR, X2_BAR, X1_BAR)
-
-
-def _fold_letters(u: DraElem, n: tuple) -> DraElem:
-    """u <> g1 <> g2 <> ... over the letters of n in the normal order
-    d1^a d2^b x2^c x1^d, each step a product with one generator."""
-    for g, e in zip(_GENS, n):
-        for _ in range(e):
-            u = diamond(u, g)
-    return u
-
-
-@cache
-def _basis_word(n: tuple) -> DraElem:
-    """The ordered word W(n) = d1^<>a <> d2^<>b <> x2^<>c <> x1^<>d."""
-    return _fold_letters(DRA_ONE, n)
+# The generators in normal order, as elements and as unit monomials.
+_GENS = tuple(DraElem.gen(name) for name in NAMES)
+_UNITS = tuple(GEN_MONO[name] for name in NAMES)
 
 
 def _split_letter(name: str) -> tuple:
@@ -240,16 +227,18 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     [m, F], and red(., II) drops every term that starts with a lowering
     letter.  The brackets and the product by w run on integer
     combinations of monomials; _leaf_terms holds the scalars.  Any other
-    n is reached through its ordered word W(n), as
+    n = w g^e, g its last letter in the order d1 d2 x2 x1, is peeled from
+    the cached m <> w one letter at a time, with w_{j+1} = w_j g:
 
-        m <> n = (m <> g1 <> ... <> gk) - m <> (W(n) - n),
+        m <> w_{j+1} = (m <> w_j) <> g - m <> (w_j <> g - w_{j+1}).
 
-    where g1 ... gk are the letters of n.  This rests on two premises:
-    the diamond product is associative, and W(n) is n plus terms lower in
-    weyl_word order, with coefficient 1 on n (suite_triangular checks
-    this).  The monomials of W(n) - n are lower than n and of no higher
-    degree, a finite set, so the recursion through diamond descends and
-    ends; up to degree 12 it is at most 7 levels deep.
+    This rests on associativity and on one premise: the leaf w_j <> g is
+    w_{j+1} plus terms lower in weyl_word order, with coefficient 1 on
+    w_{j+1}.  It has a lower term (d2 x2 traded for d1 x1) only when g is
+    x2 and d2 divides w_j.  The recursion goes through the runs of n and
+    one level per correction; corrections nest once per letter of the
+    shorter of the d2 and x2 runs, so a cold product recurses at most 13
+    levels below its first call for right factors up to degree 12.
     """
     if sum(n) <= 1:
         out = {}
@@ -260,8 +249,16 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
             add_into(out, ((v, c * b) for v, b in _int_mul(x, w).items()))
         return DraElem(out)
     left = DraElem({m: RF_ONE})
-    lower = _basis_word(n) - DraElem({n: RF_ONE})
-    return _fold_letters(left, n) - diamond(left, lower)
+    i = max(k for k, e in enumerate(n) if e)
+    w = n[:i] + (0,) * (4 - i)
+    out = _basis_diamond(m, w) if any(w) else left
+    for _ in range(n[i]):
+        step = _basis_diamond(w, _UNITS[i])
+        w = tuple(a + b for a, b in zip(w, _UNITS[i]))
+        out = diamond(out, _GENS[i])
+        if len(step.terms) > 1:
+            out = out - diamond(left, step - DraElem({w: RF_ONE}))
+    return out
 
 
 def diamond_commutator(u: DraElem, v: DraElem) -> DraElem:

@@ -14,7 +14,6 @@ NAMES = {
     "drasp4.dra._apply_p",
     "drasp4.dra._leaf_terms",
     "drasp4.dra._basis_diamond",
-    "drasp4.dra._basis_word",
     "drasp4.gwa._sigma_image",
     "drasp4.gwa._contraction",
     "drasp4.gwa._basis_term",
@@ -67,15 +66,18 @@ def test_caches_are_keyed_per_monomial(monkeypatch):
 
     monkeypatch.setattr(dra, "_apply_p", recording)
     diamond(u, v)
-    # wider right factors go through their ordered generator words
+    # wider right factors are peeled one generator at a time
     assert projected and all(sum(mono) <= 1 for mono in projected)
-    info = drasp4.cache_info()
-    assert info["drasp4.dra._basis_diamond"].currsize > 0
-    assert info["drasp4.dra._basis_word"].currsize > 0
+    # the memo holds the one-letter step w <> g of a degree-2 factor w g
+    n = next(n for n in v.terms if sum(n) == 2)
+    i = max(k for k, e in enumerate(n) if e)
+    w = n[:i] + (n[i] - 1,) + n[i + 1:]
+    before = dra._basis_diamond.cache_info()
+    dra._basis_diamond(w, dra._UNITS[i])
+    after = dra._basis_diamond.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
     drasp4.clear_caches()
-    info = drasp4.cache_info()
-    assert info["drasp4.dra._basis_diamond"].currsize == 0
-    assert info["drasp4.dra._basis_word"].currsize == 0
+    assert drasp4.cache_info()["drasp4.dra._basis_diamond"].currsize == 0
 
 
 def test_gwa_caches_stay_bounded_across_rebuilt_algebras():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -202,7 +203,7 @@ def test_integer_leaf_agrees_with_weyl_brackets():
 
 
 def test_generator_products_straighten_no_ambient_word():
-    # once the four generators are projected, a product folded over them
+    # once the four generators are projected, a product peeled over them
     # straightens nothing in the ambient algebra
     drasp4.clear_caches()
     for g in (D1_BAR, D2_BAR, X2_BAR, X1_BAR):
@@ -283,8 +284,9 @@ def test_theta_reverses_diamond_products(u, v):
 
 
 def test_degree_twelve_product_under_default_recursion_limit():
-    # _basis_diamond recurses once per lower monomial of W(n); that chain
-    # stays short, so a cold degree-12 product needs no raised limit
+    # _basis_diamond recurses through the runs of the right factor and once
+    # per correction of an x2 step after d2; d2^6 is one run, so a cold
+    # degree-12 product needs no raised limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -296,6 +298,50 @@ def test_degree_twelve_product_under_default_recursion_limit():
         sys.setrecursionlimit(limit)
     assert uv.coeff((0, 6, 6, 0)) and len(uv.terms) == 28
     assert dra_theta(uv) == diamond(dra_theta(v), dra_theta(u))
+
+
+def test_one_letter_steps_are_unitriangular():
+    # the premise of the peel in _basis_diamond: for n = w g, g the last
+    # letter of n, the step w <> g is n plus lower terms; it has lower
+    # terms exactly when g is x2 and d2 divides w
+    steps = corrected = 0
+    for n in itertools.product(range(17), repeat=4):
+        if not 2 <= sum(n) <= 16:
+            continue
+        i = max(k for k, e in enumerate(n) if e)
+        w = n[:i] + (n[i] - 1,) + n[i + 1:]
+        step = dra._basis_diamond(w, dra._UNITS[i])
+        assert step.coeff(n) == RF_ONE, n
+        top = dra.weyl_word(n)
+        assert all(dra.weyl_word(k) < top for k in step.terms if k != n), n
+        exact = step == DraElem({n: RF_ONE})
+        assert exact != (i == 2 and w[1] > 0), n
+        steps += 1
+        corrected += sum(n) <= 12 and not exact
+    assert (steps, corrected) == (4840, 286)
+
+
+def test_long_runs_under_default_recursion_limit():
+    # x1 <> n for right factors of hundreds of letters; the digests are
+    # those of the ordered-word recursion that the peel replaced
+    digests = {
+        (0, 0, 0, 900): "2ea3f29c598d82e544b4e55e760a74e4"
+                        "d86830ac19405604760333c552886f4b",
+        (0, 0, 900, 0): "09f685b0d93566b3b9399a2a7a3445dd"
+                        "bee992ac8a19d717653119fe20e1549b",
+        (0, 300, 2, 0): "a973dfd346bbad754e51281e279031fa"
+                        "314f499b089d537471826ed0c4ff298b",
+    }
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for n, digest in digests.items():
+            drasp4.clear_caches()
+            got = diamond(X1_BAR, DraElem({n: RF_ONE}))
+            text = json.dumps(dra_json(got)).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, n
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_theta_mirrors_relations():
