@@ -42,12 +42,11 @@ the loop over term pairs.
 
 from __future__ import annotations
 
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from math import comb, lcm
 from math import gcd as _igcd
-from operator import itemgetter
+from operator import mul
 
 from .sparse import add_into, mono_text, power, signed_sum
 
@@ -222,30 +221,32 @@ def gauss_json(c: GaussRat) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Sparse polynomials in the two Cartan coordinates.
+# Polynomials in the two Cartan coordinates, stored as packed rows.
 # ---------------------------------------------------------------------------
 
 class Poly2:
-    """Sparse polynomial in the coordinates (Ha, Hb) over the Gaussian
-    rationals, stored the way GaussRat stores one number: ``_c`` maps each
-    exponent pair (ea, eb) to a nonzero Gaussian-integer pair (a, b), and
-    the coefficient is (a + b*i)/d for the one denominator ``_d`` > 0, with
-    gcd(all a, all b, d) = 1.  The form is unique, so structural equality
-    is field equality.  Ring operations work in plain ints with one gcd
-    pass per result; ``terms``, the map to GaussRat coefficients, is built
-    on read.
+    """Polynomial in the coordinates (Ha, Hb) over the Gaussian rationals,
+    stored the way GaussRat stores one number: Gaussian-integer parts
+    (a + b*i)/d over one denominator ``_d`` > 0, with gcd(all a, all b, d)
+    = 1, packed by rows (see the module docstring).  ``_r[ea]`` is the sum
+    of a * 2^(s*eb) over the terms (ea, eb) for the slot width ``_s``,
+    ``_i`` holds the b parts the same way or is empty, and the top row is
+    nonzero.  ``_n`` bounds the sum of |a| + |b|.  Equal polynomials may
+    have different widths, so equality and hashing fall back to the dict
+    form, which ``terms`` (the map to GaussRat coefficients) and the
+    residual gcd also read.
 
     The leading term is taken in lex order on (ea, eb); canonical
     denominators are normalized to leading coefficient 1.
     """
 
-    __slots__ = ("_c", "_d")
+    __slots__ = ("_r", "_i", "_s", "_n", "_d")
 
     def __new__(cls, terms=None):
         t = {e: c for e, c in (terms or {}).items() if c}
         d = lcm(*(c._d for c in t.values()))
-        return _poly({e: (c._a * (d // c._d), c._b * (d // c._d))
-                      for e, c in t.items()}, d)
+        return _from_pairs({e: (c._a * (d // c._d), c._b * (d // c._d))
+                            for e, c in t.items()}, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly2 is immutable")
@@ -253,14 +254,30 @@ class Poly2:
     @property
     def terms(self) -> dict:
         d = self._d
-        return {e: GaussRat._raw(a, b, d) for e, (a, b) in self._c.items()}
+        return {e: GaussRat._raw(a, b, d) for e, (a, b) in self._pairs().items()}
+
+    def _pairs(self) -> dict:
+        """The dict form: each exponent pair (ea, eb) to its nonzero
+        Gaussian-integer pair (a, b)."""
+        s, out = self._s, {}
+        for ea, row in enumerate(self._r):
+            for eb, x in enumerate(_digits(row, s)):
+                if x:
+                    out[ea, eb] = (x, 0)
+        for ea, row in enumerate(self._i):
+            for eb, y in enumerate(_digits(row, s)):
+                if y:
+                    out[ea, eb] = (out.get((ea, eb), (0, 0))[0], y)
+        return out
 
     # -- constructors --
 
     @staticmethod
     def const(c) -> "Poly2":
         g = c if isinstance(c, GaussRat) else GaussRat(c)
-        return _poly({(0, 0): (g._a, g._b)}, g._d) if g else P_ZERO
+        n = abs(g._a) + abs(g._b)
+        return _mk((g._a,), (g._b,) if g._b else (), _width(n), n,
+                   g._d) if n else P_ZERO
 
     @staticmethod
     def affine(ca, cb, c0) -> "Poly2":
@@ -270,65 +287,75 @@ class Poly2:
     # -- predicates --
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._r)
 
     def is_zero(self):
-        return not self._c
+        return not self._r
 
     def is_const(self):
-        return not self._c or (len(self._c) == 1 and (0, 0) in self._c)
+        r, i, s = self._r, self._i, self._s
+        return not r or (len(r) == 1 and r[0].bit_length() < s
+                         and not (i and i[0].bit_length() >= s))
 
     def const_value(self) -> GaussRat:
-        return GaussRat._raw(*self._c[(0, 0)], self._d) if self._c else GR_ZERO
+        r, i = self._r, self._i
+        return GaussRat._raw(r[0], i[0] if i else 0, self._d) if r else GR_ZERO
 
     def total_degree(self) -> int:
-        return max((ea + eb for ea, eb in self._c), default=-1)
+        s = self._s
+        return max((ea + row.bit_length() // s for rows in (self._r, self._i)
+                    for ea, row in enumerate(rows) if row), default=-1)
 
     def __eq__(self, other):
         if type(other) is not Poly2:
             return NotImplemented
-        return self._d == other._d and self._c == other._c
+        if (self._d != other._d or len(self._r) != len(other._r)
+                or len(self._i) != len(other._i)):
+            return False
+        if self._s == other._s:
+            return self._r == other._r and self._i == other._i
+        return self._pairs() == other._pairs()
 
     def __hash__(self):
-        return hash((frozenset(self._c.items()), self._d))
+        return hash((frozenset(self._pairs().items()), self._d))
 
     # -- ring operations --
 
     def __add__(self, other):
+        if not other._r:
+            return self
+        if not self._r:
+            return other
         d1, d2 = self._d, other._d
         g = _igcd(d1, d2)
         f1, f2 = d2 // g, d1 // g
-        out = (dict(self._c) if f1 == 1
-               else {e: (a * f1, b * f1) for e, (a, b) in self._c.items()})
-        return _poly(_acc(out, ((e, a * f2, b * f2)
-                                for e, (a, b) in other._c.items())), d1 * f1)
+        s, n, (r1, i1), (r2, i2) = _align(
+            self, other, lambda n1, n2: n1 * f1 + n2 * f2)
+        return _reduced(_lin(r1, f1, r2, f2), _lin(i1, f1, i2, f2), s, n,
+                        d1 * f1)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return _poly({e: (-a, -b) for e, (a, b) in self._c.items()}, self._d)
+        return _mk([-x for x in self._r], [-y for y in self._i], self._s,
+                   self._n, self._d)
 
     def __mul__(self, other):
         if isinstance(other, GaussRat):
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        if len(other._c) == 1 or len(self._c) == 1:
-            # a one-term factor maps terms directly: shifted keys stay
-            # distinct and a product of nonzero Gaussian integers is nonzero
-            p, q = (self, other) if len(other._c) == 1 else (other, self)
-            ((a2, b2), (x2, y2)), = q._c.items()
-            return _poly({(a1 + a2, b1 + b2): (x1 * x2 - y1 * y2,
-                                               x1 * y2 + y1 * x2)
-                          for (a1, b1), (x1, y1) in p._c.items()},
-                         self._d * other._d)
-        c1, c2 = self._c, other._c
-        if (len(c1) * len(c2) >= PACK_PAIRS
-                and not any(y for _, y in c1.values())
-                and not any(y for _, y in c2.values())):
-            return _poly(_packed_mul(c1, c2), self._d * other._d)
-        return _poly(_pair_mul(c1, c2), self._d * other._d)
+        if not self._r or not other._r:
+            return P_ZERO
+        s, n, (r1, i1), (r2, i2) = _align(self, other, mul)
+        re, im = _conv(r1, r2), ()
+        if i1 and i2:
+            re = _lin(re, 1, _conv(i1, i2), -1)
+            im = _lin(_conv(r1, i2), 1, _conv(i1, r2), 1)
+        elif i1 or i2:
+            im = _conv(r1, i2) if i2 else _conv(i1, r2)
+        return _reduced(re, im, s, n, self._d * other._d)
 
     def __pow__(self, n: int):
         return power(self, n, P_ONE)
@@ -336,10 +363,11 @@ class Poly2:
     # -- leading data (lex on (ea, eb)) --
 
     def lead_coeff(self) -> GaussRat:
-        return GaussRat._raw(*self._c[max(self._c)], self._d)
+        c = self._pairs()
+        return GaussRat._raw(*c[max(c)], self._d)
 
     def monic(self) -> "Poly2":
-        if not self._c:
+        if not self._r:
             return self
         lc = self.lead_coeff()
         return self if lc == GR_ONE else self * lc.inv()
@@ -347,30 +375,41 @@ class Poly2:
     def leading_form(self) -> "Poly2":
         """Top total-degree homogeneous part."""
         d = self.total_degree()
-        return _poly({e: c for e, c in self._c.items() if e[0] + e[1] == d},
-                     self._d)
+        return _from_pairs({e: c for e, c in self._pairs().items()
+                            if e[0] + e[1] == d}, self._d)
 
     def sorted_keys(self) -> list:
         """Keys by descending total degree, then descending key."""
-        return sorted(self._c, key=lambda e: (e[0] + e[1], e), reverse=True)
+        return sorted(self._pairs(), key=lambda e: (e[0] + e[1], e),
+                      reverse=True)
 
     # -- substitution and evaluation --
 
     def shift(self, da: int, db: int) -> "Poly2":
-        """Substitute Ha -> Ha + da, Hb -> Hb + db."""
-        if da == 0 and db == 0:
+        """Substitute Ha -> Ha + da, Hb -> Hb + db.  A row's digits taken
+        at X = 2^t + db give the shifted row at width t; a Taylor shift of
+        the rows in Ha follows.  Both keep the content."""
+        if (da == 0 and db == 0) or not self._r:
             return self
-        return _poly(_acc({}, self._shift_terms(da, db)), self._d)
-
-    def _shift_terms(self, da: int, db: int):
-        for (ea, eb), (x, y) in self._c.items():
-            for ia in range(ea + 1):
-                ka = comb(ea, ia) * da ** (ea - ia)
-                if ka:
-                    for ib in range(eb + 1):
-                        k = ka * comb(eb, ib) * db ** (eb - ib)
-                        if k:
-                            yield (ia, ib), k * x, k * y
+        s, rows = self._s, (self._r, self._i)
+        grow = (abs(da) + 1) ** (len(self._r) - 1)
+        n = self._n * grow
+        if db or _width(n) > s:
+            rows = [[_digits(row, s) for row in part] for part in rows]
+            n = grow * sum(abs(x) for part in rows for row in part
+                           for x in row)
+            n *= (abs(db) + 1) ** (max(map(len, rows[0] + rows[1])) - 1)
+            s = _width(n)
+            rows = [[_ieval(row, (1 << s) + db) for row in part]
+                    for part in rows]
+        out = []
+        for part in rows:
+            part = list(part)
+            for i in range(len(part) - 1 if da else 0):
+                for j in range(len(part) - 2, i - 1, -1):
+                    part[j] += da * part[j + 1]
+            out.append(part)
+        return _mk(*out, s, n, self._d)
 
     def eval_at(self, pa: GaussRat, pb: GaussRat) -> GaussRat:
         return sum((c * power(pa, ea, GR_ONE) * power(pb, eb, GR_ONE)
@@ -394,17 +433,145 @@ class Poly2:
         return poly_str(self)
 
 
-def _poly(c: dict, d: int) -> Poly2:
-    """A Poly2 from nonzero integer pairs over d > 0: the one gcd pass that
-    puts it in lowest terms."""
+_put = object.__setattr__
+
+
+def _mk(r, i, s: int, n: int, d: int) -> Poly2:
+    """A Poly2 from rows that already meet its invariants."""
+    p = object.__new__(Poly2)
+    _put(p, "_r", tuple(r))
+    _put(p, "_i", tuple(i))
+    _put(p, "_s", s)
+    _put(p, "_n", n)
+    _put(p, "_d", d)
+    return p
+
+
+def _width(n: int) -> int:
+    """The least multiple of 64 above the bit length of n: a slot of that
+    width holds any integer up to n in size with its sign."""
+    return (n.bit_length() // 64 + 1) * 64
+
+
+def _digits(row: int, s: int):
+    """The signed digits of a row, lowest first.  Adding 2^(s-1) to every
+    slot makes each non-negative, so the slots read back without borrows,
+    and flipping each slot's top bit leaves its digit in two's
+    complement."""
+    if not row:
+        return ()
+    m = row.bit_length() // s + 1
+    h = int.from_bytes((bytes(s // 8 - 1) + b"\x80") * m, "little")
+    raw = ((row + h) ^ h).to_bytes(m * s // 8, "little")
+    if s == 64:
+        return struct.unpack(f"<{m}q", raw)
+    w = s // 8
+    return [int.from_bytes(raw[j:j + w], "little", signed=True)
+            for j in range(0, len(raw), w)]
+
+
+def _from_pairs(c: dict, d: int) -> Poly2:
+    """A Poly2 from a map of nonzero integer pairs over d > 0, after the
+    one gcd pass that puts it in lowest terms."""
+    if not c:
+        return _mk((), (), 64, 0, 1)
     g = _igcd(d, *(x for xy in c.values() for x in xy)) if d > 1 else 1
     if g > 1:
         c = {e: (a // g, b // g) for e, (a, b) in c.items()}
         d //= g
-    p = object.__new__(Poly2)
-    object.__setattr__(p, "_c", c)
-    object.__setattr__(p, "_d", d)
-    return p
+    n = sum(abs(a) + abs(b) for a, b in c.values())
+    s = _width(n)
+    re = [0] * (max(ea for ea, _ in c) + 1)
+    im = list(re)
+    for (ea, eb), (a, b) in c.items():
+        re[ea] += a << (s * eb)
+        im[ea] += b << (s * eb)
+    return _mk(re, im if any(im) else (), s, n, d)
+
+
+def _reduced(re: list, im, s: int, n: int, d: int) -> Poly2:
+    """A Poly2 from rows at width s bounded by n over d > 0: trailing zero
+    rows are dropped, and the one gcd pass puts it in lowest terms.  A
+    factor common to the parts divides every row, so the parts are read
+    only when the rows and d have one."""
+    if im:
+        im = [*im, *[0] * (len(re) - len(im))]
+    while re and not re[-1] and not (im and im[-1]):
+        re.pop()
+        if im:
+            im.pop()
+    if not re:
+        return _mk((), (), 64, 0, 1)
+    if not any(im):
+        im = ()
+    g = _igcd(d, *re, *im) if d > 1 else 1
+    if g > 1:
+        g = _igcd(g, *(x for part in (re, im) for row in part
+                       for x in _digits(row, s)))
+        re, im = [x // g for x in re], [y // g for y in im]
+        d, n = d // g, n // g
+    return _mk(re, im, s, n, d)
+
+
+def _norm(p: Poly2) -> int:
+    """The sum of |a| + |b| over p's terms, which becomes p's bound."""
+    s = p._s
+    n = sum(abs(x) for part in (p._r, p._i) for row in part
+            for x in _digits(row, s))
+    _put(p, "_n", n)
+    return n
+
+
+def _rows_at(p: Poly2, s: int) -> tuple:
+    """p's real and imaginary rows at slot width s, which holds them."""
+    t = p._s
+    if t == s:
+        return p._r, p._i
+    return tuple([_ieval(_digits(row, t), 1 << s) for row in part]
+                 for part in (p._r, p._i))
+
+
+def _align(p: Poly2, q: Poly2, bound) -> tuple:
+    """A slot width s for an operation on p and q whose parts are at most
+    bound(p's bound, q's bound) in size, that bound, and the rows of p and
+    q at s.  Sums and quotients leave bounds loose, so where they ask for
+    wider slots than either operand has, they are first made exact."""
+    sp, sq = p._s, q._s
+    n = bound(p._n, q._n)
+    s = _width(n)
+    if s > sp and s > sq:
+        n = bound(_norm(p), _norm(q))
+        s = _width(n)
+    if s <= sp == sq:
+        return sp, n, (p._r, p._i), (q._r, q._i)
+    s = max(s, min(sp, sq))
+    return s, n, _rows_at(p, s), _rows_at(q, s)
+
+
+def _lin(a, fa: int, b, fb: int) -> list:
+    """The rows fa*a + fb*b; either may be empty."""
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = list(a) if fa == 1 else [x * fa for x in a]
+    for j, y in enumerate(b):
+        out[j] += y * fb
+    return out
+
+
+def _conv(a, b) -> list:
+    """The product of two polynomials in Ha given by their rows."""
+    if len(b) == 1:
+        y = b[0]
+        return [x * y for x in a]
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def _acc(out: dict, items) -> dict:
@@ -424,82 +591,16 @@ def _acc(out: dict, items) -> dict:
     return out
 
 
-def _pair_mul(c1: dict, c2: dict) -> dict:
-    """The product of two pair maps, one term pair at a time."""
-    return _acc({}, (((a1 + a2, b1 + b2), x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
-                     for (a1, b1), (x1, y1) in c1.items()
-                     for (a2, b2), (x2, y2) in c2.items()))
-
-
-# A product of at least this many term pairs of real operands is packed
-# into one integer product; on the products the engine makes, the pair
-# loop was faster below it.
-PACK_PAIRS = 50
-
-# Slots of 8 bytes are read and written as one machine word each.
-_WORDS = array("Q").itemsize == 8 and sys.byteorder == "little"
-_first, _second = itemgetter(0), itemgetter(1)
-
-
-def _packed_mul(c1: dict, c2: dict) -> dict:
-    """The product of two pair maps with zero imaginary parts, by Kronecker
-    substitution: the term (ea, eb) becomes the slot ea*w + eb of one
-    integer, w the product's Hb degree plus 1, so no product term spills
-    into another.  No product coefficient exceeds B = sum|x1| * sum|x2|
-    in size, so a slot of 8*size bytes with 2^(8*size - 1) > B holds any
-    of them with its sign; adding half a slot to every slot of the
-    product makes each one non-negative, so the slots read back without
-    borrows."""
-    w = max(map(_second, c1)) + max(map(_second, c2)) + 1
-    bound = (sum(map(abs, map(_first, c1.values())))
-             * sum(map(abs, map(_first, c2.values()))))
-    size = max(8, (bound.bit_length() + 8) // 8)
-    slots = (max(c1)[0] + max(c2)[0] + 1) * w
-    half = 1 << (8 * size - 1)
-    prod = (_pack(c1, w, size) * _pack(c2, w, size)
-            + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little"))
-    raw = prod.to_bytes(size * slots, "little")
-    if size == 8 and _WORDS:
-        vals = array("Q", raw)
-    else:
-        vals = [int.from_bytes(raw[i:i + size], "little")
-                for i in range(0, len(raw), size)]
-    return {divmod(i, w): (v - half, 0) for i, v in enumerate(vals)
-            if v != half}
-
-
-def _pack(c: dict, w: int, size: int) -> int:
-    """The sum of x * 2^(8*size*(ea*w + eb)) over the terms of c, each |x|
-    below 2^(8*size - 1): positive and negative parts fill the slots of
-    one integer each."""
-    n = (max(c)[0] + 1) * w
-    if size == 8 and _WORDS:
-        pos, neg = array("Q", bytes(8 * n)), array("Q", bytes(8 * n))
-        for (ea, eb), (x, _) in c.items():
-            if x > 0:
-                pos[ea * w + eb] = x
-            else:
-                neg[ea * w + eb] = -x
-    else:
-        pos, neg = bytearray(size * n), bytearray(size * n)
-        for (ea, eb), (x, _) in c.items():
-            i = (ea * w + eb) * size
-            if x > 0:
-                pos[i:i + size] = x.to_bytes(size, "little")
-            else:
-                neg[i:i + size] = (-x).to_bytes(size, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _divrem(p: Poly2, g: Poly2) -> tuple:
     """Quotient and remainder of p by g: divide while g's leading term
     divides the leading term of what is left, in Gaussian-integer pairs
     with p * scale = quot * g + rem, scaling only when a quotient
     coefficient would not be integral."""
-    ge = max(g._c)
-    x, y = g._c[ge]
+    gc = g._pairs()
+    ge = max(gc)
+    x, y = gc[ge]
     n = x * x + y * y
-    rem, quot, scale = dict(p._c), {}, 1
+    rem, quot, scale = p._pairs(), {}, 1
     while rem:
         le = max(rem)
         if le[0] < ge[0] or le[1] < ge[1]:
@@ -517,9 +618,9 @@ def _divrem(p: Poly2, g: Poly2) -> tuple:
         quot[qe] = (qa, qb)
         _acc(rem, (((e[0] + qe[0], e[1] + qe[1]),
                     qb * v - qa * u, -qa * v - qb * u)
-                   for e, (u, v) in g._c.items()))
-    return (_poly({e: (a * g._d, b * g._d) for e, (a, b) in quot.items()},
-                  scale * p._d), _poly(rem, scale * p._d))
+                   for e, (u, v) in gc.items()))
+    return (_from_pairs({e: (a * g._d, b * g._d) for e, (a, b) in quot.items()},
+                        scale * p._d), _from_pairs(rem, scale * p._d))
 
 
 P_ZERO = Poly2()
@@ -571,9 +672,9 @@ def _ugcd(u: Poly2, v: Poly2) -> Poly2:
 def _coeffs_in_a(p: Poly2) -> dict:
     """View p as a polynomial in Ha whose coefficients are Hb-polynomials."""
     out = {}
-    for (ea, eb), xy in p._c.items():
+    for (ea, eb), xy in p._pairs().items():
         out.setdefault(ea, {})[(0, eb)] = xy
-    return {k: _poly(row, p._d) for k, row in out.items()}
+    return {k: _from_pairs(row, p._d) for k, row in out.items()}
 
 
 def _primitive(coeffs: dict) -> tuple:
@@ -656,103 +757,85 @@ def _residual_gcd(p: Poly2, q: Poly2) -> Poly2:
 COROOT_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, 2))
 
 
+def _line(key) -> Poly2:
+    (ca, cb), k = key
+    n = ca + cb + abs(k)
+    s = _width(n)
+    return _mk([k + (cb << s), 1] if ca else [k + (1 << s)], (), s, n, 1)
+
+
 def _expand(lines: dict, part: dict) -> Poly2:
     """The product of the lines with their multiplicities, less those in
     part (a divisor of lines)."""
     out = P_ONE
     for key, m in lines.items():
-        (ca, cb), k = key
-        line = _poly({e: (f, 0) for e, f in (((1, 0), ca), ((0, 1), cb),
-                                              ((0, 0), k)) if f}, 1)
+        line = _line(key)
         for _ in range(m - part.get(key, 0)):
             out = _times(out, line)
     return out
 
 
+def _synthetic(rows, c: int):
+    """The quotient rows of a polynomial in Ha, given by its rows, over
+    Ha + c by synthetic division, or None if the remainder is not zero."""
+    acc = rows[-1]
+    quot = [acc]
+    for row in rows[-2::-1]:
+        acc = row - c * acc
+        quot.append(acc)
+    if quot.pop():
+        return None
+    quot.reverse()
+    return quot
+
+
+def _row_quotients(rows, x: int):
+    """Each row over the integer x, or None if one leaves a remainder."""
+    quot = []
+    for row in rows:
+        q, r = divmod(row, x)
+        if r:
+            return None
+        quot.append(q)
+    return quot
+
+
 def _divide_out(p: Poly2, key, limit: int) -> tuple:
     """p divided by the line as often as it divides, at most limit times,
-    and how often: p's integer pairs are divided synthetically in the
-    line's variable u over the other, v, staying integral."""
+    and how often; see the module docstring."""
     (ca, cb), k = key
-    cv = cb if ca else 0  # the line is u + cv*v + k
-    rows, n = {}, 0
-    for e, xy in p._c.items():
-        rows.setdefault(e[1 - ca], {})[e[ca]] = xy
-    while n < limit:
-        quot = _synthetic(rows, cv, k)
-        if quot is None:
+    grow = cb + abs(k) + 1 if ca else abs(k) + 1
+    count = 0
+    while count < limit:
+        re, im, s = p._r, p._i, p._s
+        if ca:
+            deg, div, c = len(re) - 1, _synthetic, (cb << s) + k
+        else:
+            deg = max(row.bit_length() for row in (*re, *im)) // s
+            div, c = _row_quotients, (1 << s) + k
+        q = div(re, c) if deg else None
+        qi = div(im, c) if im and q is not None else ()
+        if q is None or qi is None:
             break
-        rows, n = quot, n + 1
-    if not n:
-        return p, 0
-    return _poly({((u, v) if ca else (v, u)): xy for u, r in rows.items()
-                  for v, xy in r.items() if xy != (0, 0)}, p._d), n
-
-
-def _synthetic(rows: dict, cv: int, k: int):
-    """Rows {u: {v: (re, im)}} over u + cv*v + k by synthetic division in
-    u, or None if the remainder is not zero."""
-    rows = {u: dict(r) for u, r in rows.items()}
-    quot = {}
-    for u in range(max(rows), 0, -1):
-        q = quot[u - 1] = rows.pop(u, {})
-        below = rows.setdefault(u - 1, {})
-        for v, (x, y) in q.items():
-            for w, f in ((v, k), (v + 1, cv)):
-                if f:
-                    a, b = below.get(w, (0, 0))
-                    below[w] = (a - f * x, b - f * y)
-    return None if any(x or y for x, y in rows.get(0, {}).values()) else quot
-
-
-def _zero_at(terms, t: int) -> bool:
-    """Whether the sum of (x + y*i) * t^e over the pairs (e, (x, y)) of
-    terms is zero."""
-    re = im = 0
-    for e, (x, y) in terms:
-        w = t ** e
-        re += x * w
-        im += y * w
-    return not (re or im)
-
-
-def _restriction(p: Poly2, ca: int, v: int) -> list:
-    """p with the coordinate other than u set to v (0 or 1), as (exponent
-    of u, pair) items; u is Ha if ca else Hb."""
-    if not v:
-        return [(e[1 - ca], xy) for e, xy in p._c.items() if not e[ca]]
-    out = {}
-    for e, (x, y) in p._c.items():
-        s = out.get(e[1 - ca])
-        out[e[1 - ca]] = (x, y) if s is None else (s[0] + x, s[1] + y)
-    return list(out.items())
+        if (p._n * grow ** deg).bit_length() >= s:
+            # the remainder proves nothing yet: tighten, or widen the rows
+            n = _norm(p) * grow ** deg
+            if n.bit_length() >= s:
+                p = _mk(*_rows_at(p, _width(n)), _width(n), p._n, p._d)
+            continue
+        p = _mk(q, qi, s, p._n * grow ** (deg - 1), p._d)
+        count += 1
+    return p, count
 
 
 def _divide_lines(p: Poly2, keys, limits) -> tuple:
     """p divided by each line of keys as often as it divides, at most
-    limits[key] times, and the lines that divided with how often.
-
-    Write a line ca*Ha + cb*Hb + k as u + cv*v + k, u its first variable
-    (Ha if ca, else Hb) and v the other.  It can divide p only if p
-    vanishes at its points (u, v) = (-k, 0) and (-k - cv, 1).  The first
-    test alone cannot tell apart the three lines with an Ha part and the
-    same k, which all pass through (-k, 0).  p's restrictions to v = 0
-    and v = 1 are built when a key first needs them, and again only after
-    a line has divided p."""
-    rest, found = {}, {}
+    limits[key] times, and the lines that divided with how often."""
+    found = {}
     for key in keys:
-        (ca, cb), k = key
-        for v, u in ((0, -k), (1, -k - (cb if ca else 0))):
-            r = rest.get((ca, v))
-            if r is None:
-                r = rest[ca, v] = _restriction(p, ca, v)
-            if not _zero_at(r, u):
-                break
-        else:
-            p, n = _divide_out(p, key, limits[key])
-            if n:
-                found[key] = n
-                rest = {}
+        p, n = _divide_out(p, key, limits[key])
+        if n:
+            found[key] = n
     return p, found
 
 
@@ -817,13 +900,14 @@ def _split_lines(p: Poly2) -> tuple:
     lines = {}
     if p.is_const():
         return lines, P_ONE
-    top = max(ea for ea, _ in p._c)
+    top = len(p._r) - 1
     p = _strip(p, [((0, 1), -r) for r in _int_roots(
-        {eb: xy for (ea, eb), xy in p._c.items() if ea == top})], lines)
+        {eb: xy for (ea, eb), xy in p._pairs().items() if ea == top})],
+        lines)
     # With no Hb + k factor left, p(Ha, 0) is not zero, and a line
     # Ha + cb*Hb + k dividing p gives it the root Ha = -k.
     p = _strip(p, [(d, -r) for r in _int_roots(
-        {ea: xy for (ea, eb), xy in p._c.items() if eb == 0})
+        {ea: xy for (ea, eb), xy in p._pairs().items() if eb == 0})
         for d in COROOT_DIRECTIONS if d[0]], lines)
     return lines, P_ONE if p.is_const() else p.monic()
 
@@ -999,10 +1083,7 @@ class RatFunc:
                 return RF_ZERO
             if other == 1:
                 return self
-            n = self.num
-            return _rf(_poly({e: (a * other, b * other)
-                              for e, (a, b) in n._c.items()}, n._d),
-                       self.lines, self.res)
+            return _rf(_scaled(self.num, other), self.lines, self.res)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
@@ -1113,6 +1194,19 @@ def _rf(num: Poly2, lines: dict, res: Poly2) -> RatFunc:
 
 def _times(p: Poly2, q: Poly2) -> Poly2:
     return p if q is P_ONE else q if p is P_ONE else p * q
+
+
+def _scaled(p: Poly2, k: int) -> Poly2:
+    """p times the nonzero int k: k and the denominator lose their common
+    factor, which leaves the result in lowest terms."""
+    g = _igcd(k, p._d)
+    k, n = k // g, p._n * abs(k // g)
+    s = p._s
+    if _width(n) > s:
+        n = _norm(p) * abs(k)
+        s = max(_width(n), s)
+    re, im = _rows_at(p, s)
+    return _mk([x * k for x in re], [y * k for y in im], s, n, p._d // g)
 
 
 class _LimitSentinel:
