@@ -806,7 +806,7 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
     (ca, cb), k = key
     grow = cb + abs(k) + 1 if ca else abs(k) + 1
     count = 0
-    while count < limit:
+    while count < limit and p._r:
         re, im, s = p._r, p._i, p._s
         if ca:
             deg, div, c = len(re) - 1, _synthetic, (cb << s) + k

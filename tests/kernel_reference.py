@@ -3,13 +3,14 @@
 Before numerators were stored as packed rows of big integers, a ``Poly2``
 was a map ``{(ea, eb): (re, im)}`` of nonzero Gaussian-integer pairs over
 one denominator ``d > 0`` with gcd(all re, all im, d) = 1.  This module
-keeps that kernel's sum, product and line division, one term at a time,
-on plain ``(pairs, d)`` values, so the packed kernel can be compared with
-it on any input.  Do not speed it up: it is an oracle.
+keeps that kernel's sum, product, shift and line division, one term at a
+time, on plain ``(pairs, d)`` values, so the packed kernel can be compared
+with it on any input.  Do not speed it up: it is an oracle.
 
 A line key ``((ca, cb), k)`` is the form ca*Ha + cb*Hb + k.
 """
 
+from math import comb
 from math import gcd as _igcd
 
 
@@ -60,6 +61,23 @@ def ref_add(p: tuple, q: tuple) -> tuple:
            else {e: (a * f1, b * f1) for e, (a, b) in c1.items()})
     return ref_poly(_acc(out, ((e, a * f2, b * f2)
                                for e, (a, b) in c2.items())), d1 * f1)
+
+
+def _shift_terms(c: dict, da: int, db: int):
+    for (ea, eb), (x, y) in c.items():
+        for ia in range(ea + 1):
+            ka = comb(ea, ia) * da ** (ea - ia)
+            if ka:
+                for ib in range(eb + 1):
+                    k = ka * comb(eb, ib) * db ** (eb - ib)
+                    if k:
+                        yield (ia, ib), k * x, k * y
+
+
+def ref_shift(p: tuple, da: int, db: int) -> tuple:
+    """``Poly2.shift`` of the dict kernel: Ha -> Ha + da, Hb -> Hb + db."""
+    c, d = p
+    return ref_poly(_acc({}, _shift_terms(c, da, db)), d)
 
 
 def _divide_out(p: tuple, key, limit: int) -> tuple:

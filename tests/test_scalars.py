@@ -15,6 +15,8 @@ from drasp4.scalars import (DIVERGENT, GR_ONE, GR_ZERO, GaussRat, HA, HB,
                             UNDEFINED, poly_gcd, rf_affine, rf_from_json,
                             rf_json, rf_str)
 
+from kernel_reference import ref_divide_lines, ref_mul
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DERIVED = json.loads((FIXTURES / "derived_values.json").read_text())
 
@@ -563,15 +565,18 @@ def wide_poly(rng, size, mag, real=True):
 
 
 def pair_product(p: Poly2, q: Poly2) -> Poly2:
-    return scalars._poly(scalars._pair_mul(p._c, q._c), p._d * q._d)
+    """p * q by the frozen dict kernel's loop over term pairs."""
+    c, d = ref_mul((p._pairs(), p._d), (q._pairs(), q._d))
+    return Poly2({e: GaussRat(Fraction(a, d), Fraction(b, d))
+                  for e, (a, b) in c.items()})
 
 
 def test_packed_product_matches_pair_loop():
-    """Products on both sides of the packing cut-off equal the pair loop,
-    with coefficients that fit a 64-bit slot and ones that do not;
-    operands with an imaginary part keep the pair loop."""
+    """Products of packed rows equal the pair loop, with coefficients that
+    fit a 64-bit slot and ones that do not, real and Gaussian, over
+    denominators that are often > 1."""
     rng = random.Random(6464)
-    packed = 0
+    wide = 0
     for n in range(160):
         real = n % 4 != 3
         mag = (9, 2 ** 40, 2 ** 70, 2 ** 130)[rng.randrange(4)]
@@ -579,28 +584,25 @@ def test_packed_product_matches_pair_loop():
                 for _ in range(2))
         expected = pair_product(p, q)
         assert p * q == expected and q * p == expected
-        if real:
-            assert scalars._packed_mul(p._c, q._c) == \
-                scalars._pair_mul(p._c, q._c)
-            packed += len(p._c) * len(q._c) >= scalars.PACK_PAIRS
-    assert packed > 30
+        wide += (p * q)._s > 64
+    assert wide > 30
 
 
 @pytest.mark.parametrize("bits", (64, 128))
 @pytest.mark.parametrize("sign", (1, -1))
 def test_packed_slot_holds_the_sign_of_the_bound(bits, sign):
     """The bound B = sum|x1| * sum|x2| on a product coefficient is bits
-    long, a whole number of bytes, and the constant coefficient x^2 is
-    above B/2: the slot needs a byte more than B for the sign."""
+    long, a whole number of words, and the constant coefficient x^2 is
+    above B/2: the slot needs a word more than B for the sign."""
     x = (1 << (bits // 2)) - (1 << (bits // 4))
     p = Poly2({(0, 0): GaussRat(x),
                **{(i, 0): GaussRat((-1) ** i) for i in range(1, 10)}})
     q = Poly2({(0, 0): GaussRat(sign * x),
                **{(0, j): GaussRat(j % 3 - 1 or 1) for j in range(1, 10)}})
     assert ((x + 9) * (x + 9)).bit_length() == bits
-    assert len(p._c) * len(q._c) >= scalars.PACK_PAIRS
+    assert (p * q)._s == bits + 64
     assert p * q == pair_product(p, q)
-    assert (p * q)._c[(0, 0)] == (sign * x * x, 0)
+    assert (p * q)._pairs()[(0, 0)] == (sign * x * x, 0)
 
 
 def test_line_cancellation_per_direction():
@@ -631,14 +633,16 @@ def test_line_cancellation_per_direction():
 
 
 def test_line_test_tells_lines_through_one_axis_point_apart(monkeypatch):
-    """Ha + 2, Ha + Hb + 2 and Ha + 2*Hb + 2 all pass through (-2, 0);
-    only the line that divides the numerator reaches synthetic division."""
+    """Ha + 2, Ha + Hb + 2 and Ha + 2*Hb + 2 all pass through (-2, 0).  Each
+    is tried by division; only the line that divides the numerator divides
+    it, as in the dict kernel, and the product is in lowest terms."""
     probes = []
     divide_out = scalars._divide_out
 
     def counted(p, key, limit):
-        probes.append(key)
-        return divide_out(p, key, limit)
+        q, n = divide_out(p, key, limit)
+        probes.append((key, n))
+        return q, n
 
     monkeypatch.setattr(scalars, "_divide_out", counted)
     f = (HA + HB + 2) * (HB + 7)
@@ -646,7 +650,11 @@ def test_line_test_tells_lines_through_one_axis_point_apart(monkeypatch):
     expected = (HB + 7) / ((HA + 2) * (HA + 2 * HB + 2))
     probes.clear()
     assert f * g == expected
-    assert probes == [((1, 1), 2)]
+    assert sorted(probes) == [(((1, 0), 2), 0), (((1, 1), 2), 1),
+                              (((1, 2), 2), 0)]
+    limits = dict.fromkeys(g.lines, 1)
+    quot, found = ref_divide_lines((f.num._pairs(), f.num._d), limits, limits)
+    assert found == {((1, 1), 2): 1} and quot == (expected.num._pairs(), 1)
 
 
 # Gaussian values whose products can share a content: (1+i)(1-i) = 2.
