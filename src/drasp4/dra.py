@@ -235,10 +235,12 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     This rests on associativity and on one premise: the leaf w_j <> g is
     w_{j+1} plus terms lower in weyl_word order, with coefficient 1 on
     w_{j+1}.  It has a lower term (d2 x2 traded for d1 x1) only when g is
-    x2 and d2 divides w_j.  The recursion goes through the runs of n and
-    one level per correction; corrections nest once per letter of the
-    shorter of the d2 and x2 runs, so a cold product recurses at most 13
-    levels below its first call for right factors up to degree 12.
+    x2 and d2 divides w_j: then (a, b, c, 0) <> x2 has the lower term
+    (a+1, b-1, c, 1).  Corrections nest once per such trade, so before the
+    peel of an x2 run the right factors (a+t, b-t, h, 0) that nested
+    corrections peel are computed, most trades t first: each then finds
+    the corrections it takes already cached, and a cold product recurses
+    a bounded depth whatever the lengths of the runs of n.
     """
     if sum(n) <= 1:
         out = {}
@@ -251,6 +253,11 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     left = DraElem({m: RF_ONE})
     i = max(k for k, e in enumerate(n) if e)
     w = n[:i] + (0,) * (4 - i)
+    if i == 2:
+        # warm the x2 runs that nested corrections peel, most trades first
+        for t in range(min(w[1], n[2]), 0, -1):
+            for h in range(1, n[2] - t + 1):
+                _basis_diamond(m, (w[0] + t, w[1] - t, h, 0))
     out = _basis_diamond(m, w) if any(w) else left
     for _ in range(n[i]):
         step = _basis_diamond(w, _UNITS[i])

@@ -344,6 +344,30 @@ def test_long_runs_under_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def _frames() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def test_nested_corrections_recurse_a_bounded_depth():
+    # x1 <> d2^16 x2^16 takes a correction per d2 x2 trade, and they nest;
+    # the unwarmed peel needed 96 frames above its caller (5k + 16 for
+    # d2^k x2^k), the warmed one needs the same few for every k.  The
+    # digest is the unwarmed peel's.
+    limit = sys.getrecursionlimit()
+    drasp4.clear_caches()
+    sys.setrecursionlimit(_frames() + 56)
+    try:
+        got = diamond(X1_BAR, DraElem({(0, 16, 16, 0): RF_ONE}))
+    finally:
+        sys.setrecursionlimit(limit)
+    text = json.dumps(dra_json(got)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "0fa76a27cec9336d961246d91244542a94e34b501bcb1d2de91b2ca0fe6284a9")
+
+
 def test_theta_mirrors_relations():
     # each side of the swap relation maps to the matching side of its mirror
     swap = RF_ONE + RF_ONE / (HA + 1)
