@@ -15,36 +15,38 @@ moves each line's constant.  What does not split into such lines (only
 parser or hand-built input has it) stays one residual polynomial, reduced
 by a gcd in one place, the RatFunc constructor: a sum, product or inverse
 with a residual operand is built there from expanded numerators and
-denominators, and line-only values never take a gcd.  A polynomial keeps
-Gaussian-integer coefficient pairs over one denominator, the way a
-Gaussian rational keeps one number, so its ring operations run in plain
-ints with one gcd pass per result.
+denominators, and line-only values never take a gcd.
 
-A line test looks first at the numerator's restriction to an axis, p(Ha, 0)
-or p(0, Hb), built once per cancellation: a line can divide the numerator
-only if that restriction vanishes where the line meets the axis.  The
-three lines with an Ha part and the same constant meet the axis in one
-point, so the test then looks at a second point of the line, where the
-other coordinate is 1, through the restriction there.  Synthetic
-division runs only after both tests.
+A polynomial keeps Gaussian-integer coefficients over one denominator,
+packed by Kronecker substitution into one int per Ha degree: the row of
+Ha^ea is its Hb polynomial at X = 2^s, with signed digits, and the
+imaginary parts of a non-real polynomial fill a second list of rows.  The
+slot width s is a multiple of 64 above the bit length of a bound n on the
+sum of the parts' sizes, so each digit is below 2^(s-1) in size and reads
+back with its sign.  A product convolves rows, one big-integer product
+per pair, under the product of the bounds; a sum adds rows.  Bounds left
+loose by sums and quotients are made exact from the digits only when
+they would widen the slots.  A plain int or a constant scales rows and
+cancels no line.
 
-A constant factor scales the other factor's numerator and cancels
-nothing: a nonzero constant divides by no line and changes no gcd, so the
-product keeps the other factor's lines and residual as they are.  A
-factor equal to 1 returns the other factor itself, and a plain int
-scales the numerator's pairs without being built into a constant.  A
-one-term polynomial factor maps the other factor's terms directly, since
-their shifted keys cannot collide.  Products of larger real polynomials,
-from PACK_PAIRS term pairs on, are packed into one big-integer product
-(Kronecker substitution) and read back slot by slot; smaller ones keep
-the loop over term pairs.
+A line divides the rows as they are: for Ha + cb*Hb + k, synthetically in
+Ha with cb*Hb + k as the integer cb*X + k; for Hb + k, row by row by the
+integer X + k.  Evaluation at X is a ring map, so a nonzero remainder
+shows that the line does not divide.  A zero one is the value at X of
+the remainder polynomial, whose parts are at most n * (|k| + cb + 1)^deg
+in size for the degree deg in the line's variable; once that bound is
+below 2^(s-1), the remainder is zero, and each quotient part fits its
+slot.  Otherwise the bound is made exact and, if still
+needed, the rows are widened and divided again.  The polynomial is never
+divided as one integer: X^w = (-k)^w modulo X + k, so for |k| <= 1 its
+rows would fold into one value and a zero remainder would prove nothing.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from math import gcd as _igcd
 from operator import mul
 
@@ -142,19 +144,11 @@ class GaussRat:
 
     def __sub__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        d1, d2 = self._d, g._d
-        if d1 == d2:
-            return GaussRat._raw(self._a - g._a, self._b - g._b, d1)
-        return GaussRat._raw(self._a * d2 - g._a * d1,
-                             self._b * d2 - g._b * d1, d1 * d2)
+        return NotImplemented if g is None else self + -g
 
     def __rsub__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g - self
+        return NotImplemented if g is None else g - self
 
     def __neg__(self):
         return GaussRat._raw(-self._a, -self._b, self._d)
@@ -177,15 +171,11 @@ class GaussRat:
 
     def __truediv__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self * g.inv()
+        return NotImplemented if g is None else self * g.inv()
 
     def __rtruediv__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g * self.inv()
+        return NotImplemented if g is None else g * self.inv()
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -225,20 +215,13 @@ def gauss_json(c: GaussRat) -> list:
 # ---------------------------------------------------------------------------
 
 class Poly2:
-    """Polynomial in the coordinates (Ha, Hb) over the Gaussian rationals,
-    stored the way GaussRat stores one number: Gaussian-integer parts
-    (a + b*i)/d over one denominator ``_d`` > 0, with gcd(all a, all b, d)
-    = 1, packed by rows (see the module docstring).  ``_r[ea]`` is the sum
-    of a * 2^(s*eb) over the terms (ea, eb) for the slot width ``_s``,
-    ``_i`` holds the b parts the same way or is empty, and the top row is
-    nonzero.  ``_n`` bounds the sum of |a| + |b|.  Equal polynomials may
-    have different widths, so equality and hashing fall back to the dict
-    form, which ``terms`` (the map to GaussRat coefficients) and the
-    residual gcd also read.
-
-    The leading term is taken in lex order on (ea, eb); canonical
-    denominators are normalized to leading coefficient 1.
-    """
+    """Polynomial in (Ha, Hb) with coefficients (a + b*i)/d over one
+    denominator ``_d`` > 0, gcd(all a, all b, d) = 1.  ``_r[ea]`` is the
+    sum of a * 2^(s*eb) over the terms (ea, eb), s = ``_s``; ``_i`` holds
+    the b parts so, or is empty; the top row is nonzero; ``_n`` bounds the
+    sum of |a| + |b|.  Equal polynomials may differ in s, so equality and
+    hashing then read the dict form, as ``terms`` does.  The leading term
+    is taken in lex order on (ea, eb)."""
 
     __slots__ = ("_r", "_i", "_s", "_n", "_d")
 
@@ -247,9 +230,6 @@ class Poly2:
         d = lcm(*(c._d for c in t.values()))
         return _from_pairs({e: (c._a * (d // c._d), c._b * (d // c._d))
                             for e, c in t.items()}, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly2 is immutable")
 
     @property
     def terms(self) -> dict:
@@ -309,12 +289,9 @@ class Poly2:
     def __eq__(self, other):
         if type(other) is not Poly2:
             return NotImplemented
-        if (self._d != other._d or len(self._r) != len(other._r)
-                or len(self._i) != len(other._i)):
-            return False
         if self._s == other._s:
-            return self._r == other._r and self._i == other._i
-        return self._pairs() == other._pairs()
+            return (self._r, self._i, self._d) == (other._r, other._i, other._d)
+        return self._d == other._d and self._pairs() == other._pairs()
 
     def __hash__(self):
         return hash((frozenset(self._pairs().items()), self._d))
@@ -322,10 +299,6 @@ class Poly2:
     # -- ring operations --
 
     def __add__(self, other):
-        if not other._r:
-            return self
-        if not self._r:
-            return other
         d1, d2 = self._d, other._d
         g = _igcd(d1, d2)
         f1, f2 = d2 // g, d1 // g
@@ -346,8 +319,6 @@ class Poly2:
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        if not self._r or not other._r:
-            return P_ZERO
         s, n, (r1, i1), (r2, i2) = _align(self, other, mul)
         re, im = _conv(r1, r2), ()
         if i1 and i2:
@@ -386,25 +357,21 @@ class Poly2:
     # -- substitution and evaluation --
 
     def shift(self, da: int, db: int) -> "Poly2":
-        """Substitute Ha -> Ha + da, Hb -> Hb + db.  A row's digits taken
-        at X = 2^t + db give the shifted row at width t; a Taylor shift of
-        the rows in Ha follows.  Both keep the content."""
+        """Substitute Ha -> Ha + da, Hb -> Hb + db: each row's digits taken
+        at 2^s + db, s the width of the shifted bound, give the shifted
+        row, and a Taylor shift of the rows in Ha follows."""
         if (da == 0 and db == 0) or not self._r:
             return self
-        s, rows = self._s, (self._r, self._i)
-        grow = (abs(da) + 1) ** (len(self._r) - 1)
-        n = self._n * grow
-        if db or _width(n) > s:
-            rows = [[_digits(row, s) for row in part] for part in rows]
-            n = grow * sum(abs(x) for part in rows for row in part
-                           for x in row)
-            n *= (abs(db) + 1) ** (max(map(len, rows[0] + rows[1])) - 1)
-            s = _width(n)
-            rows = [[_ieval(row, (1 << s) + db) for row in part]
-                    for part in rows]
+        s = self._s
+        rows = [[_digits(row, s) for row in part]
+                for part in (self._r, self._i)]
+        n = (sum(abs(x) for part in rows for row in part for x in row)
+             * (abs(da) + 1) ** (len(self._r) - 1)
+             * (abs(db) + 1) ** (max(map(len, rows[0] + rows[1])) - 1))
+        s = _width(n)
         out = []
         for part in rows:
-            part = list(part)
+            part = [_ieval(row, (1 << s) + db) for row in part]
             for i in range(len(part) - 1 if da else 0):
                 for j in range(len(part) - 2, i - 1, -1):
                     part[j] += da * part[j + 1]
@@ -433,31 +400,22 @@ class Poly2:
         return poly_str(self)
 
 
-_put = object.__setattr__
-
-
 def _mk(r, i, s: int, n: int, d: int) -> Poly2:
     """A Poly2 from rows that already meet its invariants."""
     p = object.__new__(Poly2)
-    _put(p, "_r", tuple(r))
-    _put(p, "_i", tuple(i))
-    _put(p, "_s", s)
-    _put(p, "_n", n)
-    _put(p, "_d", d)
+    p._r, p._i, p._s, p._n, p._d = tuple(r), tuple(i), s, n, d
     return p
 
 
 def _width(n: int) -> int:
-    """The least multiple of 64 above the bit length of n: a slot of that
-    width holds any integer up to n in size with its sign."""
+    """The least multiple of 64 whose slots hold |x| <= n with its sign."""
     return (n.bit_length() // 64 + 1) * 64
 
 
 def _digits(row: int, s: int):
-    """The signed digits of a row, lowest first.  Adding 2^(s-1) to every
-    slot makes each non-negative, so the slots read back without borrows,
-    and flipping each slot's top bit leaves its digit in two's
-    complement."""
+    """The signed digits of a row, lowest first: 2^(s-1) added to every
+    slot makes each non-negative, and flipping each slot's top bit then
+    leaves its digit in two's complement."""
     if not row:
         return ()
     m = row.bit_length() // s + 1
@@ -473,15 +431,13 @@ def _digits(row: int, s: int):
 def _from_pairs(c: dict, d: int) -> Poly2:
     """A Poly2 from a map of nonzero integer pairs over d > 0, after the
     one gcd pass that puts it in lowest terms."""
-    if not c:
-        return _mk((), (), 64, 0, 1)
     g = _igcd(d, *(x for xy in c.values() for x in xy)) if d > 1 else 1
     if g > 1:
         c = {e: (a // g, b // g) for e, (a, b) in c.items()}
         d //= g
     n = sum(abs(a) + abs(b) for a, b in c.values())
     s = _width(n)
-    re = [0] * (max(ea for ea, _ in c) + 1)
+    re = [0] * (max((ea for ea, _ in c), default=-1) + 1)
     im = list(re)
     for (ea, eb), (a, b) in c.items():
         re[ea] += a << (s * eb)
@@ -490,18 +446,15 @@ def _from_pairs(c: dict, d: int) -> Poly2:
 
 
 def _reduced(re: list, im, s: int, n: int, d: int) -> Poly2:
-    """A Poly2 from rows at width s bounded by n over d > 0: trailing zero
-    rows are dropped, and the one gcd pass puts it in lowest terms.  A
-    factor common to the parts divides every row, so the parts are read
-    only when the rows and d have one."""
+    """A Poly2 from rows at width s bounded by n over d > 0, trailing zero
+    rows dropped, in lowest terms: a factor of all parts divides all rows,
+    so the parts are read only when the rows and d have one."""
     if im:
         im = [*im, *[0] * (len(re) - len(im))]
     while re and not re[-1] and not (im and im[-1]):
         re.pop()
         if im:
             im.pop()
-    if not re:
-        return _mk((), (), 64, 0, 1)
     if not any(im):
         im = ()
     g = _igcd(d, *re, *im) if d > 1 else 1
@@ -516,9 +469,8 @@ def _reduced(re: list, im, s: int, n: int, d: int) -> Poly2:
 def _norm(p: Poly2) -> int:
     """The sum of |a| + |b| over p's terms, which becomes p's bound."""
     s = p._s
-    n = sum(abs(x) for part in (p._r, p._i) for row in part
-            for x in _digits(row, s))
-    _put(p, "_n", n)
+    p._n = n = sum(abs(x) for part in (p._r, p._i) for row in part
+                   for x in _digits(row, s))
     return n
 
 
@@ -574,23 +526,6 @@ def _conv(a, b) -> list:
     return out
 
 
-def _acc(out: dict, items) -> dict:
-    """Add nonzero (key, re, im) triples into out, a map of nonzero
-    integer pairs, and return it; a key whose sum cancels is removed."""
-    get = out.get
-    for e, x, y in items:
-        s = get(e)
-        if s is None:
-            out[e] = (x, y)
-        else:
-            s = (s[0] + x, s[1] + y)
-            if s == (0, 0):
-                del out[e]
-            else:
-                out[e] = s
-    return out
-
-
 def _divrem(p: Poly2, g: Poly2) -> tuple:
     """Quotient and remainder of p by g: divide while g's leading term
     divides the leading term of what is left, in Gaussian-integer pairs
@@ -616,9 +551,12 @@ def _divrem(p: Poly2, g: Poly2) -> tuple:
             scale *= f
         qa, qb = qa * f // n, qb * f // n
         quot[qe] = (qa, qb)
-        _acc(rem, (((e[0] + qe[0], e[1] + qe[1]),
-                    qb * v - qa * u, -qa * v - qb * u)
-                   for e, (u, v) in gc.items()))
+        for (ea, eb), (u, v) in gc.items():
+            e = (ea + qe[0], eb + qe[1])
+            a, b = rem.pop(e, (0, 0))
+            a, b = a + qb * v - qa * u, b - qa * v - qb * u
+            if a or b:
+                rem[e] = (a, b)
     return (_from_pairs({e: (a * g._d, b * g._d) for e, (a, b) in quot.items()},
                         scale * p._d), _from_pairs(rem, scale * p._d))
 
@@ -644,20 +582,13 @@ def poly_json(p: Poly2) -> list:
 
 
 def poly_from_json(rows) -> Poly2:
-    terms = {}
-    for ea, eb, re, im in rows:
-        terms[(int(ea), int(eb))] = GaussRat(Fraction(re), Fraction(im))
-    return Poly2(terms)
+    return Poly2({(int(ea), int(eb)): GaussRat(Fraction(re), Fraction(im))
+                  for ea, eb, re, im in rows})
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd.  RatFunc keeps the integer-shift coroot lines of its
-# denominators factored (see below) and cancels them by a line test, so a
-# gcd is taken only of what does not split into such lines, which only
-# parser or hand-built input has.  It is a subresultant remainder
-# sequence in Ha with contents in Hb over the Gaussian rationals.  Its
-# divisions work in Poly2's Gaussian-integer pairs and scale a remainder
-# only where a quotient coefficient would not be integral.
+# Polynomial gcd, of residuals only: a subresultant remainder sequence in Ha
+# with contents in Hb over the Gaussian rationals, on the dict form.
 # ---------------------------------------------------------------------------
 
 def _ugcd(u: Poly2, v: Poly2) -> Poly2:
@@ -759,8 +690,7 @@ COROOT_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, 2))
 
 def _line(key) -> Poly2:
     (ca, cb), k = key
-    n = ca + cb + abs(k)
-    s = _width(n)
+    s = _width(n := ca + cb + abs(k))
     return _mk([k + (cb << s), 1] if ca else [k + (1 << s)], (), s, n, 1)
 
 
@@ -806,17 +736,16 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
     (ca, cb), k = key
     grow = cb + abs(k) + 1 if ca else abs(k) + 1
     count = 0
+    div = _synthetic if ca else _row_quotients
     while count < limit and p._r:
         re, im, s = p._r, p._i, p._s
-        if ca:
-            deg, div, c = len(re) - 1, _synthetic, (cb << s) + k
-        else:
-            deg = max(row.bit_length() for row in (*re, *im)) // s
-            div, c = _row_quotients, (1 << s) + k
-        q = div(re, c) if deg else None
+        c = ((cb if ca else 1) << s) + k
+        q = div(re, c)
         qi = div(im, c) if im and q is not None else ()
         if q is None or qi is None:
             break
+        deg = (len(re) - 1 if ca
+               else max(row.bit_length() for row in (*re, *im)) // s)
         if (p._n * grow ** deg).bit_length() >= s:
             # the remainder proves nothing yet: tighten, or widen the rows
             n = _norm(p) * grow ** deg
@@ -830,12 +759,23 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
 
 def _divide_lines(p: Poly2, keys, limits) -> tuple:
     """p divided by each line of keys as often as it divides, at most
-    limits[key] times, and the lines that divided with how often."""
-    found = {}
+    limits[key] times, and the lines that divided with how often.  A line
+    Ha + cb*Hb + k is divided only where its remainder vanishes modulo
+    X - 1, that is where p(-k - cb, 1) = 0; the rows' residues are taken
+    once for all lines."""
+    found, res = {}, None
     for key in keys:
+        (ca, cb), k = key
+        if ca:
+            if res is None:
+                m = (1 << p._s) - 1
+                res = [[row % m for row in part] for part in (p._r, p._i)]
+            if any(_ieval(part, -k - cb) % m for part in res):
+                continue
         p, n = _divide_out(p, key, limits[key])
         if n:
             found[key] = n
+            res = None
     return p, found
 
 
@@ -1069,21 +1009,19 @@ class RatFunc:
 
     def __rsub__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g - self
+        return NotImplemented if g is None else g - self
 
     def __neg__(self):
         return _rf(-self.num, self.lines, self.res)
 
     def __mul__(self, other):
         if type(other) is int:
-            # scales the numerator's pairs, builds no constant
+            # scales the numerator's rows, builds no constant scalar
             if not other or not self.num:
                 return RF_ZERO
             if other == 1:
                 return self
-            return _rf(_scaled(self.num, other), self.lines, self.res)
+            return _rf(self.num * Poly2.const(other), self.lines, self.res)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
@@ -1116,15 +1054,11 @@ class RatFunc:
 
     def __truediv__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self * g.inv()
+        return NotImplemented if g is None else self * g.inv()
 
     def __rtruediv__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g * self.inv()
+        return NotImplemented if g is None else g * self.inv()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1194,19 +1128,6 @@ def _rf(num: Poly2, lines: dict, res: Poly2) -> RatFunc:
 
 def _times(p: Poly2, q: Poly2) -> Poly2:
     return p if q is P_ONE else q if p is P_ONE else p * q
-
-
-def _scaled(p: Poly2, k: int) -> Poly2:
-    """p times the nonzero int k: k and the denominator lose their common
-    factor, which leaves the result in lowest terms."""
-    g = _igcd(k, p._d)
-    k, n = k // g, p._n * abs(k // g)
-    s = p._s
-    if _width(n) > s:
-        n = _norm(p) * abs(k)
-        s = max(_width(n), s)
-    re, im = _rows_at(p, s)
-    return _mk([x * k for x in re], [y * k for y in im], s, n, p._d // g)
 
 
 class _LimitSentinel:

@@ -511,13 +511,13 @@ def test_constant_factor_probes_no_line(monkeypatch):
     f = RF_ONE / ((HA + 1) * (HB + 2) * (HA + HB + 3))
     assert len(f.lines) == 3
     probes = []
-    divide_out = scalars._divide_out
+    divide_lines = scalars._divide_lines
 
     def counted(*args):
         probes.append(args)
-        return divide_out(*args)
+        return divide_lines(*args)
 
-    monkeypatch.setattr(scalars, "_divide_out", counted)
+    monkeypatch.setattr(scalars, "_divide_lines", counted)
     c = RatFunc.const(GaussRat(Fraction(-2, 3), 1))
     for r in (c * f, f * c, 3 * f, f * Fraction(1, 2)):
         assert r.lines == f.lines
@@ -632,29 +632,22 @@ def test_line_cancellation_per_direction():
         assert_lowest_terms(result, reference)
 
 
-def test_line_test_tells_lines_through_one_axis_point_apart(monkeypatch):
-    """Ha + 2, Ha + Hb + 2 and Ha + 2*Hb + 2 all pass through (-2, 0).  Each
-    is tried by division; only the line that divides the numerator divides
-    it, as in the dict kernel, and the product is in lowest terms."""
-    probes = []
-    divide_out = scalars._divide_out
-
-    def counted(p, key, limit):
-        q, n = divide_out(p, key, limit)
-        probes.append((key, n))
-        return q, n
-
-    monkeypatch.setattr(scalars, "_divide_out", counted)
+def test_line_test_tells_lines_through_one_axis_point_apart():
+    """Ha + 2, Ha + Hb + 2 and Ha + 2*Hb + 2 all pass through (-2, 0).  The
+    line that divides the numerator divides it once, the other two are
+    rejected, each as in the dict kernel, and the product is in lowest
+    terms."""
     f = (HA + HB + 2) * (HB + 7)
     g = RF_ONE / ((HA + 2) * (HA + HB + 2) * (HA + 2 * HB + 2))
     expected = (HB + 7) / ((HA + 2) * (HA + 2 * HB + 2))
-    probes.clear()
     assert f * g == expected
-    assert sorted(probes) == [(((1, 0), 2), 0), (((1, 1), 2), 1),
-                              (((1, 2), 2), 0)]
-    limits = dict.fromkeys(g.lines, 1)
-    quot, found = ref_divide_lines((f.num._pairs(), f.num._d), limits, limits)
-    assert found == {((1, 1), 2): 1} and quot == (expected.num._pairs(), 1)
+    num = (f.num._pairs(), f.num._d)
+    for key in g.lines:
+        quot, found = scalars._divide_lines(f.num, [key], {key: 1})
+        assert ((quot._pairs(), quot._d), found) == ref_divide_lines(
+            num, [key], {key: 1})
+        assert found == ({key: 1} if key == ((1, 1), 2) else {})
+        assert quot == (expected.num if found else f.num)
 
 
 # Gaussian values whose products can share a content: (1+i)(1-i) = 2.
