@@ -476,10 +476,9 @@ def _norm(p: Poly2) -> int:
 
 def _rows_at(p: Poly2, s: int) -> tuple:
     """p's real and imaginary rows at slot width s, which holds them."""
-    t = p._s
-    if t == s:
+    if p._s == s:
         return p._r, p._i
-    return tuple([_ieval(_digits(row, t), 1 << s) for row in part]
+    return tuple([_ieval(_digits(row, p._s), 1 << s) for row in part]
                  for part in (p._r, p._i))
 
 
@@ -708,15 +707,10 @@ def _expand(lines: dict, part: dict) -> Poly2:
 def _synthetic(rows, c: int):
     """The quotient rows of a polynomial in Ha, given by its rows, over
     Ha + c by synthetic division, or None if the remainder is not zero."""
-    acc = rows[-1]
-    quot = [acc]
+    quot = [rows[-1]]
     for row in rows[-2::-1]:
-        acc = row - c * acc
-        quot.append(acc)
-    if quot.pop():
-        return None
-    quot.reverse()
-    return quot
+        quot.append(row - c * quot[-1])
+    return None if quot.pop() else quot[::-1]
 
 
 def _row_quotients(rows, x: int):
@@ -760,9 +754,8 @@ def _divide_out(p: Poly2, key, limit: int) -> tuple:
 def _divide_lines(p: Poly2, keys, limits) -> tuple:
     """p divided by each line of keys as often as it divides, at most
     limits[key] times, and the lines that divided with how often.  A line
-    Ha + cb*Hb + k is divided only where its remainder vanishes modulo
-    X - 1, that is where p(-k - cb, 1) = 0; the rows' residues are taken
-    once for all lines."""
+    Ha + cb*Hb + k is tried only where its remainder vanishes modulo X - 1,
+    that is where p(-k - cb, 1) = 0, from residues taken once."""
     found, res = {}, None
     for key in keys:
         (ca, cb), k = key
@@ -968,6 +961,10 @@ class RatFunc:
         only where both operands have it with the same multiplicity, so
         the sum is tested on those lines alone.  An operand with a
         residual sends the sum through the constructor."""
+        if not g.num:
+            return self
+        if not self.num:
+            return g if sign > 0 else -g
         t1, t2 = self.num, (g.num if sign > 0 else -g.num)
         if self.res is not P_ONE or g.res is not P_ONE:
             return RatFunc(t1 * g.den + t2 * self.den, self.den * g.den)
@@ -987,25 +984,13 @@ class RatFunc:
 
     def __add__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        if not g.num:
-            return self
-        if not self.num:
-            return g
-        return self._add_sub(g, 1)
+        return NotImplemented if g is None else self._add_sub(g, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        if not g.num:
-            return self
-        if not self.num:
-            return -g
-        return self._add_sub(g, -1)
+        return NotImplemented if g is None else self._add_sub(g, -1)
 
     def __rsub__(self, other):
         g = self._coerce(other)
