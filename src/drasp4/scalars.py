@@ -365,7 +365,7 @@ class Poly2:
         s = self._s
         rows = [[_digits(row, s) for row in part]
                 for part in (self._r, self._i)]
-        n = (sum(abs(x) for part in rows for row in part for x in row)
+        n = (sum(sum(map(abs, row)) for part in rows for row in part)
              * (abs(da) + 1) ** (len(self._r) - 1)
              * (abs(db) + 1) ** (max(map(len, rows[0] + rows[1])) - 1))
         s = _width(n)
@@ -469,8 +469,8 @@ def _reduced(re: list, im, s: int, n: int, d: int) -> Poly2:
 def _norm(p: Poly2) -> int:
     """The sum of |a| + |b| over p's terms, which becomes p's bound."""
     s = p._s
-    p._n = n = sum(abs(x) for part in (p._r, p._i) for row in part
-                   for x in _digits(row, s))
+    p._n = n = sum(sum(map(abs, _digits(row, s)))
+                   for part in (p._r, p._i) for row in part)
     return n
 
 
