@@ -24,7 +24,8 @@ from heapq import heappop, heappush
 
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json,
                       rf_latex, rf_str)
-from .sparse import SparseTerms, add_into, bracketed_sum, mono_text
+from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum,
+                     mono_text)
 from . import sp4, weyl
 
 LETTERS = (tuple(sp4.F_NAME[g] for g in sp4.CONVEX_ORDER) + weyl.NAMES
@@ -91,8 +92,10 @@ def mono_weight(mono) -> tuple:
     return wa, wb
 
 
-def _weyl_only(mono) -> bool:
-    return not any(mono[0:4]) and not any(mono[8:12])
+def left_shift(mono) -> tuple:
+    """The shift -wt(mono) of a scalar passing ``mono`` leftwards."""
+    wa, wb = mono_weight(mono)
+    return -wa, -wb
 
 
 @cache
@@ -117,15 +120,27 @@ def _norm_word(word: tuple) -> dict:
             out[word_mono(w)] = c
             continue
         head, tail = w[:i], w[i + 2:]
-        wa, wb = mono_weight(word_mono(head))
+        s = left_shift(word_mono(head))
         rewrites = [(head + (w[i + 1], w[i]) + tail, c)] + [
-            (head + ins + tail, c * (cb.shift(-wa, -wb) if wa or wb else cb))
+            (head + ins + tail, c * cb.shift(*s))
             for ins, cb in BRACKET[w[i]][w[i + 1]]]
         for v, _ in rewrites:
             if v not in pending:
                 heappush(heap, (-len(v), tuple(-k for k in v)))
         add_into(pending, rewrites)
     return out
+
+
+def _mono_product(m1, m2) -> dict:
+    """m1 m2, added when the joined word is ordered, by the Weyl closed form
+    when both lie in the Weyl block, and straightened otherwise."""
+    w1, w2 = mono_word(m1), mono_word(m2)
+    if not w1 or not w2 or w1[-1] <= w2[0]:
+        return {tuple(x + y for x, y in zip(m1, m2)): 1}
+    if not any(m1[:4] + m1[8:] + m2[:4] + m2[8:]):
+        return {(0,) * 4 + m + (0,) * 4: k
+                for m, k in weyl._mono_mul(m1[4:8], m2[4:8]).items()}
+    return _norm_word(w1 + w2)
 
 
 class AmbientElem(SparseTerms):
@@ -154,24 +169,8 @@ class AmbientElem(SparseTerms):
             return self.rmul_scalar(other)
         if not isinstance(other, AmbientElem):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            w1 = mono_word(m1)
-            wa, wb = mono_weight(m1)
-            for m2, c2 in other.terms.items():
-                c = c1 * (c2.shift(-wa, -wb) if (wa or wb) else c2)
-                if not c:
-                    continue
-                w2 = mono_word(m2)
-                if not w1 or not w2 or w1[-1] <= w2[0]:
-                    items = ((tuple(x + y for x, y in zip(m1, m2)), c),)
-                elif _weyl_only(m1) and _weyl_only(m2):
-                    items = (((0,) * 4 + m + (0,) * 4, c * k) for m, k in
-                             weyl._mono_mul(m1[4:8], m2[4:8]).items())
-                else:
-                    items = ((m, c * k) for m, k in _norm_word(w1 + w2).items())
-                add_into(out, items)
-        return AmbientElem(out)
+        return AmbientElem(bilinear(self.terms, other.terms, _mono_product,
+                                    left_shift))
 
     def __rmul__(self, other):
         if isinstance(other, RatFunc):
@@ -225,11 +224,8 @@ def amb_theta(u: AmbientElem) -> AmbientElem:
     monomial is again canonical; only the coefficient picks up the weight
     shift from moving it back to the left.
     """
-    out = {}
-    for m, c in u.terms.items():
-        wa, wb = mono_weight(m)
-        out[m[::-1]] = c.shift(wa, wb) if (wa or wb) else c
-    return AmbientElem(out)
+    return AmbientElem({m[::-1]: c.shift(*mono_weight(m))
+                        for m, c in u.terms.items()})
 
 
 # -- rendering --

@@ -19,11 +19,11 @@ from functools import cache
 from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json
-from .sparse import SparseTerms, add_into
+from .sparse import SparseTerms, add_into, bilinear
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
 from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
-                      e_gen, f_gen, mono_weight, red)
+                      e_gen, f_gen, left_shift, red)
 
 TRUNCATION_MARGIN = 8
 
@@ -139,8 +139,9 @@ class DraElem(SparseTerms):
         return dra_str(self)
 
 
-def _weyl_weight(m) -> tuple:
-    return mono_weight((0, 0, 0, 0) + tuple(m) + (0, 0, 0, 0))
+def _weyl_shift(m) -> tuple:
+    """The shift -wt m of a scalar passing the Weyl monomial m leftwards."""
+    return left_shift((0, 0, 0, 0) + m + (0, 0, 0, 0))
 
 
 DRA_ONE = DraElem.scalar(1)
@@ -154,14 +155,9 @@ def diamond(u: DraElem, v: DraElem) -> DraElem:
     """The double-coset product red(u P(v), II), expanded bilinearly over
     the basis: a left scalar of v passes the monomial of u with a weight
     shift, as in AmbientElem.__mul__, and each basis pair is computed once."""
-    out = {}
-    for m, c in u.terms.items():
-        wa, wb = _weyl_weight(m)
-        for n, d in v.terms.items():
-            cd = c * (d.shift(-wa, -wb) if wa or wb else d)
-            add_into(out, ((k, cd * x)
-                           for k, x in _basis_diamond(m, n).terms.items()))
-    return DraElem(out)
+    return DraElem(bilinear(u.terms, v.terms,
+                            lambda m, n: _basis_diamond(m, n).terms,
+                            _weyl_shift))
 
 
 # The generators in normal order, as elements and as unit monomials.
@@ -184,10 +180,10 @@ _LOWERING = tuple(_split_letter(f) for f in LETTERS[:4])
 
 
 @cache
-def _leaf_terms(n: tuple, wt: tuple) -> tuple:
+def _leaf_terms(n: tuple, shift: tuple) -> tuple:
     """The terms c F_i1 ... F_ik w of the projected generator P(n), each as
     (the letters' monomials in block order, w, c times the letters'
-    scalars and shifted by -wt).  A scalar factor commutes with brackets
+    scalars and shifted by ``shift``).  A scalar factor commutes with brackets
     and a shift fixes it, so the leaf brackets integer combinations."""
     out = []
     p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
@@ -197,24 +193,14 @@ def _leaf_terms(n: tuple, wt: tuple) -> tuple:
             letters += (f,) * e
             for _ in range(e):
                 c = c * s
-        out.append((letters, k[4:8], c.shift(-wt[0], -wt[1])))
+        out.append((letters, k[4:8], c.shift(*shift)))
     return tuple(out)
-
-
-def _int_mul(x: dict, w: tuple) -> dict:
-    """x w for an integer combination x of Weyl monomials."""
-    out = {}
-    for k, a in x.items():
-        add_into(out, ((v, a * b) for v, b in _mono_mul(k, w).items()))
-    return out
 
 
 def _int_bracket(x: dict, f: tuple) -> dict:
     """[x, f] = x f - f x for an integer combination x of Weyl monomials."""
-    out = _int_mul(x, f)
-    for k, a in x.items():
-        add_into(out, ((v, -a * b) for v, b in _mono_mul(f, k).items()))
-    return out
+    return add_into(bilinear(x, {f: 1}, _mono_mul),
+                    bilinear({f: -1}, x, _mono_mul).items())
 
 
 @cache
@@ -244,11 +230,12 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     """
     if sum(n) <= 1:
         out = {}
-        for letters, w, c in _leaf_terms(n, _weyl_weight(m)):
+        for letters, w, c in _leaf_terms(n, _weyl_shift(m)):
             x = {m: 1}
             for f in letters:
                 x = _int_bracket(x, f)
-            add_into(out, ((v, c * b) for v, b in _int_mul(x, w).items()))
+            add_into(out, ((v, c * b)
+                           for v, b in bilinear(x, {w: 1}, _mono_mul).items()))
         return DraElem(out)
     left = DraElem({m: RF_ONE})
     i = max(k for k, e in enumerate(n) if e)

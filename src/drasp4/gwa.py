@@ -28,8 +28,9 @@ alone.  For the same reason the contraction c_i needs no twist when it
 moves to the left past the generators of the other indices:
 sigma_j(sigma_i^k(t_i)) = sigma_i^k(sigma_j(t_i)) = sigma_i^k(t_i).
 
-So a product is bilinear over the base monomials, as the diamond product
-is over the basis.  For scalars f, g and base monomials t^e1, t^e2,
+So a product expands bilinearly over the terms f t^e Z^m of its factors
+(``sparse.bilinear``), as the diamond does over its basis.  For scalars
+f, g and base monomials t^e1, t^e2,
 
     (f t^e1 Z^m1) (g t^e2 Z^m2)
         = f g.shift(d) t^e1 B(e2, m1|e2, kappa) Z^(m1 + m2)
@@ -53,9 +54,11 @@ constructed.
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
-from .scalars import RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
-from .sparse import SparseTerms, add_into, bracketed_sum, mono_text, power
+from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
+from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum,
+                     mono_text, power)
 from .weyl import WeylElem
 from . import dra as _dra
 
@@ -115,10 +118,9 @@ class BasePoly(SparseTerms):
         if not isinstance(other, BasePoly):
             return NotImplemented
         _check_rank(other, self.rank)
-        return BasePoly(self.rank, add_into(
-            {}, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-                 for e1, c1 in self.terms.items()
-                 for e2, c2 in other.terms.items())))
+        return BasePoly(self.rank, bilinear(
+            self.terms, other.terms,
+            lambda e1, e2: {tuple(map(add, e1, e2)): 1}))
 
     def __rmul__(self, other):
         if isinstance(other, RatFunc):
@@ -280,7 +282,6 @@ class GwaAlgebra:
         """The automorphisms commute, so sigma^m(t_i) is the cached
         sigma_i^m_i(t_i) (see the module docstring)."""
         # generators: the two scalar coordinates and every t variable
-        from .scalars import HA, HB
         gens = [BasePoly.const(self.rank, HA), BasePoly.const(self.rank, HB)]
         gens += [BasePoly.tvar(self.rank, i) for i in range(1, self.rank + 1)]
         for i in range(self.rank):
@@ -343,34 +344,20 @@ class GwaAlgebra:
                            {j: _sigma_image(self, j + 1, k)
                             for j, k in enumerate(m) if k})
 
+    def _term_basis(self, k1: tuple, k2: tuple) -> dict:
+        """t^e1 B(e2, m1|e2, kappa) Z^(m1 + m2) over the pairs (m, e)."""
+        (m1, e1), (m2, e2) = k1, k2
+        kappa = tuple([(p, q) if p * q < 0 else None for p, q in zip(m1, m2)])
+        masked = tuple([k if n else 0 for k, n in zip(m1, e2)])
+        m = tuple(map(add, m1, m2))
+        return {(m, tuple(map(add, e1, e))): v
+                for e, v in _basis_term(self, e2, masked, kappa).terms.items()}
+
     def _scalar_shift(self, m) -> tuple:
         """The shift sigma^m makes on the scalars: the sum of m_i times
         the shift of sigma_i."""
         return (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
                 sum(k * s.shift[1] for k, s in zip(m, self.sigmas)))
-
-    def _term_mul(self, m1, b1: BasePoly, m2, b2: BasePoly):
-        """(b1 Z^m1)(b2 Z^m2), bilinear over the base monomials: each pair
-        of terms f t^e1 of b1 and g t^e2 of b2 gives f g.shift(d) t^e1 times
-        the cached basis term of (e2, m1|e2, kappa); see the module
-        docstring."""
-        da, db = self._scalar_shift(m1)
-        kappa = tuple((p, q) if p * q < 0 else None for p, q in zip(m1, m2))
-        right = []
-        for e2, g in b2.terms.items():
-            masked = tuple(k if n else 0 for k, n in zip(m1, e2))
-            right.append((g.shift(da, db),
-                          _basis_term(self, e2, masked, kappa).terms.items()))
-
-        def products():
-            for e1, f in b1.terms.items():
-                for g, basis in right:
-                    fg = f * g
-                    for e, v in basis:
-                        yield tuple(a + b for a, b in zip(e1, e)), fg * v
-
-        return (tuple(p + q for p, q in zip(m1, m2)),
-                BasePoly(self.rank, add_into({}, products())))
 
 
 @cache
@@ -438,9 +425,13 @@ class GwaElem(SparseTerms):
         if self.alg != other.alg:
             raise ValueError("elements of different algebras")
         alg = self.alg
-        return GwaElem(alg, add_into({}, (alg._term_mul(m1, b1, m2, b2)
-                                          for m1, b1 in self.terms.items()
-                                          for m2, b2 in other.terms.items())))
+        u, v = ({(m, e): f for m, b in w.terms.items()
+                 for e, f in b.terms.items()} for w in (self, other))
+        out = {}
+        for (m, e), f in bilinear(u, v, alg._term_basis,
+                                  lambda k: alg._scalar_shift(k[0])).items():
+            out.setdefault(m, {})[e] = f
+        return GwaElem(alg, {m: BasePoly(alg.rank, t) for m, t in out.items()})
 
     def __pow__(self, n: int):
         return power(self, n, self.alg.one())

@@ -33,6 +33,34 @@ def add_into(out: dict, items) -> dict:
     return out
 
 
+def bilinear(u: dict, v: dict, basis, shift=None) -> dict:
+    """The product of two term maps: the sum, as ``add_into`` sums, of
+    c d' x over the terms c m of ``u``, d n of ``v`` and x k of the map
+    ``basis(m, n)``.  A right coefficient passing the left key m becomes
+    d' = ``d.shift(*shift(m))``, once per distinct shift; d' = d if no shift."""
+    out, shifted = {}, {}
+    for m, c in u.items():
+        right = v.items()
+        if shift is not None:
+            s = shift(m)
+            right = shifted.get(s)
+            if right is None:
+                right = shifted[s] = [(n, d.shift(*s)) for n, d in v.items()]
+        for n, d in right:
+            cd = c * d
+            for k, x in basis(m, n).items():
+                y = out.get(k)
+                if y is None:
+                    out[k] = cd * x
+                else:
+                    y = y + cd * x
+                    if y:
+                        out[k] = y
+                    else:
+                        del out[k]
+    return out
+
+
 def power(x, n: int, one):
     """``x ** n`` by square-and-multiply, for an integer ``n >= 0``.  The
     product starts from the lowest power of x it needs, so ``one`` is
@@ -69,7 +97,7 @@ class SparseTerms:
     A subclass whose elements carry fields besides the map, such as a
     rank, names them in its ``__slots__`` and takes them before the map in
     its constructor.  They take part in ``_new`` (an element of the same
-    kind from a new map), equality, hashing and ``__repr__``.
+    kind from a new map), equality, sums, hashing and ``__repr__``.
 
     The scalar interface (``scaled``, ``is_scalar``, ``scalar_value``) is
     shared through two hooks of each subclass:
@@ -115,11 +143,14 @@ class SparseTerms:
         return h
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._fields() != self._fields():
+            raise ValueError("a sum of elements of other ranks or algebras")
         return self._new(add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self._new(add_into(dict(self.terms),
-                                  ((k, -c) for k, c in other.terms.items())))
+        return self + -other if type(other) is type(self) else NotImplemented
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})

@@ -12,7 +12,7 @@ from functools import cache
 from math import comb, factorial
 
 from .scalars import GR_ONE, GaussRat, gauss_json, gauss_str
-from .sparse import SparseTerms, add_into, mono_text, signed_sum
+from .sparse import SparseTerms, bilinear, mono_text, signed_sum
 
 Mono = tuple  # (a, b, c, d) exponents of d1, d2, x2, x1
 
@@ -45,12 +45,7 @@ class WeylElem(SparseTerms):
             return self.scaled(other)
         if not isinstance(other, WeylElem):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                add_into(out, ((m, c * k) for m, k in _mono_mul(m1, m2).items()))
-        return WeylElem(out)
+        return WeylElem(bilinear(self.terms, other.terms, _mono_mul))
 
     def __rmul__(self, other):
         if isinstance(other, (GaussRat, int)):

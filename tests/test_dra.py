@@ -13,7 +13,7 @@ from drasp4 import dra, sp4
 from drasp4.scalars import GR_ONE, HA, HB, RF_ONE, RF_ZERO
 from drasp4.sparse import add_into
 from drasp4.weyl import WeylElem
-from drasp4.ambient import LETTERS, AmbientElem, e_gen, red
+from drasp4.ambient import LETTERS, AmbientElem, e_gen, mono_weight, red
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
                         diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
@@ -67,7 +67,8 @@ def test_projector_idempotent_on_samples():
 
 
 def test_both_convex_orders_agree():
-    monos = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+    monos = [m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4]
+    assert len(monos) == 70
     for m in monos:
         v = DraElem({m: RF_ONE}).to_ambient()
         assert apply_p(v, sp4.CONVEX_ORDER) == apply_p(v, sp4.CONVEX_ORDER_REV)
@@ -170,7 +171,7 @@ def reference_leaf(m, n):
     each term c F_i1 ... F_ik w of P(n) adds c.shift(-wt m) times
     [...[m, F_i1], ..., F_ik] w, bracketed with the oscillator images and
     their Gaussian-rational coefficients."""
-    wa, wb = dra._weyl_weight(m)
+    wa, wb = mono_weight((0, 0, 0, 0) + m + (0, 0, 0, 0))
     out = {}
     p_n = apply_p(DraElem({n: RF_ONE}).to_ambient())
     for k, c in p_n.terms.items():

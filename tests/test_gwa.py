@@ -413,11 +413,13 @@ def test_phi_is_multiplicative_on_quadratic_t_coefficients(alg, real):
         assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))
 
 
-def test_phi_is_multiplicative_on_the_frontier_pair(real):
-    """phi(X1^n X2^n Y1^n Y2^n) = phi(X1^n X2^n) <> phi(Y1^n Y2^n) at
-    n = 2: the GWA product against the diamond product of the two images.
-    CI runs the same check at n = 4."""
-    a, n = real.alg, 2
+@pytest.mark.parametrize("n", (2, 3))
+def test_phi_is_multiplicative_on_the_frontier_pair(real, n):
+    """phi(X1^n X2^n Y1^n Y2^n) = phi(X1^n X2^n) <> phi(Y1^n Y2^n): the
+    GWA product against the diamond product of the two images, which runs
+    the GWA term product, base_image and the diamond at once.  CI runs the
+    same check at n = 4."""
+    a = real.alg
     u = a.x(1) ** n * a.x(2) ** n
     v = a.y(1) ** n * a.y(2) ** n
     assert real.phi(u * v) == dra.diamond(real.phi(u), real.phi(v))

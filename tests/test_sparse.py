@@ -6,7 +6,7 @@ from drasp4.ambient import AmbientElem
 from drasp4.dra import DraElem
 from drasp4.gwa import (BasePoly, GwaAlgebra, GwaElem, SkewAffineSigma,
                         weyl_gwa)
-from drasp4.sparse import add_into, power
+from drasp4.sparse import add_into, bilinear, power
 
 ALG = weyl_gwa(1)
 
@@ -94,6 +94,59 @@ def test_extra_fields_take_part_in_equality():
     assert GwaElem(ALG, b) != GwaElem(other, b)
     assert GwaElem(ALG, b) == GwaElem(ALG, dict(b))
     assert GwaElem(ALG, b) == GwaElem(weyl_gwa(1), b)
+
+
+def test_sums_take_one_type_rank_and_algebra():
+    """A sum of elements of two types is a TypeError, not an element of
+    the left type; elements of one type with another rank or algebra are a
+    ValueError."""
+    x = {"WeylElem": WeylElem.gen("x1"), "AmbientElem": AmbientElem.gen("x1"),
+         "DraElem": DraElem.gen("x1")}
+    for a in x.values():
+        for b in (*x.values(), 1, GaussRat(1), RF_ONE):
+            if b is a:
+                continue
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+    with pytest.raises(ValueError, match="ranks or algebras"):
+        BasePoly.tvar(2, 1) + BasePoly.tvar(3, 1)
+    with pytest.raises(ValueError, match="ranks or algebras"):
+        BasePoly.tvar(2, 1) - BasePoly.tvar(1, 1)
+    other = GwaAlgebra(1, [SkewAffineSigma(1, 1, (0, 0), RatFunc.const(-2),
+                                           (RF_ONE,))])
+    b = {(1,): BasePoly.const(1, 1)}
+    with pytest.raises(ValueError, match="ranks or algebras"):
+        GwaElem(ALG, b) - GwaElem(other, b)
+    assert (GwaElem(ALG, b) + GwaElem(weyl_gwa(1), b)).terms == {
+        (1,): BasePoly.const(1, 2)}
+
+
+def _concat(m, n):
+    return {m + n: 1}
+
+
+def test_bilinear_on_hand_built_maps():
+    # integers, no shift: (1 + t)(1 - t) = 1 - t^2, the two t terms cancel
+    # and their key is dropped
+    assert bilinear({0: 1, 1: 1}, {0: 1, 1: -1}, lambda i, j: {i + j: 1}) \
+        == {0: 1, 2: -1}
+    # every basis term is scaled by both coefficients
+    assert bilinear({0: 2}, {1: 3}, lambda i, j: {i + j: 5, 7: -1}) \
+        == {1: 30, 7: -6}
+    # an empty factor gives the empty map
+    assert bilinear({}, {"n": HA}, _concat) == {}
+    assert bilinear({"p": HA}, {}, _concat, lambda m: (1, 0)) == {}
+    # the right coefficient is shifted by its left key's shift; the left
+    # coefficient HB and the right key's shift are left alone
+    shifts = {"p": (1, 0), "q": (0, 0), "r": (1, 0), "n": (0, 0)}
+    got = bilinear({"p": HB, "q": HB, "r": RF_ONE}, {"n": HA}, _concat,
+                   shifts.get)
+    assert got == {"pn": HB * (HA + 1), "qn": HB * HA, "rn": HA + 1}
+    # two shifted pairs that cancel drop their key
+    assert bilinear({"p": HB, "r": -HB}, {"n": HA}, lambda m, n: {"k": 1},
+                    shifts.get) == {}
 
 
 def test_add_into_and_power():
