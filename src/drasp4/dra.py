@@ -19,7 +19,7 @@ from functools import cache
 from math import factorial
 
 from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json
-from .sparse import SparseTerms, add_into, bilinear
+from .sparse import SparseTerms, add_into, bilinear, linear, power
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
 from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
@@ -83,11 +83,7 @@ def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER) -> AmbientElem:
     The projector has weight zero, so it commutes with left scalars: v is
     expanded over its monomials, each projected once per process.
     """
-    out = {}
-    for m, c in v.terms.items():
-        add_into(out, ((k, c * x)
-                       for k, x in _apply_p(m, order).terms.items()))
-    return AmbientElem(out)
+    return AmbientElem(linear(v.terms, lambda m: _apply_p(m, order).terms))
 
 
 @cache
@@ -190,9 +186,9 @@ def _leaf_terms(n: tuple, shift: tuple) -> tuple:
     for k, c in p_n.terms.items():
         letters = ()
         for (f, s), e in zip(_LOWERING, k[:4]):
-            letters += (f,) * e
-            for _ in range(e):
-                c = c * s
+            if e:
+                letters += (f,) * e
+                c = c * power(s, e, 1)
         out.append((letters, k[4:8], c.shift(*shift)))
     return tuple(out)
 

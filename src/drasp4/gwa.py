@@ -57,9 +57,9 @@ from functools import cache
 from operator import add
 
 from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
-from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum,
+from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum, linear,
                      mono_text, power)
-from .weyl import WeylElem
+from .weyl import W_ONE, WeylElem
 from . import dra as _dra
 
 # ---------------------------------------------------------------------------
@@ -220,12 +220,9 @@ class SkewAffineSigma:
 def _substitute(b: BasePoly, shift, images: dict) -> BasePoly:
     """The ring map that shifts every scalar by ``shift``, sends t_j to
     ``images[j]`` for the indices j listed there and fixes the others."""
-    da, db = shift
-    rank = b.rank
     powers = {}
-    out = {}
-    for e, cf in b.terms.items():
-        f = cf.shift(da, db)
+
+    def image_of(e):
         fixed = list(e)
         img = None
         for j, image in images.items():
@@ -237,11 +234,11 @@ def _substitute(b: BasePoly, shift, images: dict) -> BasePoly:
                     pw = powers[j, n] = image ** n
                 img = pw if img is None else img * pw
         if img is None:
-            add_into(out, ((e, f),))
-        else:
-            add_into(out, ((tuple(a + k for a, k in zip(fixed, ek)), f * v)
-                           for ek, v in img.terms.items()))
-    return BasePoly(rank, out)
+            return {e: 1}
+        return {tuple(map(add, fixed, ek)): v for ek, v in img.terms.items()}
+
+    return BasePoly(b.rank, linear(
+        {e: cf.shift(*shift) for e, cf in b.terms.items()}, image_of))
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +494,8 @@ class GwaRealization:
         self.d_hat = (gens.d1, gens.d2)
 
     def base_image(self, b: BasePoly) -> "_dra.DraElem":
-        return _dra.DraElem(add_into({}, (
-            (k, cf * v) for e, cf in b.terms.items()
-            for k, v in _t_monomial_image(e).terms.items())))
+        return _dra.DraElem(linear(b.terms,
+                                   lambda e: _t_monomial_image(e).terms))
 
     def monomial_image(self, m) -> "_dra.DraElem":
         """Lowering factors first, then raising ones, each in index order."""
@@ -540,31 +536,25 @@ def weyl_gwa_image(u: GwaElem) -> WeylElem:
     X_i to x_i, Y_i to d_i, u_i to d_i x_i (rank at most two)."""
     if u.alg.rank > 2:
         raise ValueError("comparison map implemented for rank <= 2")
-    out = {}
-    for m, b in u.terms.items():
-        for e, cf in b.terms.items():
-            if not cf.is_const():
-                raise ValueError("coefficient is not constant")
-            c = cf.const_value()
-            add_into(out, ((w, c * v) for w, v
-                           in _weyl_mono_image(m, e).terms.items()))
-    return WeylElem(out)
+    terms = {(m, e): cf for m, b in u.terms.items()
+             for e, cf in b.terms.items()}
+    if not all(cf.is_const() for cf in terms.values()):
+        raise ValueError("coefficient is not constant")
+    return WeylElem(linear({k: cf.const_value() for k, cf in terms.items()},
+                           lambda k: _weyl_mono_image(*k).terms))
 
 
 @cache
 def _weyl_mono_image(m: tuple, e: tuple) -> WeylElem:
-    """Image of u^e Z^m: the factors d_i x_i, then the words x_i^m_i or
-    d_i^-m_i, each in index order."""
+    """Image of u^e Z^m: the factors (d_i x_i)^e_i, then the words x_i^m_i
+    or d_i^-m_i, each in index order."""
     xg = (WeylElem.gen("x1"), WeylElem.gen("x2"))
     dg = (WeylElem.gen("d1"), WeylElem.gen("d2"))
-    img = WeylElem.const(1)
+    img = W_ONE
     for i, k in enumerate(e):
-        for _ in range(k):
-            img = img * dg[i] * xg[i]
+        img = img * power(dg[i] * xg[i], k, W_ONE)
     for i, k in enumerate(m):
-        word = xg[i] if k > 0 else dg[i]
-        for _ in range(abs(k)):
-            img = img * word
+        img = img * power(xg[i] if k > 0 else dg[i], abs(k), W_ONE)
     return img
 
 

@@ -76,11 +76,12 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 
 # The cost of a diamond product u <> v grows steeply with deg u + deg v:
-# the slowest products measured at 28 take about 40 s (13 s at 24), so
-# the command line refuses a product past that before any work.  A
-# product of one term by one term of degree <= 1 on the right is exempt:
-# it is a single projector step, a few milliseconds at any degree, so
-# powers of one generator such as x1^1000 still compute.
+# cold, x1^14 <> d1^14 takes about 3 s and x1^7 x2^7 <> d1^7 d2^7 about
+# 1 s (2 vCPU, Python 3.11), so the command line refuses a product past
+# degree 28 before any work.  A product of one term by one term of degree
+# <= 1 on the right is exempt: it is a single projector step, a few
+# milliseconds at any degree, so powers of one generator such as x1^1000
+# still compute.
 MAX_DIAMOND_DEGREE = 28
 
 
@@ -298,6 +299,10 @@ class _Evaluator:
         if op == "neg":
             return -self.eval(node[1])
         if op == "pow":
+            # a left fold, not sparse.power: in dra mode each product of a
+            # power of a generator then has the degree-1 base on the right,
+            # which keeps x1^1000 inside MAX_DIAMOND_DEGREE's one-term
+            # exemption; squaring would multiply two high-degree powers
             base = self.eval(node[1])
             out = self.from_scalar(RF_ONE)
             for _ in range(node[2]):

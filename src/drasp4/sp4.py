@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRat, _split_lines
-from .sparse import add_into
+from .sparse import SparseTerms, linear
 from .weyl import D2, NAMES, W_ONE, WeylElem, X1, X2, vartheta
 
 ALPHA = "a"
@@ -67,23 +67,19 @@ def osc(sym: str) -> WeylElem:
     return IMAGE[sym]
 
 
-class LieElem:
-    """Exact coordinates over the fixed basis plus a scalar part.
+class LieElem(SparseTerms):
+    """Exact coordinates over the symbols of SPAN: the fixed basis, and
+    the scalar part as the coefficient of the unit key "1".
 
     The scalar part records the constant that can split off when a Weyl
-    algebra element is decomposed over the oscillator images.
+    algebra element is decomposed over the oscillator images.  Only the
+    elimination rows of ``_invert_images`` hold coordinates on the four
+    Weyl generators.
     """
 
-    __slots__ = ("coords", "const")
-
-    def __init__(self, coords=None, const=GR_ZERO):
-        cc = {} if coords is None else {k: v for k, v in coords.items() if v}
-        object.__setattr__(self, "coords", cc)
-        object.__setattr__(self, "const",
-                           const if isinstance(const, GaussRat) else GaussRat(const))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElem is immutable")
+    __slots__ = ()
+    UNIT = "1"
+    _coeff = staticmethod(WeylElem._coeff)
 
     @staticmethod
     def basis(sym: str) -> "LieElem":
@@ -91,39 +87,16 @@ class LieElem:
             raise KeyError(f"unknown basis symbol: {sym}")
         return LieElem({sym: GR_ONE})
 
-    def __eq__(self, other):
-        if not isinstance(other, LieElem):
-            return NotImplemented
-        return self.coords == other.coords and self.const == other.const
+    @property
+    def coords(self) -> dict:
+        return {k: v for k, v in self.terms.items() if k != self.UNIT}
 
-    def __hash__(self):
-        return hash((frozenset(self.coords.items()), self.const))
-
-    def __add__(self, other):
-        return LieElem(add_into(dict(self.coords), other.coords.items()),
-                       self.const + other.const)
-
-    def __neg__(self):
-        return LieElem({k: -v for k, v in self.coords.items()}, -self.const)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "LieElem":
-        g = c if isinstance(c, GaussRat) else GaussRat(c)
-        return LieElem({k: v * g for k, v in self.coords.items()}, self.const * g)
-
-    def is_zero(self):
-        return not self.coords and not self.const
+    @property
+    def const(self) -> GaussRat:
+        return self.terms.get(self.UNIT, GR_ZERO)
 
     def to_weyl(self) -> WeylElem:
-        out = WeylElem.const(self.const) if self.const else WeylElem()
-        for k, v in self.coords.items():
-            out = out + IMAGE[k].scaled(v)
-        return out
-
-    def __repr__(self):
-        return f"LieElem({self.coords!r}, const={self.const!r})"
+        return WeylElem(linear(self.terms, lambda s: IMAGE[s].terms))
 
 
 def _invert_images() -> dict:
@@ -133,23 +106,22 @@ def _invert_images() -> dict:
     with coefficients x: once every w is a single monomial, its x are the
     coordinates of that monomial.
     """
-    rows = [(IMAGE[s], {s: GR_ONE}) for s in SPAN]
+    rows = [(IMAGE[s], LieElem({s: GR_ONE})) for s in SPAN]
     for i in range(len(rows)):
         w, x = rows[i]
         if w.is_zero():
             raise RuntimeError("the images are linearly dependent")
         m = max(w.terms)
         k = w.terms[m].inv()
-        w, x = w.scaled(k), {s: c * k for s, c in x.items()}
+        w, x = w.scaled(k), x.scaled(k)
         rows[i] = w, x
         for j, (v, y) in enumerate(rows):
             c = v.terms.get(m)
             if c and j != i:
-                rows[j] = (v - w.scaled(c),
-                           add_into(dict(y), ((s, -c * t) for s, t in x.items())))
+                rows[j] = v - w.scaled(c), y - x.scaled(c)
     if any(len(w.terms) != 1 for w, _ in rows):
         raise RuntimeError("the images do not span the degree <= 2 monomials")
-    return {next(iter(w.terms)): x for w, x in rows}
+    return {next(iter(w.terms)): x.terms for w, x in rows}
 
 
 _COORDS = _invert_images()
@@ -160,13 +132,9 @@ def coordinates(w: WeylElem) -> dict:
 
     Raises ValueError when w has a monomial of degree above 2.
     """
-    out = {}
-    for m, c in w.terms.items():
-        x = _COORDS.get(m)
-        if x is None:
-            raise ValueError("degree above 2")
-        add_into(out, ((s, c * t) for s, t in x.items()))
-    return out
+    if not _COORDS.keys() >= w.terms.keys():
+        raise ValueError("degree above 2")
+    return linear(w.terms, _COORDS.__getitem__)
 
 
 def decompose(w: WeylElem) -> LieElem:
@@ -178,7 +146,7 @@ def decompose(w: WeylElem) -> LieElem:
     x = coordinates(w) if w.degree() <= 2 else None
     if x is None or any(n in x for n in NAMES):
         raise ValueError("not in sp(4) + C")
-    return LieElem({s: x[s] for s in BASIS if s in x}, x.get("1", GR_ZERO))
+    return LieElem(x)
 
 
 def lie_bracket(x: LieElem, y: LieElem) -> LieElem:

@@ -6,9 +6,11 @@ the elements, which is how every identity of the engine is checked.
 Scalar polynomials (``scalars.Poly2``) keep the same rule on a map of
 Gaussian-integer pairs over one denominator instead.
 
-Every element type renders through the same three helpers: a monomial
-word, and one of two sum formats over (coefficient text, monomial text)
-pairs in ``sorted_keys()`` order.
+Every product of two elements expands through ``bilinear``, and every
+linear map given on keys through ``linear``.  Every element type renders
+through the same three helpers: a monomial word, and one of two sum
+formats over (coefficient text, monomial text) pairs in ``sorted_keys()``
+order.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ def bilinear(u: dict, v: dict, basis, shift=None) -> dict:
                     else:
                         del out[k]
     return out
+
+
+def linear(u: dict, image) -> dict:
+    """The linear map given on keys: the sum, as ``bilinear`` sums, of
+    c x k over the terms c m of ``u`` and x k of the map ``image(m)``."""
+    return bilinear(u, {(): 1}, lambda m, _: image(m))
 
 
 def power(x, n: int, one):

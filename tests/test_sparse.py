@@ -1,12 +1,13 @@
 import pytest
 
-from drasp4.scalars import GaussRat, HA, HB, Poly2, RF_ONE, RatFunc
-from drasp4.weyl import WeylElem
+from drasp4.scalars import GR_ONE, GaussRat, HA, HB, Poly2, RF_ONE, RatFunc
+from drasp4.weyl import W_ONE, WeylElem
 from drasp4.ambient import AmbientElem
 from drasp4.dra import DraElem
 from drasp4.gwa import (BasePoly, GwaAlgebra, GwaElem, SkewAffineSigma,
                         weyl_gwa)
-from drasp4.sparse import add_into, bilinear, power
+from drasp4.sparse import add_into, bilinear, linear, power
+from drasp4.sp4 import LieElem, decompose
 
 ALG = weyl_gwa(1)
 
@@ -21,6 +22,7 @@ CASES = {
     "BasePoly": (lambda t: BasePoly(2, t), (1, 0), (0, 1), HA, RF_ONE),
     "GwaElem": (lambda t: GwaElem(ALG, t), (1,), (-1,),
                 BasePoly.const(1, 2), BasePoly.tvar(1, 1)),
+    "LieElem": (LieElem, "Ea", "1", GaussRat(2), GaussRat(0, 1)),
 }
 
 
@@ -101,7 +103,7 @@ def test_sums_take_one_type_rank_and_algebra():
     the left type; elements of one type with another rank or algebra are a
     ValueError."""
     x = {"WeylElem": WeylElem.gen("x1"), "AmbientElem": AmbientElem.gen("x1"),
-         "DraElem": DraElem.gen("x1")}
+         "DraElem": DraElem.gen("x1"), "LieElem": LieElem.basis("Ea")}
     for a in x.values():
         for b in (*x.values(), 1, GaussRat(1), RF_ONE):
             if b is a:
@@ -147,6 +149,34 @@ def test_bilinear_on_hand_built_maps():
     # two shifted pairs that cancel drop their key
     assert bilinear({"p": HB, "r": -HB}, {"n": HA}, lambda m, n: {"k": 1},
                     shifts.get) == {}
+
+
+def test_linear_on_hand_built_maps():
+    image = {"a": {"x": 1, "y": 2}, "b": {"x": -1, "z": 3}, "c": {}}
+    # a and b both reach x and cancel there: x is dropped; y and z are
+    # scaled by their left coefficient
+    assert linear({"a": 1, "b": 1}, image.get) == {"y": 2, "z": 3}
+    # an empty map, and a key whose image is empty, give the empty map
+    assert linear({}, image.get) == {} and linear({"c": 5}, image.get) == {}
+    # images that share a key add there
+    assert linear({"a": 2, "b": -3}, image.get) == {"x": 5, "y": 4,
+                                                    "z": -9}
+    # Gaussian-rational and rational-function coefficients
+    half = GaussRat(0, 1) / 2
+    assert linear({"a": half, "b": GaussRat(1)}, image.get) \
+        == {"x": half - 1, "y": 2 * half, "z": GaussRat(3)}
+    assert linear({"a": HA, "b": HB}, image.get) \
+        == {"x": HA - HB, "y": 2 * HA, "z": 3 * HB}
+    assert linear({"a": HA, "b": HA}, image.get) == {"y": 2 * HA,
+                                                     "z": 3 * HA}
+
+
+def test_lie_elem_is_a_sparse_map():
+    assert decompose(W_ONE) == LieElem({"1": GR_ONE})
+    x = LieElem.basis("Ea") + LieElem({"1": GaussRat(3)})
+    assert x.coords == {"Ea": GR_ONE} and x.const == GaussRat(3)
+    assert LieElem.basis("Ea").const == GaussRat(0)
+    assert decompose(x.to_weyl()) == x
 
 
 def test_add_into_and_power():
