@@ -15,15 +15,18 @@ projected terms and the commutators run on integer coefficients.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import mul
 
-from .scalars import RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json
+from .scalars import (RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json,
+                      rf_over_lines)
 from .sparse import SparseTerms, add_into, bilinear, linear, power
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
-from .ambient import (LETTERS, AmbientElem, amb_latex, amb_str, amb_theta,
-                      e_gen, f_gen, left_shift, red)
+from .ambient import (LETTER_WEIGHT, LETTERS, AmbientElem, amb_latex,
+                      amb_str, amb_theta, e_gen, f_gen, red)
 
 TRUNCATION_MARGIN = 8
 
@@ -41,12 +44,12 @@ def h_form(root: str) -> RatFunc:
 
 @cache
 def projector_coeff(root: str, k: int) -> RatFunc:
-    """Series coefficient: (-1)^k / (k! (H+2)(H+3)...(H+k+1))."""
-    h = h_form(root)
-    den = RatFunc.const(factorial(k))
-    for j in range(2, k + 2):
-        den = den * (h + j)
-    return RatFunc.const((-1) ** k) / den
+    """Series coefficient: (-1)^k / (k! (H+2)(H+3)...(H+k+1)).  Its lines
+    H + j are distinct and prime to the constant numerator, so it is built
+    from them as they are, with no division."""
+    ca, cb, c0 = sp4.COROOT_FORM[root]
+    return rf_over_lines(Fraction((-1) ** k, factorial(k)),
+                         {((ca, cb), c0 + j): 1 for j in range(2, k + 2)})
 
 
 def apply_p_root(root: str, v: AmbientElem) -> AmbientElem:
@@ -135,9 +138,13 @@ class DraElem(SparseTerms):
         return dra_str(self)
 
 
+# The weights of d1, d2, x2 and x1 in Ha and in Hb.
+_WEYL_WA, _WEYL_WB = zip(*LETTER_WEIGHT[4:8])
+
+
 def _weyl_shift(m) -> tuple:
     """The shift -wt m of a scalar passing the Weyl monomial m leftwards."""
-    return left_shift((0, 0, 0, 0) + m + (0, 0, 0, 0))
+    return -sum(map(mul, m, _WEYL_WA)), -sum(map(mul, m, _WEYL_WB))
 
 
 DRA_ONE = DraElem.scalar(1)
@@ -180,7 +187,12 @@ def _leaf_terms(n: tuple, shift: tuple) -> tuple:
     """The terms c F_i1 ... F_ik w of the projected generator P(n), each as
     (the letters' monomials in block order, w, c times the letters'
     scalars and shifted by ``shift``).  A scalar factor commutes with brackets
-    and a shift fixes it, so the leaf brackets integer combinations."""
+    and a shift fixes it, so the leaf brackets integer combinations.  The
+    letters' scalars are folded once per generator, into the unshifted
+    terms, and every shifted copy is read from those."""
+    if shift != (0, 0):
+        return tuple((letters, w, c.shift(*shift))
+                     for letters, w, c in _leaf_terms(n, (0, 0)))
     out = []
     p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
     for k, c in p_n.terms.items():
@@ -189,7 +201,7 @@ def _leaf_terms(n: tuple, shift: tuple) -> tuple:
             if e:
                 letters += (f,) * e
                 c = c * power(s, e, 1)
-        out.append((letters, k[4:8], c.shift(*shift)))
+        out.append((letters, k[4:8], c))
     return tuple(out)
 
 

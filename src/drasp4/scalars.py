@@ -11,11 +11,13 @@ engine's denominators are products of shifted coroot forms h + k, the
 denominators of the extremal projector, and each such line is stored with
 its multiplicity: a product adds multiplicities, a sum takes their maximum
 and cancels a line only where the numerator vanishes on it, and a shift
-moves each line's constant.  What does not split into such lines (only
-parser or hand-built input has it) stays one residual polynomial, reduced
-by a gcd in one place, the RatFunc constructor: a sum, product or inverse
-with a residual operand is built there from expanded numerators and
-denominators, and line-only values never take a gcd.
+moves each line's constant.  A scalar whose lines are known, such as a
+projector coefficient, is built from them (``rf_over_lines``) with no
+division.  What does not split into such lines (only parser or hand-built
+input has it) stays one residual polynomial, reduced by a gcd in one
+place, the RatFunc constructor: a sum, product or inverse with a residual
+operand is built there from expanded numerators and denominators, and
+line-only values never take a gcd.
 
 A polynomial keeps Gaussian-integer coefficients over one denominator,
 packed by Kronecker substitution into one int per Ha degree: the row of
@@ -27,7 +29,8 @@ back with its sign.  A product convolves rows, one big-integer product
 per pair, under the product of the bounds; a sum adds rows.  Bounds left
 loose by sums and quotients are made exact from the digits only when
 they would widen the slots.  A plain int or a constant scales rows and
-cancels no line.
+cancels no line; an int multiplies the rows directly, under the bound
+times its size.
 
 A line divides the rows as they are: for Ha + cb*Hb + k, synthetically in
 Ha with cb*Hb + k as the integer cb*X + k; for Hb + k, row by row by the
@@ -499,6 +502,17 @@ def _align(p: Poly2, q: Poly2, bound) -> tuple:
     return s, n, _rows_at(p, s), _rows_at(q, s)
 
 
+def _scale(p: Poly2, k: int) -> Poly2:
+    """p times the nonzero int k, row by row; the slots widen only when
+    the bound n*|k|, made exact first as in _align, needs it."""
+    s, n = p._s, p._n * abs(k)
+    if _width(n) > s:
+        n = _norm(p) * abs(k)
+        s = max(s, _width(n))
+    re, im = _rows_at(p, s)
+    return _reduced([x * k for x in re], [y * k for y in im], s, n, p._d)
+
+
 def _lin(a, fa: int, b, fb: int) -> list:
     """The rows fa*a + fb*b; either may be empty."""
     if len(a) < len(b):
@@ -698,9 +712,11 @@ def _expand(lines: dict, part: dict) -> Poly2:
     part (a divisor of lines)."""
     out = P_ONE
     for key, m in lines.items():
-        line = _line(key)
-        for _ in range(m - part.get(key, 0)):
-            out = _times(out, line)
+        e = m - part.get(key, 0)
+        if e:
+            line = _line(key)
+            for _ in range(e):
+                out = _times(out, line)
     return out
 
 
@@ -1006,7 +1022,7 @@ class RatFunc:
                 return RF_ZERO
             if other == 1:
                 return self
-            return _rf(self.num * Poly2.const(other), self.lines, self.res)
+            return _rf(_scale(self.num, other), self.lines, self.res)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
@@ -1059,7 +1075,8 @@ class RatFunc:
             return self
         lines = {(d, k + d[0] * da + d[1] * db): m
                  for (d, k), m in self.lines.items()}
-        return _rf(self.num.shift(da, db), lines, self.res.shift(da, db))
+        res = self.res if self.res is P_ONE else self.res.shift(da, db)
+        return _rf(self.num.shift(da, db), lines, res)
 
     def eval_at(self, pa, pb) -> GaussRat:
         pa = pa if isinstance(pa, GaussRat) else GaussRat(pa)
@@ -1139,6 +1156,13 @@ def as_rf(c) -> RatFunc:
     """``c`` as a dynamical scalar: a RatFunc as it is, a number as a
     constant."""
     return c if isinstance(c, RatFunc) else RatFunc.const(c)
+
+
+def rf_over_lines(c, lines: dict) -> RatFunc:
+    """The scalar c / (the product of the lines with their multiplicities)
+    for a number c != 0 and integer-shift coroot line keys, in lowest
+    terms as given: nothing is split, divided or cancelled."""
+    return _rf(Poly2.const(c), lines, P_ONE)
 
 
 def rf_affine(ca, cb, c0) -> RatFunc:

@@ -95,6 +95,15 @@ class LieElem(SparseTerms):
     def const(self) -> GaussRat:
         return self.terms.get(self.UNIT, GR_ZERO)
 
+    def degree(self) -> int:
+        """1 if a symbol other than "1" is present, 0 for a nonzero scalar,
+        -1 for zero."""
+        return -1 if not self.terms else 0 if self.is_scalar() else 1
+
+    def sorted_keys(self) -> list:
+        """The keys in SPAN order."""
+        return sorted(self.terms, key=SPAN.index)
+
     def to_weyl(self) -> WeylElem:
         return WeylElem(linear(self.terms, lambda s: IMAGE[s].terms))
 

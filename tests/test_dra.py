@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drasp4
-from drasp4 import dra, sp4
-from drasp4.scalars import GR_ONE, HA, HB, RF_ONE, RF_ZERO
+from drasp4 import dra, scalars, sp4
+from drasp4.scalars import GR_ONE, HA, HB, P_ONE, RF_ONE, RF_ZERO, RatFunc
 from drasp4.sparse import add_into
-from drasp4.weyl import WeylElem
-from drasp4.ambient import LETTERS, AmbientElem, e_gen, mono_weight, red
+from drasp4.weyl import NAMES, WeylElem
+from drasp4.ambient import (LETTERS, AmbientElem, e_gen, left_shift,
+                            mono_weight, red)
 from drasp4.dra import (D1_BAR, D2_BAR, DRA_ONE, DraElem, TruncationError,
                         X1_BAR, X2_BAR, apply_p, apply_p_root, diamond,
                         diamond_commutator, diamond_product, dra_json, dra_str, dra_theta,
@@ -26,11 +27,60 @@ DERIVED = json.loads((FIXTURES / "derived_values.json").read_text())
 
 
 def test_projector_coefficients():
+    """Each series coefficient, made from its known lines, is structurally
+    the quotient it stands for, to k = 12: the same lines, numerator and
+    denominator of the numerator's coefficients."""
     for g in sp4.POS_ROOTS:
         h = h_form(g)
         assert projector_coeff(g, 0) == RF_ONE
         assert projector_coeff(g, 1) == -(RF_ONE / (h + 2))
         assert projector_coeff(g, 2) == RF_ONE / ((h + 2) * (h + 3) * 2)
+        den = RatFunc.const(1)
+        for k in range(13):
+            if k:
+                den = den * (h + k + 1) * k
+            got = projector_coeff(g, k)
+            want = RatFunc.const((-1) ** k) / den
+            assert got == want and got.lines == want.lines
+            assert got.num == want.num and got.num._d == want.num._d
+            assert got.res is want.res is P_ONE
+
+
+def test_projecting_the_generators_splits_no_denominator(monkeypatch):
+    """The projector coefficients are built from their lines, so a cold
+    projection of the four generators never root-finds a denominator."""
+    calls = []
+    split_lines = scalars._split_lines
+
+    def counted(p):
+        calls.append(p)
+        return split_lines(p)
+
+    drasp4.clear_caches()
+    monkeypatch.setattr(scalars, "_split_lines", counted)
+    for name in NAMES:
+        assert apply_p(DraElem.gen(name).to_ambient())
+    assert calls == []
+
+
+def test_weyl_shift_is_the_left_shift_of_the_padded_monomial():
+    monos = [m for m in itertools.product(range(7), repeat=4) if sum(m) <= 6]
+    assert len(monos) == 210
+    for m in monos:
+        assert dra._weyl_shift(m) == left_shift((0,) * 4 + m + (0,) * 4), m
+
+
+def test_shifted_leaf_terms_are_read_from_the_unshifted_ones():
+    """A shifted leaf is the unshifted one with each scalar shifted; the
+    letters' scalars are folded once per generator, into the unshifted
+    terms, whatever shift is asked for first."""
+    drasp4.clear_caches()
+    for i, n in enumerate(dra._UNITS, 1):
+        shifted = dra._leaf_terms(n, (2, -1))
+        assert dra._leaf_terms.cache_info().currsize == 2 * i
+        assert shifted == tuple((letters, w, c.shift(2, -1)) for letters, w, c
+                                in dra._leaf_terms(n, (0, 0)))
+    assert dra._leaf_terms.cache_info().hits == len(dra._UNITS)
 
 
 def test_single_factor_example():

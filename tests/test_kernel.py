@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from drasp4 import scalars
-from drasp4.scalars import (COROOT_DIRECTIONS, P_HA, P_HB, GaussRat, Poly2,
-                            _line)
+from drasp4.scalars import (COROOT_DIRECTIONS, P_HA, P_HB, P_ONE, RF_ZERO,
+                            GaussRat, Poly2, RatFunc, _line)
 
 from kernel_reference import (ref_add, ref_divide_lines, ref_mul, ref_poly,
                               ref_shift)
@@ -159,3 +159,59 @@ def test_line_division_per_direction_and_constant(direction, k, scale):
         assert as_ref(got) == ref_got
         if quotient is not None:
             assert got == quotient
+
+
+# 0, the units, factors of the denominators 2, 3 and 6 that numerators
+# have, and sizes that widen 64-bit slots to 128 bits or more
+FACTOR = st.one_of(
+    st.sampled_from((0, 1, -1, 2 ** 63, -(2 ** 64), 2 ** 70, -(2 ** 70))),
+    st.builds(lambda k, f: k * f, st.integers(-2 ** 20, 2 ** 20),
+              st.sampled_from((2, 3, 6))),
+    st.integers(-2 ** 70, 2 ** 70))
+
+
+def scaled_ref(ref: tuple, k: int) -> tuple:
+    return ref_mul(ref, ({(0, 0): (k, 0)} if k else {}, 1))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.one_of(affine(), line_product()),
+       st.one_of(st.none(), st.sampled_from(LINE_KEYS)), FACTOR)
+def test_int_factor_matches_dict_kernel(value, key, k):
+    """f * k and k * f scale the numerator's rows as the dict kernel's
+    product by the constant k does, and keep the lines and residual."""
+    p, ref = agree(value)
+    f = RatFunc(p) if key is None else RatFunc(p, _line(key))
+    ref = as_ref(f.num)
+    for got in (f * k, k * f):
+        assert as_ref(got.num) == scaled_ref(ref, k)
+        if k and f:
+            assert got.lines == f.lines and got.res is f.res
+        else:
+            assert got is RF_ZERO
+
+
+def test_int_factor_widens_slots_only_when_the_exact_bound_needs_it(
+        monkeypatch):
+    """The loose bound a sum leaves is made exact before the slots widen:
+    2*Hb, left by a sum that cancels 2^61*Ha, scales by 4 in 64-bit slots
+    and by 2^62 in 128-bit ones, with no polynomial product.  A factor
+    shared with the denominator of the coefficients cancels."""
+    big = Poly2.affine(2 ** 61, 1, 0)
+    p = big + Poly2.affine(-(2 ** 61), 1, 0)
+    assert p._s == 64 and p._n > 2 ** 62
+    f = RatFunc(p)
+    monkeypatch.setattr(Poly2, "__mul__", None)
+    for k, width in ((4, 64), (-(2 ** 62), 128), (3, 64)):
+        got = scalars._scale(p, k)
+        assert got._s == width and as_ref(got) == scaled_ref(as_ref(p), k)
+        assert (f * k).num == got
+    monkeypatch.undo()
+    assert p._n == 2
+    sixth = Poly2({(1, 0): GaussRat(0, Fraction(2 ** 58, 6)),
+                   (0, 1): GaussRat(Fraction(1, 6))})
+    for k, width, d in ((6, 64, 1), (-3, 64, 2), (2 ** 40, 128, 3)):
+        got = scalars._scale(sixth, k)
+        assert (got._s, got._d) == (width, d)
+        assert as_ref(got) == scaled_ref(as_ref(sixth), k)
+    assert (RatFunc(P_ONE) * 5).num == Poly2.const(5)

@@ -761,3 +761,41 @@ def test_line_only_arithmetic_takes_no_gcd(monkeypatch):
     alg = reduction_gwa()
     u = alg.x(1) * alg.base(alg.t(2)) + alg.y(2)
     assert u * (alg.y(1) + alg.x(2)) * u
+
+
+def test_shifting_a_line_only_scalar_shifts_only_its_numerator(monkeypatch):
+    """A shift moves each line's constant and keeps the residual 1 as it
+    is, so the numerator is the one polynomial it shifts."""
+    f = (HA + 2 * HB + 1) / ((HA + 1) * (HB - 2) * (HA + HB + 3))
+    want = (HA + 2 * HB - 2) / ((HA + 2) * (HB - 4) * (HA + HB + 2))
+    assert f.res is P_ONE and len(f.lines) == 3
+    calls = []
+    shift = Poly2.shift
+
+    def counted(p, da, db):
+        calls.append(p)
+        return shift(p, da, db)
+
+    monkeypatch.setattr(Poly2, "shift", counted)
+    got = f.shift(1, -2)
+    assert calls == [f.num]
+    assert got == want and got.res is P_ONE
+
+
+def test_expand_builds_only_the_lines_it_multiplies_by(monkeypatch):
+    keys = [((1, 0), 1), ((0, 1), -2), ((1, 2), 3), ((1, 1), 0)]
+    lines = dict(zip(keys, (2, 1, 3, 1)))
+    part = {keys[0]: 2, keys[2]: 1, keys[3]: 1}
+    want = scalars._line(keys[1]) * scalars._line(keys[2]) ** 2
+    built = []
+    line = scalars._line
+
+    def counted(key):
+        built.append(key)
+        return line(key)
+
+    monkeypatch.setattr(scalars, "_line", counted)
+    assert scalars._expand(lines, part) == want
+    assert built == keys[1:3]
+    built.clear()
+    assert scalars._expand(lines, lines) is P_ONE and built == []

@@ -7,7 +7,7 @@ from drasp4.dra import DraElem
 from drasp4.gwa import (BasePoly, GwaAlgebra, GwaElem, SkewAffineSigma,
                         weyl_gwa)
 from drasp4.sparse import add_into, bilinear, linear, power
-from drasp4.sp4 import LieElem, decompose
+from drasp4.sp4 import SPAN, LieElem, decompose
 
 ALG = weyl_gwa(1)
 
@@ -60,6 +60,7 @@ SCALAR_CASES = {
                  "BasePoly(2, "),
     "GwaElem": ((0,), BasePoly.const(1, 2), BasePoly(1), 1,
                 f"GwaElem({ALG!r}, "),
+    "LieElem": ("1", GaussRat(2), GaussRat(0), 1, "LieElem("),
 }
 
 
@@ -177,6 +178,15 @@ def test_lie_elem_is_a_sparse_map():
     assert x.coords == {"Ea": GR_ONE} and x.const == GaussRat(3)
     assert LieElem.basis("Ea").const == GaussRat(0)
     assert decompose(x.to_weyl()) == x
+
+
+def test_lie_elem_lists_its_keys_in_span_order():
+    """Keys, the four Weyl generators of the elimination rows among them,
+    come in SPAN order; test_shared_scalar_interface checks the degrees."""
+    x = LieElem({s: GaussRat(k + 1) for k, s in enumerate(reversed(SPAN))})
+    assert x.sorted_keys() == list(SPAN) and x.degree() == 1
+    assert LieElem({"1": GR_ONE, "x1": GR_ONE}).sorted_keys() == ["x1", "1"]
+    assert LieElem().sorted_keys() == []
 
 
 def test_add_into_and_power():
