@@ -21,7 +21,7 @@ from math import factorial
 from operator import mul
 
 from .scalars import (RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json,
-                      rf_over_lines)
+                      rf_over_lines, rf_sum)
 from .sparse import SparseTerms, add_into, bilinear, linear, power
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
@@ -242,9 +242,9 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
             x = {m: 1}
             for f in letters:
                 x = _int_bracket(x, f)
-            add_into(out, ((v, c * b)
-                           for v, b in bilinear(x, {w: 1}, _mono_mul).items()))
-        return DraElem(out)
+            for v, b in bilinear(x, {w: 1}, _mono_mul).items():
+                out.setdefault(v, []).append(c * b)
+        return DraElem({v: rf_sum(cs) for v, cs in out.items()})
     left = DraElem({m: RF_ONE})
     i = max(k for k, e in enumerate(n) if e)
     w = n[:i] + (0,) * (4 - i)

@@ -9,9 +9,12 @@ in this field.  All values are immutable and hashable.
 A scalar keeps its numerator expanded and its denominator factored.  The
 engine's denominators are products of shifted coroot forms h + k, the
 denominators of the extremal projector, and each such line is stored with
-its multiplicity: a product adds multiplicities, a sum takes their maximum
-and cancels a line only where the numerator vanishes on it, and a shift
-moves each line's constant.  A scalar whose lines are known, such as a
+its multiplicity: a product adds multiplicities, and a shift moves each
+line's constant.  A sum of any number of terms (``rf_sum``) takes the
+largest multiplicities, adds the numerators times their cofactors in one
+pass, and cancels a line only where the numerator vanishes on it, which
+it tests only on the lines that two or more terms carry at their largest
+multiplicity.  A scalar whose lines are known, such as a
 projector coefficient, is built from them (``rf_over_lines``) with no
 division.  What does not split into such lines (only parser or hand-built
 input has it) stays one residual polynomial, reduced by a gcd in one
@@ -51,7 +54,6 @@ import struct
 from fractions import Fraction
 from math import lcm
 from math import gcd as _igcd
-from operator import mul
 
 from .sparse import add_into, mono_text, power, signed_sum
 
@@ -302,13 +304,7 @@ class Poly2:
     # -- ring operations --
 
     def __add__(self, other):
-        d1, d2 = self._d, other._d
-        g = _igcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
-        s, n, (r1, i1), (r2, i2) = _align(
-            self, other, lambda n1, n2: n1 * f1 + n2 * f2)
-        return _reduced(_lin(r1, f1, r2, f2), _lin(i1, f1, i2, f2), s, n,
-                        d1 * f1)
+        return _poly_sum((self, other))
 
     def __sub__(self, other):
         return self + -other
@@ -322,7 +318,7 @@ class Poly2:
             other = Poly2.const(other)
         if not isinstance(other, Poly2):
             return NotImplemented
-        s, n, (r1, i1), (r2, i2) = _align(self, other, mul)
+        s, n, (r1, i1), (r2, i2) = _align(self, other)
         re, im = _conv(r1, r2), ()
         if i1 and i2:
             re = _lin(re, 1, _conv(i1, i2), -1)
@@ -363,7 +359,7 @@ class Poly2:
         """Substitute Ha -> Ha + da, Hb -> Hb + db: each row's digits taken
         at 2^s + db, s the width of the shifted bound, give the shifted
         row, and a Taylor shift of the rows in Ha follows."""
-        if (da == 0 and db == 0) or not self._r:
+        if (da == 0 and db == 0) or self.is_const():
             return self
         s = self._s
         rows = [[_digits(row, s) for row in part]
@@ -485,16 +481,16 @@ def _rows_at(p: Poly2, s: int) -> tuple:
                  for part in (p._r, p._i))
 
 
-def _align(p: Poly2, q: Poly2, bound) -> tuple:
-    """A slot width s for an operation on p and q whose parts are at most
-    bound(p's bound, q's bound) in size, that bound, and the rows of p and
+def _align(p: Poly2, q: Poly2) -> tuple:
+    """A slot width s for the product of p and q, whose parts are at most
+    the product of their bounds in size, that bound, and the rows of p and
     q at s.  Sums and quotients leave bounds loose, so where they ask for
     wider slots than either operand has, they are first made exact."""
     sp, sq = p._s, q._s
-    n = bound(p._n, q._n)
+    n = p._n * q._n
     s = _width(n)
     if s > sp and s > sq:
-        n = bound(_norm(p), _norm(q))
+        n = _norm(p) * _norm(q)
         s = _width(n)
     if s <= sp == sq:
         return sp, n, (p._r, p._i), (q._r, q._i)
@@ -511,6 +507,32 @@ def _scale(p: Poly2, k: int) -> Poly2:
         s = max(s, _width(n))
     re, im = _rows_at(p, s)
     return _reduced([x * k for x in re], [y * k for y in im], s, n, p._d)
+
+
+def _poly_sum(ps) -> Poly2:
+    """The sum of polynomials over the lcm of their denominators: each
+    one's rows times its cofactor, added at one slot width, which is
+    chosen, and loose bounds made exact, as in _align."""
+    d = lcm(*[p._d for p in ps])
+    n, lo, hi = 0, ps[0]._s, ps[0]._s
+    for p in ps:
+        n += p._n * (d // p._d)
+        if p._s < lo:
+            lo = p._s
+        elif p._s > hi:
+            hi = p._s
+    s = _width(n)
+    if s > hi:
+        n = sum([_norm(p) * (d // p._d) for p in ps])
+        s = _width(n)
+    s, re, im = max(s, lo), [], []
+    for p in ps:
+        f = d // p._d
+        r, i = _rows_at(p, s)
+        re = _lin(re, 1, r, f)
+        if i:
+            im = _lin(im, 1, i, f)
+    return _reduced(re, im, s, n, d)
 
 
 def _lin(a, fa: int, b, fb: int) -> list:
@@ -871,11 +893,47 @@ def _strip(p: Poly2, keys, lines: dict) -> Poly2:
 def _cancel(num: Poly2, lines: dict, keys) -> tuple:
     """Divide num by each line of keys as often as it divides num, up to
     its multiplicity in lines; returns num and the lines left over."""
+    if not keys:
+        return num, lines
     num, found = _divide_lines(num, keys, lines)
     if found:
         lines = {key: m - found.get(key, 0) for key, m in lines.items()
                  if m != found.get(key)}
     return num, lines
+
+
+def rf_sum(values) -> "RatFunc":
+    """The sum of scalars (or numbers), taken at once over the lcm of
+    their lines: the numerators times their cofactors are added in one
+    pass over the rows, and only the lines whose largest multiplicity two
+    or more terms carry are probed.  A line that one term alone carries at
+    its largest multiplicity cannot cancel: that term's numerator and
+    cofactor are prime to it, and every other term has it in its cofactor.
+    A sum with a residual operand is built through the constructor."""
+    terms = [f for f in map(as_rf, values) if f.num]
+    if len(terms) < 2:
+        return terms[0] if terms else RF_ZERO
+    lines, carried = {}, {}
+    for f in terms:
+        if f.res is not P_ONE:
+            out = terms[0]
+            for g in terms[1:]:
+                out = RatFunc(out.num * g.den + g.num * out.den,
+                              out.den * g.den)
+            return out
+        for key, m in f.lines.items():
+            top = lines.get(key, 0)
+            if m > top:
+                lines[key], carried[key] = m, 1
+            elif m == top:
+                carried[key] += 1
+    num = _poly_sum([f.num if f.lines == lines
+                     else _times(f.num, _expand(lines, f.lines))
+                     for f in terms])
+    if not num:
+        return RF_ZERO
+    return _rf(*_cancel(num, lines, [k for k, c in carried.items() if c > 1]),
+               P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -972,45 +1030,22 @@ class RatFunc:
 
     # -- field operations --
 
-    def _add_sub(self, g: "RatFunc", sign: int) -> "RatFunc":
-        """Addition over the lcm of the denominators.  A line can cancel
-        only where both operands have it with the same multiplicity, so
-        the sum is tested on those lines alone.  An operand with a
-        residual sends the sum through the constructor."""
-        if not g.num:
-            return self
-        if not self.num:
-            return g if sign > 0 else -g
-        t1, t2 = self.num, (g.num if sign > 0 else -g.num)
-        if self.res is not P_ONE or g.res is not P_ONE:
-            return RatFunc(t1 * g.den + t2 * self.den, self.den * g.den)
-        l1, l2 = self.lines, g.lines
-        if l1 == l2:
-            lines = common = l1
-        else:
-            lines = {**l1, **{key: max(m, l1.get(key, 0))
-                              for key, m in l2.items()}}
-            common = [key for key, m in l1.items() if l2.get(key) == m]
-            t1 = _times(t1, _expand(lines, l1))
-            t2 = _times(t2, _expand(lines, l2))
-        t = t1 + t2
-        if t.is_zero():
-            return RF_ZERO
-        return _rf(*_cancel(t, lines, common), P_ONE)
-
     def __add__(self, other):
         g = self._coerce(other)
-        return NotImplemented if g is None else self._add_sub(g, 1)
+        return NotImplemented if g is None else rf_sum((self, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         g = self._coerce(other)
-        return NotImplemented if g is None else self._add_sub(g, -1)
+        return NotImplemented if g is None else rf_sum((self, -g))
 
     def __rsub__(self, other):
         g = self._coerce(other)
         return NotImplemented if g is None else g - self
+
+    # the n-ary sum that sparse.bilinear takes for a key reached again
+    _nsum = staticmethod(rf_sum)
 
     def __neg__(self):
         return _rf(-self.num, self.lines, self.res)

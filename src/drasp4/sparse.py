@@ -7,7 +7,12 @@ Scalar polynomials (``scalars.Poly2``) keep the same rule on a map of
 Gaussian-integer pairs over one denominator instead.
 
 Every product of two elements expands through ``bilinear``, and every
-linear map given on keys through ``linear``.  Every element type renders
+linear map given on keys through ``linear``; ``bilinear`` sums each output
+key once, through the n-ary sum of the dynamical scalars where a key is
+reached more than once.  ``add_into`` is left to the sums of
+``SparseTerms``, the pending words of the ambient straightening, the
+pseudo-remainders of the residual gcd, the integer brackets of the
+diamond leaf and the realization ``phi``.  Every element type renders
 through the same three helpers: a monomial word, and one of two sum
 formats over (coefficient text, monomial text) pairs in ``sorted_keys()``
 order.
@@ -36,11 +41,14 @@ def add_into(out: dict, items) -> dict:
 
 
 def bilinear(u: dict, v: dict, basis, shift=None) -> dict:
-    """The product of two term maps: the sum, as ``add_into`` sums, of
-    c d' x over the terms c m of ``u``, d n of ``v`` and x k of the map
-    ``basis(m, n)``.  A right coefficient passing the left key m becomes
-    d' = ``d.shift(*shift(m))``, once per distinct shift; d' = d if no shift."""
-    out, shifted = {}, {}
+    """The product of two term maps: the sum of c d' x over the terms c m
+    of ``u``, d n of ``v`` and x k of the map ``basis(m, n)``.  A right
+    coefficient passing the left key m becomes d' = ``d.shift(*shift(m))``,
+    once per distinct shift; d' = d if no shift.  A key reached once keeps
+    its term.  The terms of a key reached again are listed and summed once
+    at the end, by the n-ary ``_nsum`` of their type where it has one (the
+    dynamical scalars), else pairwise; a key whose sum cancels is dropped."""
+    out, more, shifted = {}, {}, {}
     for m, c in u.items():
         right = v.items()
         if shift is not None:
@@ -51,15 +59,19 @@ def bilinear(u: dict, v: dict, basis, shift=None) -> dict:
         for n, d in right:
             cd = c * d
             for k, x in basis(m, n).items():
-                y = out.get(k)
-                if y is None:
+                if k not in out:
                     out[k] = cd * x
+                elif k in more:
+                    more[k].append(cd * x)
                 else:
-                    y = y + cd * x
-                    if y:
-                        out[k] = y
-                    else:
-                        del out[k]
+                    more[k] = [out[k], cd * x]
+    for k, terms in more.items():
+        nsum = getattr(type(terms[0]), "_nsum", None)
+        total = nsum(terms) if nsum else sum(terms[1:], terms[0])
+        if total:
+            out[k] = total
+        else:
+            del out[k]
     return out
 
 

@@ -5,7 +5,8 @@ was a map ``{(ea, eb): (re, im)}`` of nonzero Gaussian-integer pairs over
 one denominator ``d > 0`` with gcd(all re, all im, d) = 1.  This module
 keeps that kernel's sum, product, shift and line division, one term at a
 time, on plain ``(pairs, d)`` values, so the packed kernel can be compared
-with it on any input.  Do not speed it up: it is an oracle.
+with it on any input, and a pairwise sum of line-only scalars built on
+them.  Do not speed it up: it is an oracle.
 
 A line key ``((ca, cb), k)`` is the form ca*Ha + cb*Hb + k.
 """
@@ -160,3 +161,30 @@ def ref_divide_lines(p: tuple, keys, limits) -> tuple:
                 found[key] = n
                 rest = {}
     return p, found
+
+
+def ref_line(key) -> tuple:
+    """The line ca*Ha + cb*Hb + k as a polynomial."""
+    (ca, cb), k = key
+    return {e: (f, 0) for e, f in (((1, 0), ca), ((0, 1), cb), ((0, 0), k))
+            if f}, 1
+
+
+def ref_rf_add(f: tuple, g: tuple) -> tuple:
+    """The sum of two line-only scalars, each (numerator, lines) with the
+    numerator as ``ref_poly`` gives it: both numerators times their
+    cofactors over the lcm of the lines, added, and then divided by every
+    line of the lcm as often as it divides, up to its multiplicity."""
+    (p, l1), (q, l2) = f, g
+    lines = {key: max(l1.get(key, 0), l2.get(key, 0)) for key in {**l1, **l2}}
+    for key, m in lines.items():
+        for _ in range(m - l1.get(key, 0)):
+            p = ref_mul(p, ref_line(key))
+        for _ in range(m - l2.get(key, 0)):
+            q = ref_mul(q, ref_line(key))
+    t = ref_add(p, q)
+    if not t[0]:
+        return ({}, 1), {}
+    t, found = ref_divide_lines(t, list(lines), lines)
+    return t, {key: m - found.get(key, 0) for key, m in lines.items()
+               if m > found.get(key, 0)}

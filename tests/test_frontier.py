@@ -7,11 +7,13 @@ scalar products were packed into integers and the line tests moved to the
 axes, so a change in any coefficient of these large products shows here.
 
 The fixture ``frontier_digests.json`` holds the sha256 of the canonical
-JSON of three larger products, which take seconds each: the frontier
+JSON of five larger products, which take seconds each: the frontier
 shapes at n = 8 and n = 7, and ``M_4 <> M_4`` with
-``M_4 = d1^4 d2^4 x2^4 x1^4``, whose peel takes corrections.  They were
-recorded before the scalar numerators were stored as packed rows.  Tier-1
-does not compute them; CI runs ``frontier_digest_mismatches()``.
+``M_4 = d1^4 d2^4 x2^4 x1^4``, whose peel takes corrections, recorded
+before the scalar numerators were stored as packed rows; and the frontier
+shapes at n = 10 and n = 8, recorded before the sums of several scalars
+into one output coefficient were taken at once.  Tier-1 does not compute
+them; CI runs ``frontier_digest_mismatches()``.
 """
 
 import hashlib
@@ -59,6 +61,10 @@ def frontier_digests() -> dict:
         "gwa X1^7 X2^7, Y1^7 Y2^7": _digest(gwa_json(
             (x1 ** 7 * x2 ** 7) * (y1 ** 7 * y2 ** 7))),
         "diamond M_4, M_4": _digest(dra_json(diamond(m4, m4))),
+        "diamond x1^10 x2^10, d1^10 d2^10": _digest(dra_json(diamond(
+            evaluate("x1^10 x2^10", "dra"), evaluate("d1^10 d2^10", "dra")))),
+        "gwa X1^8 X2^8, Y1^8 Y2^8": _digest(gwa_json(
+            (x1 ** 8 * x2 ** 8) * (y1 ** 8 * y2 ** 8))),
     }
 
 

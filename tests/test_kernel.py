@@ -8,17 +8,19 @@ and every quotient must agree.  Coefficients reach 2^40, 2^70 and 2^130,
 so that values of several slot widths meet in one operation.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from drasp4 import scalars
-from drasp4.scalars import (COROOT_DIRECTIONS, P_HA, P_HB, P_ONE, RF_ZERO,
-                            GaussRat, Poly2, RatFunc, _line)
+from drasp4.scalars import (COROOT_DIRECTIONS, HA, HB, P_HA, P_HB, P_ONE,
+                            RF_ZERO, GaussRat, Poly2, RatFunc, _line,
+                            _rf, rf_over_lines, rf_sum)
 
-from kernel_reference import (ref_add, ref_divide_lines, ref_mul, ref_poly,
-                              ref_shift)
+from kernel_reference import (ref_add, ref_divide_lines, ref_line, ref_mul,
+                              ref_poly, ref_rf_add, ref_shift)
 
 LINE_KEYS = [(d, k) for d in COROOT_DIRECTIONS for k in range(-3, 4)]
 BIG = (1, 2 ** 40, 2 ** 70, 2 ** 130)
@@ -31,12 +33,6 @@ def as_ref(p: Poly2) -> tuple:
 def from_ref(c: dict, d: int) -> Poly2:
     return Poly2({e: GaussRat(Fraction(a, d), Fraction(b, d))
                   for e, (a, b) in c.items()})
-
-
-def line_ref(key) -> tuple:
-    (ca, cb), k = key
-    c = {e: (f, 0) for e, f in (((1, 0), ca), ((0, 1), cb), ((0, 0), k)) if f}
-    return c, 1
 
 
 def both(c: dict, d: int) -> tuple:
@@ -82,7 +78,7 @@ def line_product(draw):
     value = both({(0, 0): draw(COEFF.filter(any))}, draw(DENOM))
     for key, m in lines.items():
         for _ in range(m):
-            value = (value[0] * _line(key), ref_mul(value[1], line_ref(key)))
+            value = (value[0] * _line(key), ref_mul(value[1], ref_line(key)))
     return agree(value)
 
 
@@ -119,7 +115,7 @@ def test_packed_kernel_matches_dict_kernel(value, factors, probes):
     assume(p)  # the engine divides no zero numerator
     for key, m in factors:
         for _ in range(m):
-            p, ref = p * _line(key), ref_mul(ref, line_ref(key))
+            p, ref = p * _line(key), ref_mul(ref, ref_line(key))
     agree((p, ref))
     limits = dict(factors)
     limits.update(probes)
@@ -215,3 +211,92 @@ def test_int_factor_widens_slots_only_when_the_exact_bound_needs_it(
         assert (got._s, got._d) == (width, d)
         assert as_ref(got) == scaled_ref(as_ref(sixth), k)
     assert (RatFunc(P_ONE) * 5).num == Poly2.const(5)
+
+
+# -- n-ary sums of line-only scalars --
+
+# lines in all four directions, two through one point of an axis
+SUM_LINES = [((1, 0), 2), ((1, 0), -1), ((0, 1), 1), ((0, 1), -2),
+             ((1, 1), 3), ((1, 2), -1)]
+SMALL = range(-6, 7)
+# the numerators ca*Ha + cb*Hb + c0 with Gaussian c0, the sets of up to
+# three lines with multiplicities 1 and 2, and Gaussian scales over
+# denominators up to 6; each is one draw, which keeps generation fast
+NUMERATORS = [(ca, cb, GaussRat(x, y)) for ca in (0, 1, 2) for cb in (0, 1, 2)
+              for x in SMALL for y in SMALL]
+LINE_SETS = [dict(zip(keys, ms)) for size in range(4)
+             for keys in itertools.combinations(SUM_LINES, size)
+             for ms in itertools.product((1, 2), repeat=size)]
+SCALES = [GaussRat(Fraction(x, d), Fraction(y, d)) for x in SMALL if x
+          for y in SMALL for d in range(1, 7)]
+
+
+def line_scalar(num, lines, scale):
+    """(ca*Ha + cb*Hb + c0) * scale over the lines, in lowest terms: the
+    product cancels a numerator that is one of the lines."""
+    ca, cb, c0 = num
+    p = Poly2({(1, 0): GaussRat(ca), (0, 1): GaussRat(cb), (0, 0): c0})
+    return _rf(p or P_ONE, {}, P_ONE) * rf_over_lines(scale, lines)
+
+
+LINE_SCALAR = st.builds(line_scalar, st.sampled_from(NUMERATORS),
+                        st.sampled_from(LINE_SETS), st.sampled_from(SCALES))
+
+
+def as_rf_ref(f: RatFunc) -> tuple:
+    assert f.res is P_ONE
+    return as_ref(f.num), dict(f.lines)
+
+
+def ref_sum(terms) -> tuple:
+    """The pairwise sum of the dict kernel, from the first term on."""
+    total = ({}, 1), {}
+    for f in terms:
+        total = ref_rf_add(total, as_rf_ref(f))
+    return total
+
+
+def check_sum(terms) -> RatFunc:
+    got = rf_sum(terms)
+    assert as_rf_ref(got) == ref_sum(terms)
+    return got
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(LINE_SCALAR, min_size=2, max_size=20),
+       st.one_of(st.none(), LINE_SCALAR))
+def test_rf_sum_matches_pairwise_reference(terms, rest):
+    """The n-ary sum probes only the lines whose largest multiplicity two
+    or more terms carry, and must still agree, structurally, with the
+    pairwise sum that probes every line.  When ``rest`` is drawn, the last
+    term is rest minus the sum of the others, so that most lines cancel."""
+    if rest is not None:
+        num, lines = ref_rf_add(as_rf_ref(rest), as_rf_ref(-rf_sum(terms)))
+        if num[0]:
+            terms = terms + [_rf(from_ref(*num), lines, P_ONE)]
+    got = check_sum(terms)
+    if rest is not None:
+        assert got == rest
+
+
+def test_rf_sum_seeded_cases():
+    """Three situations the drawn sums may miss."""
+    a, b, c = HA + 2, HB + 1, HA + HB
+    # Ha + 2 is carried at its largest multiplicity 2 by the first two
+    # terms, once by the third and not by the last, and one power cancels
+    terms = [1 / (a * a * b), (HA + 1) / (a * a * b), 3 / a, HB / b]
+    got = check_sum(terms)
+    assert got == (3 * HB + 4) / (a * b) + HB / b
+    assert got.lines == {((1, 0), 2): 1, ((0, 1), 1): 1}
+    # terms over different lines whose sum is zero
+    assert check_sum([1 / a, -1 / (HA + 3), -1 / (a * (HA + 3))]) is RF_ZERO
+    assert check_sum([HA / (b * c), HB / (b * c), -c / (b * c)]) is RF_ZERO
+    # a residual operand sends the whole sum through the constructor
+    res = RatFunc(P_ONE, P_HA * P_HA + P_ONE)
+    got = rf_sum([res, 1 / a, HA, -res])
+    assert got == 1 / a + HA and got.res is P_ONE
+    want = RatFunc(Poly2.affine(1, 0, 2) + (P_HA * P_HA + P_ONE),
+                   (P_HA * P_HA + P_ONE) * Poly2.affine(1, 0, 2))
+    got = rf_sum([res, 1 / a])
+    assert got == want and got.res == P_HA * P_HA + P_ONE
+    assert got.lines == {((1, 0), 2): 1}

@@ -782,6 +782,25 @@ def test_shifting_a_line_only_scalar_shifts_only_its_numerator(monkeypatch):
     assert got == want and got.res is P_ONE
 
 
+def test_shifting_a_constant_numerator_reads_no_row(monkeypatch):
+    """A constant numerator is its own shift: a scalar over lines with a
+    constant numerator, such as a projector coefficient, shifts only its
+    lines' constants, and no digit of a row is read or evaluated."""
+    reads = []
+    for name in ("_digits", "_ieval"):
+        real = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *args, real=real:
+                            reads.append(args) or real(*args))
+    c = Poly2.const(GaussRat(Fraction(-2, 3), 5))
+    f = scalars.rf_over_lines(GaussRat(1, 2) / 6,
+                              {((1, 0), 2): 1, ((1, 2), -1): 2})
+    got = f.shift(2, -1)
+    assert c.shift(1, -3) is c and got.num is f.num
+    assert got.lines == {((1, 0), 4): 1, ((1, 2), -1): 2}
+    assert reads == []
+    assert scalars.P_HA.shift(1, 0) == scalars.P_HA + P_ONE and reads
+
+
 def test_expand_builds_only_the_lines_it_multiplies_by(monkeypatch):
     keys = [((1, 0), 1), ((0, 1), -2), ((1, 2), 3), ((1, 1), 0)]
     lines = dict(zip(keys, (2, 1, 3, 1)))

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from drasp4.scalars import GR_ONE, GaussRat, HA, HB, Poly2, RF_ONE, RatFunc
+from drasp4 import dra
+from drasp4.scalars import (GR_ONE, GaussRat, HA, HB, Poly2, RF_ONE, RatFunc,
+                            rf_sum)
 from drasp4.weyl import W_ONE, WeylElem
 from drasp4.ambient import AmbientElem
 from drasp4.dra import DraElem
@@ -150,6 +154,77 @@ def test_bilinear_on_hand_built_maps():
     # two shifted pairs that cancel drop their key
     assert bilinear({"p": HB, "r": -HB}, {"n": HA}, lambda m, n: {"k": 1},
                     shifts.get) == {}
+
+
+def _counted_sums(monkeypatch) -> tuple:
+    """Count the n-ary sums of scalars and refuse pairwise ones."""
+    nary = []
+
+    def counted(values):
+        nary.append(list(values))
+        return rf_sum(values)
+
+    def refuse(*args):
+        raise AssertionError("pairwise sum of scalars")
+
+    monkeypatch.setattr(RatFunc, "_nsum", staticmethod(counted))
+    for name in ("__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    return nary
+
+
+def test_bilinear_sums_a_repeated_key_once(monkeypatch):
+    """A key reached three times takes one n-ary sum and no pairwise one;
+    a key reached once keeps its term; a key whose terms cancel is
+    dropped."""
+    f, g, h = HA, HB / (HA + 1), RF_ONE / (HA + 1)
+    minus = -(f + g)
+    nary = _counted_sums(monkeypatch)
+    got = bilinear({"a": f, "b": g, "c": h}, {"n": RF_ONE},
+                   lambda m, n: {"k": 1, m: 1})
+    assert nary == [[f, g, h]]
+    assert got["a"] is f and got["b"] is g and got["c"] is h
+    nary.clear()
+    cancel = bilinear({"a": f, "b": g, "c": minus}, {"n": RF_ONE},
+                      lambda m, n: {"k": 1})
+    assert len(nary) == 1 and cancel == {}
+    monkeypatch.undo()
+    assert got["k"] == f + g + h == (HA * HA + HA + HB + 1) / (HA + 1)
+
+
+def test_bilinear_sums_numbers_pairwise():
+    """int and Gaussian-rational coefficients, which have no n-ary sum,
+    are summed pairwise; a key whose sum cancels is dropped."""
+    three = lambda m, n: {"k": m, "z": 1}
+    assert bilinear({1: 1, 2: 1, 3: 1}, {"n": 2}, three) == {"k": 12,
+                                                              "z": 6}
+    half, i = GaussRat(Fraction(1, 2)), GaussRat(0, 1)
+    assert bilinear({half: half, i: i, -half: -i}, {"n": GR_ONE},
+                    three) == {"k": half * half + i * i + half * i,
+                               "z": half + i - i}
+    assert bilinear({1: half, 2: i, 3: -half - i}, {"n": GR_ONE},
+                    lambda m, n: {"z": 1}) == {}
+
+
+def test_cold_diamond_leaf_sums_each_key_once(monkeypatch):
+    """With its projected terms cached, a cold leaf sums each output key
+    once, by rf_sum, and takes no pairwise sum of scalars."""
+    m, n = (0, 0, 1, 1), (1, 0, 0, 0)
+    want = dra._basis_diamond(m, n)
+    dra._basis_diamond.cache_clear()
+    dra._leaf_terms(n, dra._weyl_shift(m))
+    calls = []
+
+    def counted(values):
+        calls.append(list(values))
+        return rf_sum(values)
+
+    _counted_sums(monkeypatch)
+    monkeypatch.setattr(dra, "rf_sum", counted)
+    got = dra._basis_diamond(m, n)
+    assert len(calls) == len(got.terms) and max(map(len, calls)) > 2
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_linear_on_hand_built_maps():
