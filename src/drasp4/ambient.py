@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import cache
 from heapq import heappop, heappush
 
-from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json,
-                      rf_latex, rf_str)
+from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, latex_powers,
+                      rf_json, rf_latex, rf_str)
 from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum,
                      mono_text)
 from . import sp4, weyl
@@ -243,7 +243,7 @@ def amb_str(u: AmbientElem) -> str:
 
 def amb_latex(u: AmbientElem) -> str:
     return bracketed_sum(((rf_latex(u.terms[m]),
-                           mono_text(m, _LATEX_LETTERS, " "))
+                           latex_powers(mono_text(m, _LATEX_LETTERS, " ")))
                           for m in u.sorted_keys()), "\\left(", "\\right)")
 
 

@@ -220,7 +220,8 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
     ..., F_ik] w (oscillator brackets) to red(m P(n), II): m F = F m +
     [m, F], and red(., II) drops every term that starts with a lowering
     letter.  The brackets and the product by w run on integer
-    combinations of monomials; _leaf_terms holds the scalars.  Any other
+    combinations of monomials, and each output key sums the scalars of
+    _leaf_terms once, weighted by those integers.  Any other
     n = w g^e, g its last letter in the order d1 d2 x2 x1, is peeled from
     the cached m <> w one letter at a time, with w_{j+1} = w_j g:
 
@@ -243,7 +244,7 @@ def _basis_diamond(m: tuple, n: tuple) -> DraElem:
             for f in letters:
                 x = _int_bracket(x, f)
             for v, b in bilinear(x, {w: 1}, _mono_mul).items():
-                out.setdefault(v, []).append(c * b)
+                out.setdefault(v, []).append((c, b))
         return DraElem({v: rf_sum(cs) for v, cs in out.items()})
     left = DraElem({m: RF_ONE})
     i = max(k for k, e in enumerate(n) if e)

@@ -10,17 +10,19 @@ A scalar keeps its numerator expanded and its denominator factored.  The
 engine's denominators are products of shifted coroot forms h + k, the
 denominators of the extremal projector, and each such line is stored with
 its multiplicity: a product adds multiplicities, and a shift moves each
-line's constant.  A sum of any number of terms (``rf_sum``) takes the
-largest multiplicities, adds the numerators times their cofactors in one
-pass, and cancels a line only where the numerator vanishes on it, which
-it tests only on the lines that two or more terms carry at their largest
-multiplicity.  A scalar whose lines are known, such as a
-projector coefficient, is built from them (``rf_over_lines``) with no
-division.  What does not split into such lines (only parser or hand-built
-input has it) stays one residual polynomial, reduced by a gcd in one
-place, the RatFunc constructor: a sum, product or inverse with a residual
-operand is built there from expanded numerators and denominators, and
-line-only values never take a gcd.
+line's constant.  A sum of terms, each times a nonzero int (``rf_sum``;
+a difference weighs its second term by -1, a scalar times an int is one
+term), takes the largest multiplicities, adds the numerators times their
+weighted cofactors in one pass, and cancels a line only where the
+numerator vanishes on it, which it tests only on the lines that two or
+more terms carry at their largest multiplicity.  A scalar whose lines are
+known, such as a projector coefficient, is built from them
+(``rf_over_lines``) with no division.  What does not split into such
+lines (only parser or hand-built input has it) stays one residual
+polynomial, reduced by a gcd in one place, the RatFunc constructor: a
+sum, product or inverse with a residual operand is built there from
+expanded numerators and denominators, and line-only values never take a
+gcd.
 
 A polynomial keeps Gaussian-integer coefficients over one denominator,
 packed by Kronecker substitution into one int per Ha degree: the row of
@@ -29,11 +31,11 @@ imaginary parts of a non-real polynomial fill a second list of rows.  The
 slot width s is a multiple of 64 above the bit length of a bound n on the
 sum of the parts' sizes, so each digit is below 2^(s-1) in size and reads
 back with its sign.  A product convolves rows, one big-integer product
-per pair, under the product of the bounds; a sum adds rows.  Bounds left
-loose by sums and quotients are made exact from the digits only when
-they would widen the slots.  A plain int or a constant scales rows and
-cancels no line; an int multiplies the rows directly, under the bound
-times its size.
+per pair, under the product of the bounds.  A sum adds each term's rows
+times its int weight and its cofactor over the common denominator, under
+the sum of the bounds times those factors.  Bounds left loose by sums and
+quotients are made exact from the digits only when they would widen the
+slots.  A constant factor cancels no line.
 
 A line divides the rows as they are: for Ha + cb*Hb + k, synthetically in
 Ha with cb*Hb + k as the integer cb*X + k; for Hb + k, row by row by the
@@ -54,6 +56,7 @@ import struct
 from fractions import Fraction
 from math import lcm
 from math import gcd as _igcd
+from re import sub as _re_sub
 
 from .sparse import add_into, mono_text, power, signed_sum
 
@@ -304,10 +307,10 @@ class Poly2:
     # -- ring operations --
 
     def __add__(self, other):
-        return _poly_sum((self, other))
+        return _poly_sum(((self, 1), (other, 1)))
 
     def __sub__(self, other):
-        return self + -other
+        return _poly_sum(((self, 1), (other, -1)))
 
     def __neg__(self):
         return _mk([-x for x in self._r], [-y for y in self._i], self._s,
@@ -498,36 +501,26 @@ def _align(p: Poly2, q: Poly2) -> tuple:
     return s, n, _rows_at(p, s), _rows_at(q, s)
 
 
-def _scale(p: Poly2, k: int) -> Poly2:
-    """p times the nonzero int k, row by row; the slots widen only when
-    the bound n*|k|, made exact first as in _align, needs it."""
-    s, n = p._s, p._n * abs(k)
-    if _width(n) > s:
-        n = _norm(p) * abs(k)
-        s = max(s, _width(n))
-    re, im = _rows_at(p, s)
-    return _reduced([x * k for x in re], [y * k for y in im], s, n, p._d)
-
-
-def _poly_sum(ps) -> Poly2:
-    """The sum of polynomials over the lcm of their denominators: each
-    one's rows times its cofactor, added at one slot width, which is
-    chosen, and loose bounds made exact, as in _align."""
-    d = lcm(*[p._d for p in ps])
-    n, lo, hi = 0, ps[0]._s, ps[0]._s
-    for p in ps:
-        n += p._n * (d // p._d)
+def _poly_sum(terms) -> Poly2:
+    """The sum of k*p over (polynomial p, nonzero int k) pairs, over the
+    lcm of the denominators: each p's rows times k and its cofactor, added
+    at one slot width.  The width holds the sum of the bounds times those
+    factors, and is chosen, and loose bounds made exact, as in _align."""
+    d = lcm(*[p._d for p, _ in terms])
+    n, lo, hi = 0, terms[0][0]._s, terms[0][0]._s
+    for p, k in terms:
+        n += p._n * abs(k * (d // p._d))
         if p._s < lo:
             lo = p._s
         elif p._s > hi:
             hi = p._s
     s = _width(n)
     if s > hi:
-        n = sum([_norm(p) * (d // p._d) for p in ps])
+        n = sum([_norm(p) * abs(k * (d // p._d)) for p, k in terms])
         s = _width(n)
     s, re, im = max(s, lo), [], []
-    for p in ps:
-        f = d // p._d
+    for p, k in terms:
+        f = k * (d // p._d)
         r, i = _rows_at(p, s)
         re = _lin(re, 1, r, f)
         if i:
@@ -736,9 +729,7 @@ def _expand(lines: dict, part: dict) -> Poly2:
     for key, m in lines.items():
         e = m - part.get(key, 0)
         if e:
-            line = _line(key)
-            for _ in range(e):
-                out = _times(out, line)
+            out = _times(out, power(_line(key), e, P_ONE))
     return out
 
 
@@ -902,23 +893,30 @@ def _cancel(num: Poly2, lines: dict, keys) -> tuple:
     return num, lines
 
 
-def rf_sum(values) -> "RatFunc":
-    """The sum of scalars (or numbers), taken at once over the lcm of
-    their lines: the numerators times their cofactors are added in one
-    pass over the rows, and only the lines whose largest multiplicity two
-    or more terms carry are probed.  A line that one term alone carries at
-    its largest multiplicity cannot cancel: that term's numerator and
-    cofactor are prime to it, and every other term has it in its cofactor.
-    A sum with a residual operand is built through the constructor."""
-    terms = [f for f in map(as_rf, values) if f.num]
-    if len(terms) < 2:
-        return terms[0] if terms else RF_ZERO
+def rf_sum(terms) -> "RatFunc":
+    """The sum of k*f over (scalar or number f, int k) pairs, taken at
+    once over the lcm of the lines: each numerator times k and its
+    cofactor is added in one pass over the rows, and only the lines whose
+    largest multiplicity two or more terms carry are probed.  A line that
+    one term alone carries at its largest multiplicity cannot cancel: that
+    term's numerator, k and cofactor are prime to it, and every other term
+    has it in its cofactor.  A term with f or k zero is left out; one term
+    keeps its lines and residual, and a sum with a residual operand is
+    built through the constructor."""
+    terms = [(f, k) for f, k in ((as_rf(v), k) for v, k in terms)
+             if k and f.num]
+    if not terms:
+        return RF_ZERO
+    f, k = terms[0]
+    if len(terms) == 1:
+        return f if k == 1 else _rf(_poly_sum(((f.num, k),)), f.lines, f.res)
     lines, carried = {}, {}
-    for f in terms:
+    for f, _ in terms:
         if f.res is not P_ONE:
-            out = terms[0]
-            for g in terms[1:]:
-                out = RatFunc(out.num * g.den + g.num * out.den,
+            out = rf_sum(terms[:1])
+            for g, k in terms[1:]:
+                out = RatFunc(_poly_sum(((out.num * g.den, 1),
+                                         (g.num * out.den, k))),
                               out.den * g.den)
             return out
         for key, m in f.lines.items():
@@ -927,9 +925,9 @@ def rf_sum(values) -> "RatFunc":
                 lines[key], carried[key] = m, 1
             elif m == top:
                 carried[key] += 1
-    num = _poly_sum([f.num if f.lines == lines
-                     else _times(f.num, _expand(lines, f.lines))
-                     for f in terms])
+    num = _poly_sum([(f.num if f.lines == lines
+                      else _times(f.num, _expand(lines, f.lines)), k)
+                     for f, k in terms])
     if not num:
         return RF_ZERO
     return _rf(*_cancel(num, lines, [k for k, c in carried.items() if c > 1]),
@@ -1032,32 +1030,30 @@ class RatFunc:
 
     def __add__(self, other):
         g = self._coerce(other)
-        return NotImplemented if g is None else rf_sum((self, g))
+        return NotImplemented if g is None else rf_sum(((self, 1), (g, 1)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         g = self._coerce(other)
-        return NotImplemented if g is None else rf_sum((self, -g))
+        return NotImplemented if g is None else rf_sum(((self, 1), (g, -1)))
 
     def __rsub__(self, other):
         g = self._coerce(other)
         return NotImplemented if g is None else g - self
 
     # the n-ary sum that sparse.bilinear takes for a key reached again
-    _nsum = staticmethod(rf_sum)
+    _nsum = staticmethod(lambda values: rf_sum([(f, 1) for f in values]))
 
     def __neg__(self):
         return _rf(-self.num, self.lines, self.res)
 
     def __mul__(self, other):
         if type(other) is int:
-            # scales the numerator's rows, builds no constant scalar
+            # a sum of one term, which builds no constant scalar
             if not other or not self.num:
                 return RF_ZERO
-            if other == 1:
-                return self
-            return _rf(_scale(self.num, other), self.lines, self.res)
+            return self if other == 1 else rf_sum(((self, other),))
         g = self._coerce(other)
         if g is None:
             return NotImplemented
@@ -1211,12 +1207,15 @@ def rf_str(f: RatFunc) -> str:
     return f"({poly_str(f.num)})/({poly_str(f.den)})"
 
 
+def latex_powers(text: str) -> str:
+    """``text`` with its exponents of two or more digits braced, ``x^{12}``."""
+    return _re_sub(r"\^(\d\d+)", r"^{\1}", text)
+
+
 def rf_latex(f: RatFunc) -> str:
-    num = poly_str(f.num).replace("Ha", "H_{\\alpha}").replace("Hb", "H_{\\beta}")
-    if f.den.is_const():
-        return num
-    den = poly_str(f.den).replace("Ha", "H_{\\alpha}").replace("Hb", "H_{\\beta}")
-    return f"\\frac{{{num}}}{{{den}}}"
+    num, den = (latex_powers(poly_str(p)).replace("Ha", "H_{\\alpha}")
+                .replace("Hb", "H_{\\beta}") for p in (f.num, f.den))
+    return num if f.den.is_const() else f"\\frac{{{num}}}{{{den}}}"
 
 
 def rf_json(f: RatFunc) -> dict:

@@ -190,16 +190,17 @@ def test_int_factor_matches_dict_kernel(value, key, k):
 def test_int_factor_widens_slots_only_when_the_exact_bound_needs_it(
         monkeypatch):
     """The loose bound a sum leaves is made exact before the slots widen:
-    2*Hb, left by a sum that cancels 2^61*Ha, scales by 4 in 64-bit slots
-    and by 2^62 in 128-bit ones, with no polynomial product.  A factor
-    shared with the denominator of the coefficients cancels."""
+    2*Hb, left by a sum that cancels 2^61*Ha, is weighted by 4 in 64-bit
+    slots and by 2^62 in 128-bit ones by the one-term weighted sum, with
+    no polynomial product.  A factor shared with the denominator of the
+    coefficients cancels."""
     big = Poly2.affine(2 ** 61, 1, 0)
     p = big + Poly2.affine(-(2 ** 61), 1, 0)
     assert p._s == 64 and p._n > 2 ** 62
     f = RatFunc(p)
     monkeypatch.setattr(Poly2, "__mul__", None)
     for k, width in ((4, 64), (-(2 ** 62), 128), (3, 64)):
-        got = scalars._scale(p, k)
+        got = scalars._poly_sum([(p, k)])
         assert got._s == width and as_ref(got) == scaled_ref(as_ref(p), k)
         assert (f * k).num == got
     monkeypatch.undo()
@@ -207,7 +208,7 @@ def test_int_factor_widens_slots_only_when_the_exact_bound_needs_it(
     sixth = Poly2({(1, 0): GaussRat(0, Fraction(2 ** 58, 6)),
                    (0, 1): GaussRat(Fraction(1, 6))})
     for k, width, d in ((6, 64, 1), (-3, 64, 2), (2 ** 40, 128, 3)):
-        got = scalars._scale(sixth, k)
+        got = scalars._poly_sum([(sixth, k)])
         assert (got._s, got._d) == (width, d)
         assert as_ref(got) == scaled_ref(as_ref(sixth), k)
     assert (RatFunc(P_ONE) * 5).num == Poly2.const(5)
@@ -241,6 +242,9 @@ def line_scalar(num, lines, scale):
 
 LINE_SCALAR = st.builds(line_scalar, st.sampled_from(NUMERATORS),
                         st.sampled_from(LINE_SETS), st.sampled_from(SCALES))
+# the int weights of a sum's terms: small ones, and ones that widen the
+# 64-bit slots of the numerators
+WEIGHT = st.sampled_from((-3, -2, -1, 1, 2, 3, 2 ** 62, -(2 ** 62)))
 
 
 def as_rf_ref(f: RatFunc) -> tuple:
@@ -249,10 +253,12 @@ def as_rf_ref(f: RatFunc) -> tuple:
 
 
 def ref_sum(terms) -> tuple:
-    """The pairwise sum of the dict kernel, from the first term on."""
+    """The pairwise sum of the dict kernel over (scalar, weight) pairs,
+    from the first term on, each numerator scaled by its weight first."""
     total = ({}, 1), {}
-    for f in terms:
-        total = ref_rf_add(total, as_rf_ref(f))
+    for f, k in terms:
+        num, lines = as_rf_ref(f)
+        total = ref_rf_add(total, (scaled_ref(num, k), lines))
     return total
 
 
@@ -263,17 +269,18 @@ def check_sum(terms) -> RatFunc:
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(st.lists(LINE_SCALAR, min_size=2, max_size=20),
+@given(st.lists(st.tuples(LINE_SCALAR, WEIGHT), min_size=2, max_size=20),
        st.one_of(st.none(), LINE_SCALAR))
 def test_rf_sum_matches_pairwise_reference(terms, rest):
-    """The n-ary sum probes only the lines whose largest multiplicity two
-    or more terms carry, and must still agree, structurally, with the
-    pairwise sum that probes every line.  When ``rest`` is drawn, the last
-    term is rest minus the sum of the others, so that most lines cancel."""
+    """The weighted n-ary sum probes only the lines whose largest
+    multiplicity two or more terms carry, and must still agree,
+    structurally, with the pairwise sum of the weighted numerators that
+    probes every line.  When ``rest`` is drawn, the last term, of weight
+    1, is rest minus the sum of the others, so that most lines cancel."""
     if rest is not None:
         num, lines = ref_rf_add(as_rf_ref(rest), as_rf_ref(-rf_sum(terms)))
         if num[0]:
-            terms = terms + [_rf(from_ref(*num), lines, P_ONE)]
+            terms = terms + [(_rf(from_ref(*num), lines, P_ONE), 1)]
     got = check_sum(terms)
     if rest is not None:
         assert got == rest
@@ -284,19 +291,22 @@ def test_rf_sum_seeded_cases():
     a, b, c = HA + 2, HB + 1, HA + HB
     # Ha + 2 is carried at its largest multiplicity 2 by the first two
     # terms, once by the third and not by the last, and one power cancels
-    terms = [1 / (a * a * b), (HA + 1) / (a * a * b), 3 / a, HB / b]
+    terms = [(1 / (a * a * b), 1), ((HA + 1) / (a * a * b), 1), (1 / a, 3),
+             (HB / b, 1)]
     got = check_sum(terms)
     assert got == (3 * HB + 4) / (a * b) + HB / b
     assert got.lines == {((1, 0), 2): 1, ((0, 1), 1): 1}
     # terms over different lines whose sum is zero
-    assert check_sum([1 / a, -1 / (HA + 3), -1 / (a * (HA + 3))]) is RF_ZERO
-    assert check_sum([HA / (b * c), HB / (b * c), -c / (b * c)]) is RF_ZERO
+    assert check_sum([(1 / a, 1), (1 / (HA + 3), -1),
+                      (1 / (a * (HA + 3)), -1)]) is RF_ZERO
+    assert check_sum([(HA / (b * c), 2), (HB / (b * c), 2),
+                      (c / (b * c), -2)]) is RF_ZERO
     # a residual operand sends the whole sum through the constructor
     res = RatFunc(P_ONE, P_HA * P_HA + P_ONE)
-    got = rf_sum([res, 1 / a, HA, -res])
+    got = rf_sum([(res, 2), (1 / a, 1), (HA, 1), (res, -2)])
     assert got == 1 / a + HA and got.res is P_ONE
     want = RatFunc(Poly2.affine(1, 0, 2) + (P_HA * P_HA + P_ONE),
                    (P_HA * P_HA + P_ONE) * Poly2.affine(1, 0, 2))
-    got = rf_sum([res, 1 / a])
+    got = rf_sum([(res, 1), (1 / a, 1)])
     assert got == want and got.res == P_HA * P_HA + P_ONE
     assert got.lines == {((1, 0), 2): 1}

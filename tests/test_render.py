@@ -137,3 +137,18 @@ def test_renderings_match_golden_fixture():
     assert sorted(got) == sorted(golden)
     for key, text in golden.items():
         assert got[key] == text, key
+
+
+def test_latex_braces_exponents_of_two_or_more_digits():
+    """LaTeX sets ``^12`` as ``^1`` followed by a plain 2, so an exponent
+    of two or more digits is braced, in the scalars and in the letters;
+    one digit stays bare, as in the golden fixture."""
+    assert rf_latex(evaluate("Ha^10*Hb^9+Hb^123", "scalar")) \
+        == "H_{\\beta}^{123}+H_{\\alpha}^{10}*H_{\\beta}^9"
+    assert rf_latex(evaluate("1/(Ha+2)^10", "scalar")).startswith(
+        "\\frac{1}{H_{\\alpha}^{10}+20*H_{\\alpha}^9+")
+    assert amb_latex(evaluate("Fa^11 x1^9 d2^12", "ambient")) \
+        == "\\left(1\\right) F_{\\alpha}^{11} \\partial_2^{12} x_1^9"
+    assert dra_latex(evaluate("1/(Ha^10+1)*x1", "dra")) \
+        == "\\left(\\frac{1}{H_{\\alpha}^{10}+1}\\right) x_1"
+    assert dra_latex(evaluate("x1^12", "dra")) == "\\left(1\\right) x_1^{12}"

@@ -162,7 +162,7 @@ def _counted_sums(monkeypatch) -> tuple:
 
     def counted(values):
         nary.append(list(values))
-        return rf_sum(values)
+        return rf_sum([(f, 1) for f in values])
 
     def refuse(*args):
         raise AssertionError("pairwise sum of scalars")
@@ -208,21 +208,32 @@ def test_bilinear_sums_numbers_pairwise():
 
 def test_cold_diamond_leaf_sums_each_key_once(monkeypatch):
     """With its projected terms cached, a cold leaf sums each output key
-    once, by rf_sum, and takes no pairwise sum of scalars."""
+    once, by rf_sum with the bracket integers as weights, and takes no
+    pairwise sum of scalars and no product of a scalar by an int."""
     m, n = (0, 0, 1, 1), (1, 0, 0, 0)
     want = dra._basis_diamond(m, n)
     dra._basis_diamond.cache_clear()
     dra._leaf_terms(n, dra._weyl_shift(m))
     calls = []
 
-    def counted(values):
-        calls.append(list(values))
-        return rf_sum(values)
+    def counted(terms):
+        calls.append(list(terms))
+        return rf_sum(terms)
+
+    mul = RatFunc.__mul__
+
+    def no_int(self, other):
+        if type(other) is int:
+            raise AssertionError("a scalar times an int")
+        return mul(self, other)
 
     _counted_sums(monkeypatch)
     monkeypatch.setattr(dra, "rf_sum", counted)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFunc, name, no_int)
     got = dra._basis_diamond(m, n)
     assert len(calls) == len(got.terms) and max(map(len, calls)) > 2
+    assert any(k != 1 for terms in calls for _, k in terms)
     monkeypatch.undo()
     assert got == want
 
