@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from heapq import heappop, heappush
+from operator import mul
 
 from .scalars import (HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, latex_powers,
                       rf_json, rf_latex, rf_str)
@@ -81,21 +82,22 @@ def word_mono(word) -> tuple:
     return tuple(exps)
 
 
+def shift_rule(weights):
+    """The rule m -> -wt(m), the shift of a scalar passing the monomial m
+    leftwards, for monomials over letters of the given (Ha, Hb) weights."""
+    wa, wb = zip(*weights)
+
+    def shift(m) -> tuple:
+        return -sum(map(mul, m, wa)), -sum(map(mul, m, wb))
+    return shift
+
+
+left_shift = shift_rule(LETTER_WEIGHT)
+
+
 def mono_weight(mono) -> tuple:
-    wa = wb = 0
-    for k in range(12):
-        e = mono[k]
-        if e:
-            la, lb = LETTER_WEIGHT[k]
-            wa += e * la
-            wb += e * lb
-    return wa, wb
-
-
-def left_shift(mono) -> tuple:
-    """The shift -wt(mono) of a scalar passing ``mono`` leftwards."""
-    wa, wb = mono_weight(mono)
-    return -wa, -wb
+    sa, sb = left_shift(mono)
+    return -sa, -sb
 
 
 @cache

@@ -18,15 +18,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import mul
 
 from .scalars import (RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json,
                       rf_over_lines, rf_sum)
-from .sparse import SparseTerms, add_into, bilinear, linear, power
+from .sparse import SparseTerms, add_into, bilinear, power
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
 from .ambient import (LETTER_WEIGHT, LETTERS, AmbientElem, amb_latex,
-                      amb_str, amb_theta, e_gen, f_gen, red)
+                      amb_str, amb_theta, e_gen, f_gen, red, shift_rule)
 
 TRUNCATION_MARGIN = 8
 
@@ -81,20 +80,11 @@ def apply_p_root(root: str, v: AmbientElem) -> AmbientElem:
 
 def apply_p(v: AmbientElem, order=sp4.CONVEX_ORDER) -> AmbientElem:
     """Full projector on a coset representative, factored over the positive
-    roots; the first root in `order` acts first.
-
-    The projector has weight zero, so it commutes with left scalars: v is
-    expanded over its monomials, each projected once per process.
-    """
-    return AmbientElem(linear(v.terms, lambda m: _apply_p(m, order).terms))
-
-
-@cache
-def _apply_p(mono: tuple, order) -> AmbientElem:
-    out = AmbientElem({mono: RF_ONE})
+    roots; the first root in `order` acts first.  It keeps no memo: the
+    diamond projects the generators and 1 once each, in ``_leaf_terms``."""
     for root in order:
-        out = apply_p_root(root, out)
-    return out
+        v = apply_p_root(root, v)
+    return v
 
 
 class DraElem(SparseTerms):
@@ -138,13 +128,9 @@ class DraElem(SparseTerms):
         return dra_str(self)
 
 
-# The weights of d1, d2, x2 and x1 in Ha and in Hb.
-_WEYL_WA, _WEYL_WB = zip(*LETTER_WEIGHT[4:8])
-
-
-def _weyl_shift(m) -> tuple:
-    """The shift -wt m of a scalar passing the Weyl monomial m leftwards."""
-    return -sum(map(mul, m, _WEYL_WA)), -sum(map(mul, m, _WEYL_WB))
+# The shift -wt m of a scalar passing the Weyl monomial m leftwards: the
+# ambient rule over the weights of d1, d2, x2 and x1.
+_weyl_shift = shift_rule(LETTER_WEIGHT[4:8])
 
 
 DRA_ONE = DraElem.scalar(1)
@@ -186,15 +172,16 @@ _LOWERING = tuple(_split_letter(f) for f in LETTERS[:4])
 def _leaf_terms(n: tuple, shift: tuple) -> tuple:
     """The terms c F_i1 ... F_ik w of the projected generator P(n), each as
     (the letters' monomials in block order, w, c times the letters'
-    scalars and shifted by ``shift``).  A scalar factor commutes with brackets
-    and a shift fixes it, so the leaf brackets integer combinations.  The
-    letters' scalars are folded once per generator, into the unshifted
-    terms, and every shifted copy is read from those."""
+    scalars and shifted by ``shift``): the projector's one memo.  A scalar
+    factor commutes with brackets and a shift fixes it, so the leaf
+    brackets integer combinations.  The letters' scalars are folded once
+    per generator, into the unshifted terms, and every shifted copy is
+    read from those."""
     if shift != (0, 0):
         return tuple((letters, w, c.shift(*shift))
                      for letters, w, c in _leaf_terms(n, (0, 0)))
     out = []
-    p_n = _apply_p((0, 0, 0, 0) + n + (0, 0, 0, 0), sp4.CONVEX_ORDER)
+    p_n = apply_p(DraElem({n: RF_ONE}).to_ambient())
     for k, c in p_n.terms.items():
         letters = ()
         for (f, s), e in zip(_LOWERING, k[:4]):

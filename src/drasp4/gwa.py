@@ -57,7 +57,7 @@ from functools import cache
 from operator import add
 
 from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
-from .sparse import (SparseTerms, add_into, bilinear, bracketed_sum, linear,
+from .sparse import (SparseTerms, bilinear, bracketed_sum, linear,
                      mono_text, power)
 from .weyl import W_ONE, WeylElem
 from . import dra as _dra
@@ -487,8 +487,8 @@ class GwaRealization:
     X_i to the normalized raising generator, Y_i to the normalized
     lowering one, t_i to the product Y_i X_i."""
 
-    def __init__(self, alg: GwaAlgebra | None = None):
-        self.alg = alg if alg is not None else reduction_gwa()
+    def __init__(self):
+        self.alg = reduction_gwa()
         gens = _dra.normalized_gens()
         self.x_hat = (gens.x1, gens.x2)
         self.d_hat = (gens.d1, gens.d2)
@@ -504,10 +504,11 @@ class GwaRealization:
             + [x for x, k in zip(self.x_hat, m) for _ in range(k)])
 
     def phi(self, u: GwaElem) -> "_dra.DraElem":
-        return _dra.DraElem(add_into({}, (
-            item for m, b in u.terms.items()
-            for item in _dra.diamond(self.base_image(b),
-                                     self.monomial_image(m)).terms.items())))
+        """One diamond per exponent m: base_image(b) <> the image of Z^m."""
+        return _dra.DraElem(linear(
+            dict.fromkeys(u.terms, 1),
+            lambda m: _dra.diamond(self.base_image(u.terms[m]),
+                                   self.monomial_image(m)).terms))
 
 
 @cache

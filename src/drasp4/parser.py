@@ -76,8 +76,8 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 
 # The cost of a diamond product u <> v grows steeply with deg u + deg v:
-# cold, x1^14 <> d1^14 takes about 3 s and x1^7 x2^7 <> d1^7 d2^7 about
-# 1 s (2 vCPU, Python 3.11), so the command line refuses a product past
+# cold, x1^14 <> d1^14 takes about 2.5 s and x1^7 x2^7 <> d1^7 d2^7 about
+# 2 s (2 vCPU, Python 3.11), so the command line refuses a product past
 # degree 28 before any work.  A product of one term by one term of degree
 # <= 1 on the right is exempt: it is a single projector step, a few
 # milliseconds at any degree, so powers of one generator such as x1^1000

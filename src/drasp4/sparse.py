@@ -11,11 +11,10 @@ linear map given on keys through ``linear``; ``bilinear`` sums each output
 key once, through the n-ary sum of the dynamical scalars where a key is
 reached more than once.  ``add_into`` is left to the sums of
 ``SparseTerms``, the pending words of the ambient straightening, the
-pseudo-remainders of the residual gcd, the integer brackets of the
-diamond leaf and the realization ``phi``.  Every element type renders
-through the same three helpers: a monomial word, and one of two sum
-formats over (coefficient text, monomial text) pairs in ``sorted_keys()``
-order.
+pseudo-remainders of the residual gcd and the integer brackets of the
+diamond leaf.  Every element type renders through the same three
+helpers: a monomial word, and one of two sum formats over (coefficient
+text, monomial text) pairs in ``sorted_keys()`` order.
 """
 
 from __future__ import annotations

@@ -192,8 +192,8 @@ def suite_appendix() -> Report:
     rep.add("hat.x1d2.prod", diamond(ng.x1, ng.d2), diamond(ng.d2, ng.x1))
     rep.add("hat.x2d1.prod", diamond(ng.x2, ng.d1), diamond(ng.d1, ng.x2))
 
-    alg = _gwa.reduction_gwa()
-    real = _gwa.GwaRealization(alg)
+    real = _gwa.GwaRealization()
+    alg = real.alg
     hba = h_form(sp4.BETA_A)
     table = presentation()
     t1 = diamond(D1_BAR, X1_BAR)
@@ -420,8 +420,8 @@ def gwa_iso_report(maxdeg: int = 3) -> Report:
     the left-module monomials triangularly onto the monomial basis."""
     monos = _monos(maxdeg)
     rep = Report("gwa_iso")
-    alg = _gwa.reduction_gwa()
-    real = _gwa.GwaRealization(alg)
+    real = _gwa.GwaRealization()
+    alg = real.alg
     rep.add_flag("gwa.sigma_commute_direct", True)  # enforced at construction
 
     gens = [("Ha", _gwa.BasePoly.const(2, HA)), ("Hb", _gwa.BasePoly.const(2, HB)),

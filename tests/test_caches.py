@@ -11,7 +11,6 @@ NAMES = {
     "drasp4.weyl._mono_mul",
     "drasp4.ambient._norm_word",
     "drasp4.dra.projector_coeff",
-    "drasp4.dra._apply_p",
     "drasp4.dra._leaf_terms",
     "drasp4.dra._basis_diamond",
     "drasp4.gwa._sigma_image",
@@ -58,16 +57,18 @@ def test_caches_are_keyed_per_monomial(monkeypatch):
     assert max(sum(n) for n in v.terms) == 2
     drasp4.clear_caches()
     projected = []
-    cached = dra._apply_p
+    apply_p = dra.apply_p
 
-    def recording(mono, order):
-        projected.append(mono)
-        return cached(mono, order)
+    def recording(v, *order):
+        projected.extend(v.terms)
+        return apply_p(v, *order)
 
-    monkeypatch.setattr(dra, "_apply_p", recording)
+    monkeypatch.setattr(dra, "apply_p", recording)
     diamond(u, v)
     # wider right factors are peeled one generator at a time
     assert projected and all(sum(mono) <= 1 for mono in projected)
+    # and each generator is projected once, through the leaf's memo
+    assert len(projected) == len(set(projected))
     # the memo holds the one-letter step w <> g of a degree-2 factor w g
     n = next(n for n in v.terms if sum(n) == 2)
     i = max(k for k, e in enumerate(n) if e)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -189,11 +190,17 @@ def test_diamond_table_agrees_with_definition():
         assert diamond(u, v) == expect, (u, v)
 
 
+@functools.cache
+def projected(n):
+    """P(n) for a basis monomial n, by the definition, once per test
+    session: the oracles below read it for many left monomials."""
+    return apply_p(DraElem({n: RF_ONE}).to_ambient())
+
+
 def direct(m, n):
     """m <> n for basis monomials by the definition red(m P(n), II), which
     does not assume that the diamond product is associative."""
-    prod = (DraElem({m: RF_ONE}).to_ambient()
-            * apply_p(DraElem({n: RF_ONE}).to_ambient()))
+    prod = DraElem({m: RF_ONE}).to_ambient() * projected(n)
     return DraElem.from_ambient(red(prod, "II"))
 
 
@@ -223,8 +230,7 @@ def reference_leaf(m, n):
     their Gaussian-rational coefficients."""
     wa, wb = mono_weight((0, 0, 0, 0) + m + (0, 0, 0, 0))
     out = {}
-    p_n = apply_p(DraElem({n: RF_ONE}).to_ambient())
-    for k, c in p_n.terms.items():
+    for k, c in projected(n).terms.items():
         x = WeylElem({m: GR_ONE})
         for f, e in zip(LETTERS, k[:4]):
             for _ in range(e):
@@ -257,8 +263,8 @@ def test_generator_products_straighten_no_ambient_word():
     # once the four generators are projected, a product peeled over them
     # straightens nothing in the ambient algebra
     drasp4.clear_caches()
-    for g in (D1_BAR, D2_BAR, X2_BAR, X1_BAR):
-        apply_p(g.to_ambient())
+    for n in dra._UNITS:
+        dra._leaf_terms(n, (0, 0))
     words = drasp4.cache_info()["drasp4.ambient._norm_word"]
     uv = diamond(DraElem({(0, 0, 4, 4): RF_ONE}),
                  DraElem({(4, 4, 0, 0): RF_ONE}))

@@ -21,8 +21,8 @@ def alg():
 
 
 @pytest.fixture(scope="module")
-def real(alg):
-    return GwaRealization(alg)
+def real():
+    return GwaRealization()
 
 
 def test_sigma_on_scalars(alg):
