@@ -48,8 +48,8 @@ def _add_format(p: argparse.ArgumentParser,
                    help="output format")
 
 
-# gwa-check takes about 2 s cold at --maxdeg 12 and 9 s at 16, and its
-# triangularity report alone 32 s at 20 (2 vCPU, Python 3.11), so 16 is the
+# gwa-check takes about 0.7 s cold at --maxdeg 12 and 2-3 s at 16, and its
+# realization report alone 9 s at 20 (2 vCPU, Python 3.11), so 16 is the
 # largest degree it accepts.
 MAX_GWA_DEG = 16
 

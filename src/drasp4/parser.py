@@ -19,7 +19,7 @@ from __future__ import annotations
 import re as _re
 
 from .scalars import HA, HB, RF_I, RatFunc, RF_ONE
-from .ambient import AmbientElem, red
+from .ambient import AmbientElem
 from .dra import DraElem, diamond
 from .gwa import BasePoly
 from .weyl import NAMES
@@ -252,8 +252,7 @@ class _Evaluator:
 
     def juxt(self, a, b):
         if self.mode == "dra":
-            prod = a.to_ambient() * b.to_ambient()
-            return DraElem.from_ambient(red(prod, "II"))
+            return DraElem.from_ambient(a.to_ambient() * b.to_ambient())
         return a * b
 
     def div(self, a, b, pos: int):

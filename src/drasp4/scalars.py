@@ -199,19 +199,8 @@ GR_I = GaussRat(0, 1)
 
 def gauss_str(c: GaussRat) -> str:
     """Render a Gaussian rational, e.g. ``1``, ``-i``, ``2/3*i``, ``1+2*i``."""
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    tail = "i" if mag == 1 else f"{mag}*i"
-    return f"{c.re}{sign}{tail}"
+    return signed_sum(((str(x), unit) for x, unit in ((c.re, ""), (c.im, "i"))
+                       if x), "*")
 
 
 def gauss_json(c: GaussRat) -> list:
@@ -263,9 +252,7 @@ class Poly2:
     @staticmethod
     def const(c) -> "Poly2":
         g = c if isinstance(c, GaussRat) else GaussRat(c)
-        n = abs(g._a) + abs(g._b)
-        return _mk((g._a,), (g._b,) if g._b else (), _width(n), n,
-                   g._d) if n else P_ZERO
+        return _from_pairs({(0, 0): (g._a, g._b)} if g else {}, g._d)
 
     @staticmethod
     def affine(ca, cb, c0) -> "Poly2":

@@ -316,6 +316,28 @@ def test_diamond_monomials_triangular_to_degree_six():
     assert rep.passed, "\n".join(rep.lines())
 
 
+def test_triangular_builds_each_ordered_product_once(monkeypatch):
+    # one diamond per nonzero exponent vector of degree <= 4, each the
+    # product of a shorter one by a generator; folding every product from
+    # 1 would take 224.  Only calls from outside the diamond are counted.
+    from drasp4 import verify
+    calls, depth = [0], [0]
+
+    def counted(u, v):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return diamond(u, v)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dra, "diamond", counted)
+    monkeypatch.setattr(verify, "diamond", counted)
+    rep = suite_triangular(4)
+    assert rep.passed and len(rep.checks) == 70
+    assert calls[0] == 69
+
+
 def test_theta():
     assert dra_theta(X1_BAR) == D1_BAR
     assert dra_theta(dra_theta(diamond(X2_BAR, D2_BAR))) == diamond(X2_BAR, D2_BAR)

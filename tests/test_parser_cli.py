@@ -322,6 +322,30 @@ def test_reports_refuse_negative_maxdeg(report, message):
         report()
 
 
+def test_cli_verify_runs_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--json")
+    reports = json.loads(out)
+    assert code == 0
+    assert [r["suite"] for r in reports] == list(verify.SUITE_NAMES)
+    assert all(r["passed"] for r in reports)
+
+
+def test_report_add_records_the_residual():
+    from drasp4.scalars import DIVERGENT, GR_ONE
+    rep = verify.Report("demo")
+    rep.add("demo.equal", HA + 1, HA + 1)
+    rep.add("demo.diff", HA + 2, HA)
+    # a diverging limit is a sentinel that cannot be subtracted from the
+    # GaussRat it is compared with, as in suite_limit
+    limit = (HA * HA / (HA + 1)).limit_inf()
+    assert limit is DIVERGENT
+    rep.add("demo.limit", limit, GR_ONE)
+    assert not rep.passed
+    assert rep.checks == [verify.Check("demo.equal", True),
+                          verify.Check("demo.diff", False, "2"),
+                          verify.Check("demo.limit", False, "divergent != 1")]
+
+
 def test_failing_report_exits_one(capsys):
     from drasp4.verify import Check, Report
     broken = Report("demo", [Check("demo.id", False, "residual text")])
