@@ -59,7 +59,7 @@ from operator import add
 from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
 from .sparse import (SparseTerms, bilinear, bracketed_sum, linear,
                      mono_text, power)
-from .weyl import W_ONE, WeylElem
+from .weyl import GEN_MONO, WeylElem, _mono_mul
 from . import dra as _dra
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,10 @@ class SkewAffineSigma:
 
     The diagonal coefficient g_i must be invertible so the map has an
     inverse of the same shape.  Two automorphisms are equal when their
-    data are.
+    data are.  The inverse image of t_i is built on first use and kept.
     """
 
-    __slots__ = ("rank", "index", "shift", "c", "g", "_hash")
+    __slots__ = ("rank", "index", "shift", "c", "g", "_hash", "_inv")
 
     def __init__(self, rank: int, index: int, shift, c: RatFunc, g):
         if not (1 <= index <= rank):
@@ -177,6 +177,7 @@ class SkewAffineSigma:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", tuple(g))
         object.__setattr__(self, "_hash", hash(self._key()))
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAffineSigma is immutable")
@@ -202,6 +203,11 @@ class SkewAffineSigma:
         return BasePoly(self.rank, terms)
 
     def t_image_inv(self) -> BasePoly:
+        if self._inv is None:
+            object.__setattr__(self, "_inv", self._t_image_inv())
+        return self._inv
+
+    def _t_image_inv(self) -> BasePoly:
         inv = self.on_scalar_inv(self.g[self.index - 1]).inv()
         terms = {(0,) * self.rank: -self.on_scalar_inv(self.c) * inv}
         for j, gj in enumerate(self.g, start=1):
@@ -542,20 +548,30 @@ def weyl_gwa_image(u: GwaElem) -> WeylElem:
     if not all(cf.is_const() for cf in terms.values()):
         raise ValueError("coefficient is not constant")
     return WeylElem(linear({k: cf.const_value() for k, cf in terms.items()},
-                           lambda k: _weyl_mono_image(*k).terms))
+                           lambda k: _weyl_mono_image(*k)))
+
+
+# The Weyl monomials x_i, d_i and d_i x_i (normal-ordered as it stands)
+# of the indices 1 and 2.
+_X = (GEN_MONO["x1"], GEN_MONO["x2"])
+_D = (GEN_MONO["d1"], GEN_MONO["d2"])
+_DX = tuple(tuple(map(add, d, x)) for d, x in zip(_D, _X))
 
 
 @cache
-def _weyl_mono_image(m: tuple, e: tuple) -> WeylElem:
-    """Image of u^e Z^m: the factors (d_i x_i)^e_i, then the words x_i^m_i
-    or d_i^-m_i, each in index order."""
-    xg = (WeylElem.gen("x1"), WeylElem.gen("x2"))
-    dg = (WeylElem.gen("d1"), WeylElem.gen("d2"))
-    img = W_ONE
+def _weyl_mono_image(m: tuple, e: tuple) -> dict:
+    """Image of u^e Z^m as an integer combination of Weyl monomials: the
+    factors (d_i x_i)^e_i, then the words x_i^m_i or d_i^-m_i, each in
+    index order."""
+    img = {WeylElem.UNIT: 1}
     for i, k in enumerate(e):
-        img = img * power(dg[i] * xg[i], k, W_ONE)
+        for _ in range(k):
+            img = bilinear(img, {_DX[i]: 1}, _mono_mul)
     for i, k in enumerate(m):
-        img = img * power(xg[i] if k > 0 else dg[i], abs(k), W_ONE)
+        if k:
+            letter = _X[i] if k > 0 else _D[i]
+            img = bilinear(img, {tuple(abs(k) * x for x in letter): 1},
+                           _mono_mul)
     return img
 
 

@@ -308,23 +308,32 @@ def _monos(maxdeg: int) -> list:
                   if sum(m) <= maxdeg)
 
 
-def _ordered_products(gens, maxdeg: int) -> dict:
-    """Each exponent vector m of _monos(maxdeg), in that order, mapped to
+def _ordered_products(gens, maxdeg: int):
+    """Yield each exponent vector m of _monos(maxdeg), in that order, with
     gens[0]^m[0] <> ... <> gens[3]^m[3]: the product for m less one letter
-    of its last nonzero index, which sorts earlier, <> that letter."""
-    out = {}
+    of its last nonzero index, which sorts earlier, <> that letter.  A
+    product is kept only until its last one-letter extension in that
+    order, the one that raises its own last index (the first letter for
+    1), and a product of degree maxdeg is not kept."""
+    kept = {}
     for m in _monos(maxdeg):
         i = max((k for k, e in enumerate(m) if e), default=None)
-        out[m] = DRA_ONE if i is None else diamond(
-            out[m[:i] + (m[i] - 1,) + m[i + 1:]], gens[i])
-    return out
+        if i is None:
+            prod = DRA_ONE
+        else:
+            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+            last = m[i] > 1 or i == 0
+            prod = diamond(kept.pop(rest) if last else kept[rest], gens[i])
+        if sum(m) < maxdeg:
+            kept[m] = prod
+        yield m, prod
 
 
 def suite_triangular(maxdeg: int = 3) -> Report:
     rep = Report("triangular")
     # W(m), the diamond product of the letters of m in order: reported
     # only, since the diamond no longer relies on it
-    for m, word in _ordered_products(_GENS, maxdeg).items():
+    for m, word in _ordered_products(_GENS, maxdeg):
         ok, why = _is_triangular(word, m, unit=True)
         rep.add_flag("tri." + "".join(map(str, m)), ok, why)
     return rep
@@ -451,8 +460,8 @@ def gwa_iso_report(maxdeg: int = 3) -> Report:
     rep.add("rel.X2Y1", diamond(real.x_hat[1], real.d_hat[0]),
             diamond(real.d_hat[0], real.x_hat[1]))
 
-    images = _ordered_products(real.d_hat + real.x_hat, maxdeg)
-    for (a, b, c, d), elem in images.items():
+    for (a, b, c, d), elem in _ordered_products(real.d_hat + real.x_hat,
+                                                maxdeg):
         lead = (a, b, d, c)
         ok, why = _is_triangular(elem, lead, unit=False)
         rep.add_flag(f"phi.tri.{a}{b}{c}{d}", ok, why)

@@ -1,12 +1,15 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from drasp4 import dra, gwa
-from drasp4.scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc
+from drasp4.scalars import GaussRat, HA, HB, RF_ONE, RF_ZERO, RatFunc
+from drasp4.sparse import power
+from drasp4.weyl import W_ONE, WeylElem
 from drasp4.gwa import (BasePoly, GwaAlgebra, GwaElem, GwaRealization,
                         SkewAffineSigma, base_str, gwa_json, reduction_gwa,
                         weyl_gwa, weyl_gwa_image)
@@ -241,6 +244,90 @@ def test_weyl_example_image():
     u = two.x(1) * two.x(2) * two.y(2)
     assert weyl_gwa_image(u) == weyl_gwa_image(two.x(1)) \
         * weyl_gwa_image(two.x(2)) * weyl_gwa_image(two.y(2))
+
+
+def reference_mono_image(m, e):
+    """The comparison image of u^e Z^m from WeylElem products: the factors
+    (d_i x_i)^e_i, then the words x_i^m_i or d_i^-m_i, in index order."""
+    xg = (WeylElem.gen("x1"), WeylElem.gen("x2"))
+    dg = (WeylElem.gen("d1"), WeylElem.gen("d2"))
+    img = W_ONE
+    for i, k in enumerate(e):
+        img = img * power(dg[i] * xg[i], k, W_ONE)
+    for i, k in enumerate(m):
+        img = img * power(xg[i] if k > 0 else dg[i], abs(k), W_ONE)
+    return img
+
+
+def reference_image(u):
+    """weyl_gwa_image term by term, over reference_mono_image."""
+    out = WeylElem()
+    for m, b in u.terms.items():
+        for e, cf in b.terms.items():
+            out = out + reference_mono_image(m, e).scaled(cf.const_value())
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_comparison_image_matches_weyl_products(n):
+    """The integer images of the comparison map against WeylElem products,
+    on every u^e Z^m with |m| + |e| <= 5 and on products of elements with
+    Gaussian coefficients other than 1."""
+    alg = weyl_gwa(n)
+    count = 0
+    for m in itertools.product(range(-5, 6), repeat=n):
+        for e in itertools.product(range(6), repeat=n):
+            if sum(map(abs, m)) + sum(e) <= 5:
+                u = GwaElem(alg, {m: BasePoly(n, {e: RF_ONE})})
+                assert weyl_gwa_image(u) == reference_mono_image(m, e), (m, e)
+                count += 1
+    assert count == (36 if n == 1 else 301)
+
+    rng = random.Random(29)
+
+    def gaussian():
+        return RatFunc.const(GaussRat(Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 4)),
+                                      rng.choice((0, 1, -2, Fraction(1, 3)))))
+
+    def elem():
+        return GwaElem(alg, {
+            tuple(rng.randint(-2, 2) for _ in range(n)):
+            BasePoly(n, {tuple(rng.randint(0, 2) for _ in range(n)):
+                         gaussian() for _ in range(2)})
+            for _ in range(2)})
+
+    for _ in range(20):
+        u, v = elem(), elem()
+        w = u * v
+        assert weyl_gwa_image(w) == reference_image(w)
+        assert weyl_gwa_image(w) == reference_image(u) * reference_image(v)
+
+
+def test_reduction_gwa_builds_each_inverse_image_once(monkeypatch):
+    """An automorphism keeps its inverse image of t_i from the first call,
+    outside its equality and hash."""
+    calls = []
+    build = SkewAffineSigma._t_image_inv
+
+    def counted(self):
+        calls.append(self.index)
+        return build(self)
+
+    monkeypatch.setattr(SkewAffineSigma, "_t_image_inv", counted)
+    a = reduction_gwa()
+    assert sorted(calls) == [1, 2]
+    t1, t2 = a.t(1), a.t(2)
+    sample = (t1, t2, t1 * t2 + BasePoly.const(2, HA),
+              (t1 ** 2).scaled(HB / (HA + 1)) + t2.scaled(HA - HB),
+              BasePoly.const(2, HB + 3))
+    for s in a.sigmas:
+        for b in sample:
+            assert s.apply_inv(s.apply(b)) == b
+            assert s.apply(s.apply_inv(b)) == b
+        fresh = SkewAffineSigma(s.rank, s.index, s.shift, s.c, s.g)
+        assert fresh == s and hash(fresh) == hash(s)
+    assert sorted(calls) == [1, 2]
 
 
 def test_phi_examples(alg, real):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from drasp4 import (POS_ROOTS, DraElem, clear_caches, diamond, h_form,
                     reduction_gwa, scalars, sp4, verify)
@@ -77,6 +78,55 @@ def test_gauss_rat_normalization_and_hash():
     assert hash(RF_ZERO) == hash(0)
     mixed = GaussRat(half, 2)
     assert hash(RatFunc.const(mixed)) == hash(mixed)
+
+
+GAUSS_SAMPLE = (GaussRat(Fraction(3, 4), Fraction(-1, 6)), GaussRat(0, 1),
+                GR_ZERO, GR_ONE, GaussRat(Fraction(-2, 7)), GaussRat(5, -3),
+                GaussRat(2 ** 65, Fraction(1, 3 ** 40)))
+
+
+def assert_int_product(g, k):
+    """g * k and k * g against the product of the Fraction parts."""
+    want = GaussRat(g.re * k, g.im * k)
+    for got in (g * k, k * g):
+        assert (got.re, got.im) == (want.re, want.im)
+        assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+        assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("k", (0, 1, -1, 7, -7, 2 ** 70, -2 ** 70))
+def test_gauss_rat_times_int(k):
+    for g in GAUSS_SAMPLE:
+        assert_int_product(g, k)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=7),
+       st.integers())
+def test_gauss_rat_times_drawn_int(re, im, k):
+    assert_int_product(GaussRat(re, im), k)
+
+
+def test_gauss_rat_times_one_is_itself():
+    for g in GAUSS_SAMPLE:
+        assert g * 1 is g and 1 * g is g
+
+
+_CONST_PARTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
+                Fraction(7, 3), Fraction(-10, 9), 100, Fraction(-100, 7))
+
+
+@pytest.mark.parametrize("c", [GaussRat(re, im) for re in _CONST_PARTS
+                               for im in _CONST_PARTS]
+                         + [0, -3, Fraction(5, 6), 2 ** 70, Fraction(-7, 4)])
+def test_const_poly_is_the_row_of_its_pairs(c):
+    # the one row built from a constant in lowest terms against the general
+    # row builder, field by field: rows, width, bound and denominator
+    g = c if isinstance(c, GaussRat) else GaussRat(c)
+    want = scalars._from_pairs({(0, 0): (g._a, g._b)} if g else {}, g._d)
+    got = Poly2.const(c)
+    assert ((got._r, got._i, got._s, got._n, got._d)
+            == (want._r, want._i, want._s, want._n, want._d))
 
 
 def test_binop_examples():
