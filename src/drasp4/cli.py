@@ -48,8 +48,8 @@ def _add_format(p: argparse.ArgumentParser,
                    help="output format")
 
 
-# gwa-check takes about 0.5 s cold at --maxdeg 12 and 1.6-1.7 s at 16, and
-# its realization report alone 5 s at 20 (2 vCPU, Python 3.11), so 16 is the
+# gwa-check takes about 0.5 s cold at --maxdeg 12 and 1.7-1.9 s at 16, and
+# its realization report alone 6 s at 20 (2 vCPU, Python 3.11), so 16 is the
 # largest degree it accepts.
 MAX_GWA_DEG = 16
 

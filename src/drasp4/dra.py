@@ -24,9 +24,8 @@ from .scalars import (RF_ONE, RF_ZERO, HA, RatFunc, as_rf, rf_affine, rf_json,
 from .sparse import SparseTerms, add_into, bilinear, power
 from .weyl import GEN_MONO, NAMES, _mono_mul
 from . import sp4
-from .ambient import (LETTER_WEIGHT, LETTERS, AmbientElem, _mono_product,
-                      amb_latex, amb_str, amb_theta, e_gen, f_gen,
-                      left_shift, red, shift_rule)
+from .ambient import (LETTER_WEIGHT, LETTERS, AmbientElem, amb_latex,
+                      amb_str, amb_theta, e_gen, f_gen, red, shift_rule)
 
 TRUNCATION_MARGIN = 8
 
@@ -52,13 +51,6 @@ def projector_coeff(root: str, k: int) -> RatFunc:
                          {((ca, cb), c0 + j): 1 for j in range(2, k + 2)})
 
 
-def _raising_free(m1: tuple, m2: tuple) -> dict:
-    """The terms of the ambient product m1 m2 that red(., I) keeps, those
-    with no raising letter."""
-    return {k: x for k, x in _mono_product(m1, m2).items()
-            if not any(k[8:12])}
-
-
 def apply_p_root(root: str, v: AmbientElem) -> AmbientElem:
     """One projector factor applied to a coset representative.
 
@@ -80,10 +72,7 @@ def apply_p_root(root: str, v: AmbientElem) -> AmbientElem:
         out = out + term
         # red(ad_E(cur), I) without the half it drops: cur has no raising
         # letter, so every term of cur E is normal-ordered and ends in E.
-        # The terms of E cur with a raising letter are dropped before
-        # their coefficients are multiplied.
-        cur = AmbientElem(bilinear(e_letter.terms, cur.terms, _raising_free,
-                                   left_shift))
+        cur = red(e_letter * cur, "I")
         k += 1
         f_power = f_power * f_letter
     return out

@@ -156,10 +156,10 @@ class SkewAffineSigma:
 
     The diagonal coefficient g_i must be invertible so the map has an
     inverse of the same shape.  Two automorphisms are equal when their
-    data are.  The inverse image of t_i is built on first use and kept.
+    data are.
     """
 
-    __slots__ = ("rank", "index", "shift", "c", "g", "_hash", "_inv")
+    __slots__ = ("rank", "index", "shift", "c", "g", "_hash")
 
     def __init__(self, rank: int, index: int, shift, c: RatFunc, g):
         if not (1 <= index <= rank):
@@ -177,7 +177,6 @@ class SkewAffineSigma:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "g", tuple(g))
         object.__setattr__(self, "_hash", hash(self._key()))
-        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAffineSigma is immutable")
@@ -203,17 +202,7 @@ class SkewAffineSigma:
         return BasePoly(self.rank, terms)
 
     def t_image_inv(self) -> BasePoly:
-        if self._inv is None:
-            object.__setattr__(self, "_inv", self._t_image_inv())
-        return self._inv
-
-    def _t_image_inv(self) -> BasePoly:
-        inv = self.on_scalar_inv(self.g[self.index - 1]).inv()
-        terms = {(0,) * self.rank: -self.on_scalar_inv(self.c) * inv}
-        for j, gj in enumerate(self.g, start=1):
-            terms[_unit_vec(self.rank, j)] = (
-                inv if j == self.index else -self.on_scalar_inv(gj) * inv)
-        return BasePoly(self.rank, terms)
+        return _t_image_inv(self)
 
     def apply(self, b: BasePoly) -> BasePoly:
         return _substitute(b, self.shift, {self.index - 1: self.t_image()})
@@ -221,6 +210,17 @@ class SkewAffineSigma:
     def apply_inv(self, b: BasePoly) -> BasePoly:
         return _substitute(b, (-self.shift[0], -self.shift[1]),
                            {self.index - 1: self.t_image_inv()})
+
+
+@cache
+def _t_image_inv(s: SkewAffineSigma) -> BasePoly:
+    """The image of t_i under the inverse of s, kept per automorphism."""
+    inv = s.on_scalar_inv(s.g[s.index - 1]).inv()
+    terms = {(0,) * s.rank: -s.on_scalar_inv(s.c) * inv}
+    for j, gj in enumerate(s.g, start=1):
+        terms[_unit_vec(s.rank, j)] = (
+            inv if j == s.index else -s.on_scalar_inv(gj) * inv)
+    return BasePoly(s.rank, terms)
 
 
 def _substitute(b: BasePoly, shift, images: dict) -> BasePoly:
@@ -547,8 +547,10 @@ def weyl_gwa_image(u: GwaElem) -> WeylElem:
              for e, cf in b.terms.items()}
     if not all(cf.is_const() for cf in terms.values()):
         raise ValueError("coefficient is not constant")
-    return WeylElem(linear({k: cf.const_value() for k, cf in terms.items()},
-                           lambda k: _weyl_mono_image(*k)))
+    # the constant scalars are scaled by the integers of the images, and
+    # read as Gaussian rationals once per output term
+    return WeylElem({w: f.const_value() for w, f in
+                     linear(terms, lambda k: _weyl_mono_image(*k)).items()})
 
 
 # The Weyl monomials x_i, d_i and d_i x_i (normal-ordered as it stands)
@@ -577,5 +579,5 @@ def _weyl_mono_image(m: tuple, e: tuple) -> dict:
 
 # The memos of this module, for ``drasp4.cache_info`` and
 # ``drasp4.clear_caches``.
-_MEMOS = (_sigma_image, _contraction, _basis_term, _t_monomial_image,
-          _weyl_mono_image)
+_MEMOS = (_t_image_inv, _sigma_image, _contraction, _basis_term,
+          _t_monomial_image, _weyl_mono_image)

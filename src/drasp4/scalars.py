@@ -162,11 +162,6 @@ class GaussRat:
         return GaussRat._raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if type(other) is int:
-            # an int scales both parts over the same denominator
-            if other == 1:
-                return self
-            return GaussRat._raw(self._a * other, self._b * other, self._d)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
@@ -256,11 +251,8 @@ class Poly2:
 
     @staticmethod
     def const(c) -> "Poly2":
-        # g is in lowest terms, so its parts are the one row as they are
         g = c if isinstance(c, GaussRat) else GaussRat(c)
-        a, b = g._a, g._b
-        n = abs(a) + abs(b)
-        return _mk((a,) if n else (), (b,) if b else (), _width(n), n, g._d)
+        return _from_pairs({(0, 0): (g._a, g._b)} if g else {}, g._d)
 
     @staticmethod
     def affine(ca, cb, c0) -> "Poly2":
@@ -1044,6 +1036,11 @@ class RatFunc:
         return _rf(-self.num, self.lines, self.res)
 
     def __mul__(self, other):
+        # the unit itself, on either side, gives the other factor at once
+        if other is RF_ONE:
+            return self
+        if self is RF_ONE and isinstance(other, RatFunc):
+            return other
         if type(other) is int:
             # a sum of one term, which builds no constant scalar
             if not other or not self.num:

@@ -14,6 +14,7 @@ NAMES = {
     "drasp4.dra._leaf_terms",
     "drasp4.dra._basis_diamond",
     "drasp4.dra.presentation",
+    "drasp4.gwa._t_image_inv",
     "drasp4.gwa._sigma_image",
     "drasp4.gwa._contraction",
     "drasp4.gwa._basis_term",

@@ -107,28 +107,6 @@ def test_gauss_rat_times_drawn_int(re, im, k):
     assert_int_product(GaussRat(re, im), k)
 
 
-def test_gauss_rat_times_one_is_itself():
-    for g in GAUSS_SAMPLE:
-        assert g * 1 is g and 1 * g is g
-
-
-_CONST_PARTS = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
-                Fraction(7, 3), Fraction(-10, 9), 100, Fraction(-100, 7))
-
-
-@pytest.mark.parametrize("c", [GaussRat(re, im) for re in _CONST_PARTS
-                               for im in _CONST_PARTS]
-                         + [0, -3, Fraction(5, 6), 2 ** 70, Fraction(-7, 4)])
-def test_const_poly_is_the_row_of_its_pairs(c):
-    # the one row built from a constant in lowest terms against the general
-    # row builder, field by field: rows, width, bound and denominator
-    g = c if isinstance(c, GaussRat) else GaussRat(c)
-    want = scalars._from_pairs({(0, 0): (g._a, g._b)} if g else {}, g._d)
-    got = Poly2.const(c)
-    assert ((got._r, got._i, got._s, got._n, got._d)
-            == (want._r, want._i, want._s, want._n, want._d))
-
-
 def test_binop_examples():
     # add
     assert RF_ONE + RF_ONE / (HA + 1) == (HA + 2) / (HA + 1)
