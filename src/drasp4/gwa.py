@@ -44,11 +44,19 @@ B holds no scalar of either factor, so it is cached per basis pair
 whatever the coefficients.  Since sigma^m1(t^e2) is the product of
 sigma_i^m1_i(t_i)^e2_i, the exponent m1_i of an index with e2_i = 0 does
 not reach B; the key keeps m1_i only where e2_i > 0 (m1|e2), so products
-whose left exponents differ only there share one entry.  B, the
-contractions and the images sigma_i^k(t_i) depend on the algebra only, so
-all three are cached; algebras compare and hash by value, so each
-built-in instance has one set of entries however often it is
-constructed.
+whose left exponents differ only there share one entry.
+
+B is therefore a product of affine images alone: e2_i copies of
+sigma_i^m1_i(t_i) for each index, and the images of each contraction.
+It is built as one chain of these images, the pairs (i, k) sorted, and
+each prefix of a chain is kept: a prefix is the one before it times one
+affine factor, and chains that start alike share their prefixes.  A new
+B costs one product by an affine polynomial for each prefix that no
+earlier chain reached, never a product of two whole contractions.
+B, the chain prefixes and the images sigma_i^k(t_i) depend on the
+algebra only, so all three are cached; algebras compare and hash by
+value, so each built-in instance has one set of entries however often it
+is constructed.
 """
 
 from __future__ import annotations
@@ -383,25 +391,36 @@ def _sigma_image(alg: GwaAlgebra, i: int, k: int) -> BasePoly:
 def _basis_term(alg: GwaAlgebra, e: tuple, m: tuple, kappa: tuple) -> BasePoly:
     """sigma^m(t^e) times the contraction c_i(p, q) for each index i with
     a pair (p, q) in kappa (None where the exponents do not have opposite
-    signs)."""
-    out = alg.sigma_vec(m, BasePoly(alg.rank, {e: RF_ONE}))
+    signs), as a chain of images sigma_i^k(t_i): e_i copies of (i, m_i),
+    and the pairs (i, k) of each contraction.  X_i^p Y_i^-q is the product
+    over the top r values k <= p, and Y_i^-p X_i^q over the r values k > p,
+    r = min(|p|, |q|).  The prefixes of the sorted chain are read in
+    increasing length, so each is built from the one before, and a cold
+    chain recurses one level whatever its length."""
+    factors = [(i, k) for i, (n, k) in enumerate(zip(e, m), start=1)
+               for _ in range(n)]
     for i, pq in enumerate(kappa, start=1):
         if pq is not None:
-            out = out * _contraction(alg, i, *pq)
-    return out
+            p, q = pq
+            r = min(abs(p), abs(q))
+            ks = range(p - r + 1, p + 1) if p > 0 else range(p + 1, p + r + 1)
+            factors += [(i, k) for k in ks]
+    factors = tuple(sorted(factors))
+    for n in range(1, len(factors)):
+        _image_product(alg, factors[:n])
+    return _image_product(alg, factors)
 
 
 @cache
-def _contraction(alg: GwaAlgebra, i: int, p: int, q: int) -> BasePoly:
-    """c with Z_i^p Z_i^q = c Z_i^(p+q) for exponents of opposite signs:
-    X_i^p Y_i^-q is the product of sigma_i^k(t_i) over the top r values
-    k <= p, and Y_i^-p X_i^q over the r values k > p, r = min(|p|, |q|)."""
-    r = min(abs(p), abs(q))
-    ks = range(p - r + 1, p + 1) if p > 0 else range(p + 1, p + r + 1)
-    out = BasePoly.const(alg.rank, 1)
-    for k in ks:
-        out = out * _sigma_image(alg, i, k)
-    return out
+def _image_product(alg: GwaAlgebra, factors: tuple) -> BasePoly:
+    """The product of the images sigma_i^k(t_i) over the pairs (i, k) in
+    ``factors``: the product of all but the last, times the last image."""
+    if not factors:
+        return BasePoly.const(alg.rank, 1)
+    image = _sigma_image(alg, *factors[-1])
+    if len(factors) == 1:
+        return image
+    return _image_product(alg, factors[:-1]) * image
 
 
 class GwaElem(SparseTerms):
@@ -579,5 +598,5 @@ def _weyl_mono_image(m: tuple, e: tuple) -> dict:
 
 # The memos of this module, for ``drasp4.cache_info`` and
 # ``drasp4.clear_caches``.
-_MEMOS = (_t_image_inv, _sigma_image, _contraction, _basis_term,
+_MEMOS = (_t_image_inv, _sigma_image, _image_product, _basis_term,
           _t_monomial_image, _weyl_mono_image)

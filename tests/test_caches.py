@@ -16,7 +16,7 @@ NAMES = {
     "drasp4.dra.presentation",
     "drasp4.gwa._t_image_inv",
     "drasp4.gwa._sigma_image",
-    "drasp4.gwa._contraction",
+    "drasp4.gwa._image_product",
     "drasp4.gwa._basis_term",
     "drasp4.gwa._t_monomial_image",
     "drasp4.gwa._weyl_mono_image",
@@ -124,3 +124,21 @@ def test_gwa_basis_terms_are_shared_across_constants():
     assert again.hits == first.hits + 4
     drasp4.clear_caches()
     assert _basis_term.cache_info().currsize == 0
+
+
+def test_basis_terms_share_the_prefixes_of_their_image_chains():
+    """The basis terms of X1 t1^2 Y1 and X1 t1^3 Y1 are the chains of
+    three and four images sigma_1(t_1), two or three from sigma(t^e) and
+    one contraction.  The second reads the three prefixes it shares and
+    builds only its whole chain, from the longest of them."""
+    from drasp4.gwa import _basis_term, _image_product
+    alg = reduction_gwa()
+    drasp4.clear_caches()
+    _basis_term(alg, (2, 0), (1, 0), ((1, -1), None))
+    first = _image_product.cache_info()
+    assert first.currsize == 3
+    _basis_term(alg, (3, 0), (1, 0), ((1, -1), None))
+    again = _image_product.cache_info()
+    assert again.misses == first.misses + 1
+    assert again.hits == first.hits + 4
+    drasp4.clear_caches()

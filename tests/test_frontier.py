@@ -7,13 +7,15 @@ scalar products were packed into integers and the line tests moved to the
 axes, so a change in any coefficient of these large products shows here.
 
 The fixture ``frontier_digests.json`` holds the sha256 of the canonical
-JSON of five larger products, which take seconds each: the frontier
+JSON of six larger products, which take seconds each: the frontier
 shapes at n = 8 and n = 7, and ``M_4 <> M_4`` with
 ``M_4 = d1^4 d2^4 x2^4 x1^4``, whose peel takes corrections, recorded
-before the scalar numerators were stored as packed rows; and the frontier
+before the scalar numerators were stored as packed rows; the frontier
 shapes at n = 10 and n = 8, recorded before the sums of several scalars
-into one output coefficient were taken at once.  Tier-1 does not compute
-them; CI runs ``frontier_digest_mismatches()``.
+into one output coefficient were taken at once; and the GWA frontier
+shape at n = 10, recorded before its basis terms were built as chains of
+images sigma_i^k(t_i).  Tier-1 does not compute them; CI runs
+``frontier_digest_mismatches()``.
 """
 
 import hashlib
@@ -65,6 +67,8 @@ def frontier_digests() -> dict:
             evaluate("x1^10 x2^10", "dra"), evaluate("d1^10 d2^10", "dra")))),
         "gwa X1^8 X2^8, Y1^8 Y2^8": _digest(gwa_json(
             (x1 ** 8 * x2 ** 8) * (y1 ** 8 * y2 ** 8))),
+        "gwa X1^10 X2^10, Y1^10 Y2^10": _digest(gwa_json(
+            (x1 ** 10 * x2 ** 10) * (y1 ** 10 * y2 ** 10))),
     }
 
 

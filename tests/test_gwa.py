@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -420,6 +422,19 @@ def test_coefficients_of_another_rank_raise(alg, call):
         call(alg)
 
 
+def _contraction(a, i, p, q):
+    """c with Z_i^p Z_i^q = c Z_i^(p+q), peeled one pair at a time from
+    the middle: X_i^p Y_i = sigma_i^p(t_i) X_i^(p-1) and
+    Y_i^-p X_i = sigma_i^(p+1)(t_i) Y_i^(-p-1), each image by sigma_pow."""
+    c = BasePoly.const(a.rank, 1)
+    while p * q < 0:
+        k = p if p > 0 else p + 1
+        c = c * a.sigma_pow(i, k, a.t(i))
+        step = 1 if p > 0 else -1
+        p, q = p - step, q + step
+    return c
+
+
 def _reference_product(u, v):
     """u v by the term formula b1 sigma^m1(b2) prod_i c_i(m1_i, m2_i),
     whole base polynomials at a time."""
@@ -430,7 +445,7 @@ def _reference_product(u, v):
             coeff = b1 * a.sigma_vec(m1, b2)
             for i, (p, q) in enumerate(zip(m1, m2), start=1):
                 if p * q < 0:
-                    coeff = coeff * gwa._contraction(a, i, p, q)
+                    coeff = coeff * _contraction(a, i, p, q)
             out = out + GwaElem(a, {tuple(p + q for p, q in zip(m1, m2)):
                                     coeff})
     return out
@@ -475,6 +490,74 @@ def test_products_agree_with_the_whole_polynomial_formula(make):
     for _ in range(15):
         u, v = _rand_quadratic_elem(rng, a, 2), _rand_quadratic_elem(rng, a, 2)
         assert u * v == _reference_product(u, v), (u, v)
+
+
+def _reference_basis_terms(a):
+    """sigma^m(t^e) times the peeled contraction of each pair in kappa,
+    as a function of (e, m, kappa); each contraction is peeled once."""
+    contraction = cache(lambda i, p, q: _contraction(a, i, p, q))
+
+    def term(e, m, kappa):
+        out = a.sigma_vec(m, BasePoly(a.rank, {e: RF_ONE}))
+        for i, pq in enumerate(kappa, start=1):
+            if pq is not None:
+                out = out * contraction(i, *pq)
+        return out
+    return term
+
+
+def _basis_keys(degree, bound):
+    """Every key (e, m|e, kappa) of rank two with |e| <= degree, |m_i| <=
+    bound and kappa pairs of opposite signs with |p|, |q| <= bound."""
+    pairs = [None] + [(p, q) for p in range(-bound, bound + 1)
+                      for q in range(-bound, bound + 1) if p * q < 0]
+    for e in itertools.product(range(degree + 1), repeat=2):
+        if sum(e) > degree:
+            continue
+        for m in itertools.product(*[range(-bound, bound + 1) if n else (0,)
+                                     for n in e]):
+            for kappa in itertools.product(pairs, repeat=2):
+                yield e, m, kappa
+
+
+@pytest.mark.parametrize("make, sample", [
+    (lambda: weyl_gwa(2), None), (_ansatz_gwa, None), (reduction_gwa, 40),
+], ids=["weyl", "ansatz", "reduction"])
+def test_basis_term_is_the_product_of_its_images(make, sample):
+    """Each basis term, read from the chain of images, against sigma^m(t^e)
+    times the contractions peeled one pair at a time: every key with
+    |e| <= 1 and exponents up to 2, or a seeded sample of keys with
+    |e| <= 2 and exponents up to 3 in the reduction instance."""
+    a = make()
+    reference = _reference_basis_terms(a)
+    if sample is None:
+        keys = list(_basis_keys(1, 2))
+        assert len(keys) == 891
+    else:
+        keys = random.Random(69).sample(list(_basis_keys(2, 3)), sample)
+    for key in keys:
+        assert gwa._basis_term(a, *key) == reference(*key), key
+
+
+def test_long_contraction_chains_stay_within_the_stack():
+    """X1^k Y1^k contracts a chain of k images, which is built one prefix
+    at a time, so it runs under a recursion limit below k."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit, low = sys.getrecursionlimit(), depth + 40
+    k = low + 5
+    w = weyl_gwa(1)
+    gwa._basis_term.cache_clear()
+    gwa._image_product.cache_clear()
+    sys.setrecursionlimit(low)
+    try:
+        product = w.x(1) ** k * w.y(1) ** k
+    finally:
+        sys.setrecursionlimit(limit)
+    x1, d1 = WeylElem.gen("x1"), WeylElem.gen("d1")
+    assert weyl_gwa_image(product) \
+        == power(x1, k, W_ONE) * power(d1, k, W_ONE)
 
 
 def test_phi_is_multiplicative_on_quadratic_t_coefficients(alg, real):

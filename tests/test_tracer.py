@@ -21,6 +21,8 @@ assert drasp4.cli.main(["diamond", "x1^2", "d1"]) == 0
 alg = drasp4.reduction_gwa()
 u = alg.x(1) + alg.y(2).scaled(alg.t(1))
 assert u * u == u ** 2 and (alg.t(1) + alg.t(2)) ** 2
+# products read the images of sigma from memos, so apply it once directly
+assert alg.sigma(1, alg.t(1))
 assert drasp4.AmbientElem.gen("x1").rmul_scalar(drasp4.HA)
 # the diamond brackets integer combinations, so the Weyl layer needs its own
 assert drasp4.weyl.X1 * drasp4.weyl.D1
