@@ -3,6 +3,9 @@
 Exit codes: 0 on success (and all checks passing), 1 when a verification
 suite reports a failure or the engine hits a limit, 2 on usage or parse
 errors.
+
+A command builds the argument parser of that command only; ``-h`` or a
+usage error without a known command builds the parsers of all eight.
 """
 
 from __future__ import annotations
@@ -107,59 +110,88 @@ def _print_reports(reports, as_json: bool) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="drasp4",
-        description="Exact computation in the rank-two symplectic "
-                    "differential reduction algebra.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("nf", help="normal form of an expression")
+def _add_mode_expr(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("ambient", "dra"), default="dra")
     p.add_argument("expr")
     _add_format(p)
 
-    p = sub.add_parser("diamond", help="diamond product of two expressions")
+
+def _add_diamond(p: argparse.ArgumentParser) -> None:
     p.add_argument("left")
     p.add_argument("right")
     _add_format(p)
 
-    p = sub.add_parser("project",
-                       help="image in the reduction algebra (reduce modulo II)")
+
+def _add_project(p: argparse.ArgumentParser) -> None:
     p.add_argument("expr")
     _add_format(p)
 
-    p = sub.add_parser("theta", help="the involutive anti-automorphism")
-    p.add_argument("--mode", choices=("ambient", "dra"), default="dra")
-    p.add_argument("expr")
-    _add_format(p)
 
-    p = sub.add_parser("sigma", help="apply a base-ring automorphism")
+def _add_sigma(p: argparse.ArgumentParser) -> None:
     p.add_argument("index", type=int, choices=(1, 2))
     p.add_argument("expr")
     p.add_argument("--ansatz", metavar="FILE",
                    help="JSON file with user-supplied skew-affine data")
     _add_format(p, ("text", "json"))
 
-    p = sub.add_parser("limit", help="leading-form limit of a scalar")
+
+def _add_limit(p: argparse.ArgumentParser) -> None:
     p.add_argument("expr")
     _add_format(p, ("text", "json"))
 
-    p = sub.add_parser("verify", help="run exact identity suites")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=verify.SUITE_NAMES + ("all",),
                    default="all")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("gwa-check",
-                       help="verify the generalized Weyl algebra realization")
+
+def _add_gwa_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--maxdeg", type=_maxdeg, default=3, metavar="N")
     p.add_argument("--json", action="store_true")
+
+
+# Each command's help text and the function that adds its arguments, in
+# the order of the usage line and of -h.
+COMMANDS = {
+    "nf": ("normal form of an expression", _add_mode_expr),
+    "diamond": ("diamond product of two expressions", _add_diamond),
+    "project": ("image in the reduction algebra (reduce modulo II)",
+                _add_project),
+    "theta": ("the involutive anti-automorphism", _add_mode_expr),
+    "sigma": ("apply a base-ring automorphism", _add_sigma),
+    "limit": ("leading-form limit of a scalar", _add_limit),
+    "verify": ("run exact identity suites", _add_verify),
+    "gwa-check": ("verify the generalized Weyl algebra realization",
+                  _add_gwa_check),
+}
+
+
+def build_arg_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is
+    None.  With one command the subcommand metavar names all of them, so
+    the top-level usage line reads as with every command; with every
+    command it stays unset, as it also words the errors for a missing or
+    unknown command."""
+    ap = argparse.ArgumentParser(
+        prog="drasp4",
+        description="Exact computation in the rank-two symplectic "
+                    "differential reduction algebra.")
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+    else:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_arg_parser(command).parse_args(argv)
     try:
         return _dispatch(args)
     except (ParseError, AnsatzError) as exc:

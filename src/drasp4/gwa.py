@@ -583,17 +583,28 @@ _DX = tuple(tuple(map(add, d, x)) for d, x in zip(_D, _X))
 def _weyl_mono_image(m: tuple, e: tuple) -> dict:
     """Image of u^e Z^m as an integer combination of Weyl monomials: the
     factors (d_i x_i)^e_i, then the words x_i^m_i or d_i^-m_i, each in
-    index order."""
-    img = {WeylElem.UNIT: 1}
-    for i, k in enumerate(e):
-        for _ in range(k):
-            img = bilinear(img, {_DX[i]: 1}, _mono_mul)
-    for i, k in enumerate(m):
-        if k:
+    index order.  The letters of different indices commute, so the word of
+    m is one monomial, and the image of (m, e) is the cached image of
+    (0, e) times it.  The image of (0, e) is that of e less one factor of
+    its last index i, times d_i x_i; the shorter prefixes of e are read in
+    increasing length first, so a cold image recurses one level whatever
+    its degree."""
+    zero = (0,) * len(m)
+    if any(m):
+        word = WeylElem.UNIT
+        for i, k in enumerate(m):
             letter = _X[i] if k > 0 else _D[i]
-            img = bilinear(img, {tuple(abs(k) * x for x in letter): 1},
-                           _mono_mul)
-    return img
+            word = tuple(w + abs(k) * x for w, x in zip(word, letter))
+        return bilinear(_weyl_mono_image(zero, e), {word: 1}, _mono_mul)
+    if not any(e):
+        return {WeylElem.UNIT: 1}
+    chain = [i for i, k in enumerate(e) for _ in range(k)]
+    rest = zero
+    for i in chain[:-1]:
+        rest = rest[:i] + (rest[i] + 1,) + rest[i + 1:]
+        _weyl_mono_image(zero, rest)
+    return bilinear(_weyl_mono_image(zero, rest), {_DX[chain[-1]]: 1},
+                    _mono_mul)
 
 
 # The memos of this module, for ``drasp4.cache_info`` and

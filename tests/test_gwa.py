@@ -305,6 +305,21 @@ def test_comparison_image_matches_weyl_products(n):
         assert weyl_gwa_image(w) == reference_image(w)
         assert weyl_gwa_image(w) == reference_image(u) * reference_image(v)
 
+    if n == 2:
+        # a cold image of degree 150 under a recursion limit below 150: its
+        # prefixes are built in increasing length, each one level deep
+        limit, low = sys.getrecursionlimit(), _stack_depth() + 40
+        assert low < 150
+        e = (150, 0)
+        u = GwaElem(alg, {(0, 0): BasePoly(2, {e: RF_ONE})})
+        gwa._weyl_mono_image.cache_clear()
+        sys.setrecursionlimit(low)
+        try:
+            image = weyl_gwa_image(u)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert image == reference_mono_image((0, 0), e)
+
 
 def test_reduction_gwa_builds_each_inverse_image_once():
     """The inverse image of t_i is a memo per automorphism, shared by equal
@@ -539,13 +554,18 @@ def test_basis_term_is_the_product_of_its_images(make, sample):
         assert gwa._basis_term(a, *key) == reference(*key), key
 
 
+def _stack_depth() -> int:
+    """The number of frames on the stack of the caller."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 def test_long_contraction_chains_stay_within_the_stack():
     """X1^k Y1^k contracts a chain of k images, which is built one prefix
     at a time, so it runs under a recursion limit below k."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit, low = sys.getrecursionlimit(), depth + 40
+    limit, low = sys.getrecursionlimit(), _stack_depth() + 40
     k = low + 5
     w = weyl_gwa(1)
     gwa._basis_term.cache_clear()

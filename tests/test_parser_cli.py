@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -352,3 +354,73 @@ def test_failing_report_exits_one(capsys):
     assert cli._print_reports([broken], as_json=False) == 1
     out = capsys.readouterr().out
     assert "[FAIL] demo.id residual text" in out
+
+
+# For each command: its help, a call missing a positional (or an option's
+# value), a bad choice or --format, and a valid call with an extra
+# argument; then the top-level help, no arguments and an unknown command.
+PARITY_ARGV = [
+    ("nf", "-h"), ("nf",), ("nf", "--mode", "weyl", "x1"),
+    ("nf", "x1", "x2"),
+    ("diamond", "-h"), ("diamond", "x1"),
+    ("diamond", "x1", "x2", "--format", "tex"),
+    ("diamond", "x1", "x2", "x1"),
+    ("project", "-h"), ("project",), ("project", "x1", "--format", "tex"),
+    ("project", "x1", "x2"),
+    ("theta", "-h"), ("theta",), ("theta", "--mode", "weyl", "x1"),
+    ("theta", "x1", "x2"),
+    ("sigma", "-h"), ("sigma", "1"), ("sigma", "3", "t1"),
+    ("sigma", "1", "t1", "t2"),
+    ("limit", "-h"), ("limit",), ("limit", "Ha", "--format", "latex"),
+    ("limit", "Ha", "Hb"),
+    ("verify", "-h"), ("verify", "--suite"), ("verify", "--suite", "nope"),
+    ("verify", "--json", "extra"),
+    ("gwa-check", "-h"), ("gwa-check", "--maxdeg"),
+    ("gwa-check", "--maxdeg", "99"), ("gwa-check", "--json", "extra"),
+    ("-h",), (), ("bogus",),
+]
+
+
+def _outcome(capsys, argv):
+    """The exit code (returned or raised) of cli.main, its stdout and its
+    stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
+    """A command builds its own subparser only, and its help, its usage
+    errors and its top-level errors read as with all eight built."""
+    got = _outcome(capsys, argv)
+    full = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda command=None: full())
+    assert got == _outcome(capsys, argv)
+    assert got[0] in (0, 2) and (got[1] or got[2])
+
+
+def test_a_command_constructs_two_parsers(capsys, monkeypatch):
+    count = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "theta", "x1 d2")
+    assert code == 0 and out and count == [2]
+    count[0] = 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0 and count == [9]
+    assert "gwa-check" in capsys.readouterr().out
+    # without argv, main reads the command line of the interpreter
+    monkeypatch.setattr(sys, "argv", ["drasp4", "diamond", "x1", "x2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == "((Ha+2)/(Ha+1)) x2 x1\n"
