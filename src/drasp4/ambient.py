@@ -167,17 +167,10 @@ class AmbientElem(SparseTerms):
         return self * AmbientElem.scalar(c)
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return self.rmul_scalar(other)
         if not isinstance(other, AmbientElem):
             return NotImplemented
         return AmbientElem(bilinear(self.terms, other.terms, _mono_product,
                                     left_shift))
-
-    def __rmul__(self, other):
-        if isinstance(other, RatFunc):
-            return self.scaled(other)
-        return NotImplemented
 
     def __str__(self):
         return amb_str(self)

@@ -33,35 +33,31 @@ So a product expands bilinearly over the terms f t^e Z^m of its factors
 f, g and base monomials t^e1, t^e2,
 
     (f t^e1 Z^m1) (g t^e2 Z^m2)
-        = f g.shift(d) t^e1 B(e2, m1|e2, kappa) Z^(m1 + m2)
+        = f g.shift(d) t^e1 B Z^(m1 + m2)
 
-where d = sum_i m1_i * shift_i moves the scalars, kappa holds (m1_i, m2_i)
-at each index where they have opposite signs and None elsewhere, and
+where d = sum_i m1_i * shift_i moves the scalars, and
 
-    B(e2, m, kappa) = sigma^m(t^e2) prod_{(p_i, q_i) in kappa} c_i(p_i, q_i).
+    B = sigma^m1(t^e2) prod_i c_i(m1_i, m2_i)
 
-B holds no scalar of either factor, so it is cached per basis pair
-whatever the coefficients.  Since sigma^m1(t^e2) is the product of
-sigma_i^m1_i(t_i)^e2_i, the exponent m1_i of an index with e2_i = 0 does
-not reach B; the key keeps m1_i only where e2_i > 0 (m1|e2), so products
-whose left exponents differ only there share one entry.
-
-B is therefore a product of affine images alone: e2_i copies of
-sigma_i^m1_i(t_i) for each index, and the images of each contraction.
-It is built as one chain of these images, the pairs (i, k) sorted, and
-each prefix of a chain is kept: a prefix is the one before it times one
-affine factor, and chains that start alike share their prefixes.  A new
-B costs one product by an affine polynomial for each prefix that no
-earlier chain reached, never a product of two whole contractions.
-B, the chain prefixes and the images sigma_i^k(t_i) depend on the
-algebra only, so all three are cached; algebras compare and hash by
-value, so each built-in instance has one set of entries however often it
-is constructed.
+holds no scalar of either factor.  Since sigma^m1(t^e2) is the product of
+sigma_i^m1_i(t_i)^e2_i, B is a product of affine images alone: e2_i
+copies of sigma_i^m1_i(t_i) for each index, and the images of each
+contraction.  It is built as one chain of these images, the pairs (i, k)
+sorted, and each prefix of a chain is kept: a prefix is the one before it
+times one affine factor, and chains that start alike share their
+prefixes.  A one-pair chain is the image sigma_i^k(t_i) itself, which
+sigma^m reads as well, so this one memo holds every image.  A new B costs
+one product by an affine polynomial for each prefix that no earlier chain
+reached, never a product of two whole contractions.  The shifted map
+t^e1 B Z^(m1 + m2) is kept per pair of basis terms, so a repeated pair is
+one lookup whatever the coefficients.  Both memos depend on the algebra
+only; algebras compare and hash by value, so each built-in instance has
+one set of entries however often it is constructed.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from operator import add
 
 from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
@@ -121,19 +117,12 @@ class BasePoly(SparseTerms):
         return BasePoly(rank, {_unit_vec(rank, i): RF_ONE})
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return self.scaled(other)
         if not isinstance(other, BasePoly):
             return NotImplemented
         _check_rank(other, self.rank)
         return BasePoly(self.rank, bilinear(
             self.terms, other.terms,
             lambda e1, e2: {tuple(map(add, e1, e2)): 1}))
-
-    def __rmul__(self, other):
-        if isinstance(other, RatFunc):
-            return self.scaled(other)
-        return NotImplemented
 
     def __pow__(self, n: int):
         return power(self, n, BasePoly.const(self.rank, 1))
@@ -200,59 +189,11 @@ class SkewAffineSigma:
     def __hash__(self):
         return self._hash
 
-    def on_scalar_inv(self, f: RatFunc) -> RatFunc:
-        return f.shift(-self.shift[0], -self.shift[1])
-
     def t_image(self) -> BasePoly:
         terms = {(0,) * self.rank: self.c}
         for j, gj in enumerate(self.g, start=1):
             terms[_unit_vec(self.rank, j)] = gj
         return BasePoly(self.rank, terms)
-
-    def t_image_inv(self) -> BasePoly:
-        return _t_image_inv(self)
-
-    def apply(self, b: BasePoly) -> BasePoly:
-        return _substitute(b, self.shift, {self.index - 1: self.t_image()})
-
-    def apply_inv(self, b: BasePoly) -> BasePoly:
-        return _substitute(b, (-self.shift[0], -self.shift[1]),
-                           {self.index - 1: self.t_image_inv()})
-
-
-@cache
-def _t_image_inv(s: SkewAffineSigma) -> BasePoly:
-    """The image of t_i under the inverse of s, kept per automorphism."""
-    inv = s.on_scalar_inv(s.g[s.index - 1]).inv()
-    terms = {(0,) * s.rank: -s.on_scalar_inv(s.c) * inv}
-    for j, gj in enumerate(s.g, start=1):
-        terms[_unit_vec(s.rank, j)] = (
-            inv if j == s.index else -s.on_scalar_inv(gj) * inv)
-    return BasePoly(s.rank, terms)
-
-
-def _substitute(b: BasePoly, shift, images: dict) -> BasePoly:
-    """The ring map that shifts every scalar by ``shift``, sends t_j to
-    ``images[j]`` for the indices j listed there and fixes the others."""
-    powers = {}
-
-    def image_of(e):
-        fixed = list(e)
-        img = None
-        for j, image in images.items():
-            n = e[j]
-            if n:
-                fixed[j] = 0
-                pw = powers.get((j, n))
-                if pw is None:
-                    pw = powers[j, n] = image ** n
-                img = pw if img is None else img * pw
-        if img is None:
-            return {e: 1}
-        return {tuple(map(add, fixed, ek)): v for ek, v in img.terms.items()}
-
-    return BasePoly(b.rank, linear(
-        {e: cf.shift(*shift) for e, cf in b.terms.items()}, image_of))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +226,9 @@ class GwaAlgebra:
     def _check_inverses(self):
         for i in range(1, self.rank + 1):
             t = BasePoly.tvar(self.rank, i)
-            s = self.sigmas[i - 1]
-            if s.apply_inv(s.apply(t)) != t or s.apply(s.apply_inv(t)) != t:
+            up, down = _unit_vec(self.rank, i), _unit_vec(self.rank, i, -1)
+            if (self._sigma(down, self._sigma(up, t)) != t
+                    or self._sigma(up, self._sigma(down, t)) != t):
                 raise ValueError(f"automorphism {i} has a wrong inverse")
 
     def _check_commuting(self):
@@ -295,13 +237,14 @@ class GwaAlgebra:
         # generators: the two scalar coordinates and every t variable
         gens = [BasePoly.const(self.rank, HA), BasePoly.const(self.rank, HB)]
         gens += [BasePoly.tvar(self.rank, i) for i in range(1, self.rank + 1)]
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                si, sj = self.sigmas[i], self.sigmas[j]
+        for i in range(1, self.rank + 1):
+            for j in range(i + 1, self.rank + 1):
+                ei, ej = _unit_vec(self.rank, i), _unit_vec(self.rank, j)
                 for b in gens:
-                    if si.apply(sj.apply(b)) != sj.apply(si.apply(b)):
+                    if (self._sigma(ei, self._sigma(ej, b))
+                            != self._sigma(ej, self._sigma(ei, b))):
                         raise ValueError(
-                            f"automorphisms {i + 1} and {j + 1} do not commute")
+                            f"automorphisms {i} and {j} do not commute")
 
     # -- element constructors --
 
@@ -351,18 +294,29 @@ class GwaAlgebra:
         sigma^m(t_i) (see the module docstring)."""
         if not any(m):
             return b
-        return _substitute(b, self._scalar_shift(m),
-                           {j: _sigma_image(self, j + 1, k)
-                            for j, k in enumerate(m) if k})
+        d = self._scalar_shift(m)
+        images = {j: _image_product(self, ((j + 1, k),))
+                  for j, k in enumerate(m) if k}
+        powers = {}
 
-    def _term_basis(self, k1: tuple, k2: tuple) -> dict:
-        """t^e1 B(e2, m1|e2, kappa) Z^(m1 + m2) over the pairs (m, e)."""
-        (m1, e1), (m2, e2) = k1, k2
-        kappa = tuple([(p, q) if p * q < 0 else None for p, q in zip(m1, m2)])
-        masked = tuple([k if n else 0 for k, n in zip(m1, e2)])
-        m = tuple(map(add, m1, m2))
-        return {(m, tuple(map(add, e1, e))): v
-                for e, v in _basis_term(self, e2, masked, kappa).terms.items()}
+        def image_of(e):
+            fixed = list(e)
+            img = None
+            for j, image in images.items():
+                n = e[j]
+                if n:
+                    fixed[j] = 0
+                    pw = powers.get((j, n))
+                    if pw is None:
+                        pw = powers[j, n] = image ** n
+                    img = pw if img is None else img * pw
+            if img is None:
+                return {e: 1}
+            return {tuple(map(add, fixed, ek)): v
+                    for ek, v in img.terms.items()}
+
+        return BasePoly(b.rank, linear(
+            {e: cf.shift(*d) for e, cf in b.terms.items()}, image_of))
 
     def _scalar_shift(self, m) -> tuple:
         """The shift sigma^m makes on the scalars: the sum of m_i times
@@ -372,55 +326,63 @@ class GwaAlgebra:
 
 
 @cache
-def _sigma_image(alg: GwaAlgebra, i: int, k: int) -> BasePoly:
-    """sigma_i^k(t_i), an affine polynomial.  For |k| = 1 it is one step
-    of sigma_i or of its inverse; any longer k splits into h = k // 2 and
-    k - h, and sigma_i^k(t_i) = sigma_i^h(sigma_i^(k-h)(t_i)), so the
-    depth is logarithmic in |k|."""
-    t = BasePoly.tvar(alg.rank, i)
+def _image_product(alg: GwaAlgebra, factors: tuple) -> BasePoly:
+    """The product of the images sigma_i^k(t_i) over the pairs (i, k) in
+    ``factors``: the product of all but the last, times the last image.
+    A one-pair chain is the image itself: t_i for k = 0, one step of
+    sigma_i or of its inverse for |k| = 1, and for longer k, with
+    h = k // 2, sigma_i^h(sigma_i^(k-h)(t_i)), so the depth is logarithmic
+    in |k|."""
+    if not factors:
+        return BasePoly.const(alg.rank, 1)
+    if len(factors) > 1:
+        return _image_product(alg, factors[:-1]) * _image_product(
+            alg, factors[-1:])
+    (i, k), = factors
+    s = alg.sigmas[i - 1]
     if k == 0:
-        return t
-    if abs(k) == 1:
-        s = alg.sigmas[i - 1]
-        return s.apply(t) if k > 0 else s.apply_inv(t)
+        return BasePoly.tvar(alg.rank, i)
+    if k == 1:
+        return s.t_image()
+    if k == -1:
+        # sigma_i(t_i) = c + sum_j g_j t_j solved for t_i, with the scalars
+        # of the data moved back by the shift
+        d = (-s.shift[0], -s.shift[1])
+        inv = s.g[i - 1].shift(*d).inv()
+        terms = {(0,) * alg.rank: -s.c.shift(*d) * inv}
+        for j, gj in enumerate(s.g, start=1):
+            terms[_unit_vec(alg.rank, j)] = (
+                inv if j == i else -gj.shift(*d) * inv)
+        return BasePoly(alg.rank, terms)
     h = k // 2
-    return alg._sigma(_unit_vec(alg.rank, i, h), _sigma_image(alg, i, k - h))
+    return alg._sigma(_unit_vec(alg.rank, i, h),
+                      _image_product(alg, ((i, k - h),)))
 
 
 @cache
-def _basis_term(alg: GwaAlgebra, e: tuple, m: tuple, kappa: tuple) -> BasePoly:
-    """sigma^m(t^e) times the contraction c_i(p, q) for each index i with
-    a pair (p, q) in kappa (None where the exponents do not have opposite
-    signs), as a chain of images sigma_i^k(t_i): e_i copies of (i, m_i),
-    and the pairs (i, k) of each contraction.  X_i^p Y_i^-q is the product
-    over the top r values k <= p, and Y_i^-p X_i^q over the r values k > p,
-    r = min(|p|, |q|).  The prefixes of the sorted chain are read in
-    increasing length, so each is built from the one before, and a cold
-    chain recurses one level whatever its length."""
-    factors = [(i, k) for i, (n, k) in enumerate(zip(e, m), start=1)
+def _term_basis(alg: GwaAlgebra, k1: tuple, k2: tuple) -> dict:
+    """t^e1 B Z^(m1 + m2) over the pairs (m, e), for the basis terms
+    k1 = (m1, e1) and k2 = (m2, e2): B is the chain of images
+    sigma_i^k(t_i) made of e2_i copies of (i, m1_i) and the pairs (i, k)
+    of each contraction.  X_i^p Y_i^-q contracts over the top r values
+    k <= p, and Y_i^-p X_i^q over the r values k > p, r = min(|p|, |q|).
+    The prefixes of the sorted chain are read in increasing length, so
+    each is built from the one before, and a cold chain recurses one level
+    whatever its length."""
+    (m1, e1), (m2, e2) = k1, k2
+    factors = [(i, k) for i, (n, k) in enumerate(zip(e2, m1), start=1)
                for _ in range(n)]
-    for i, pq in enumerate(kappa, start=1):
-        if pq is not None:
-            p, q = pq
+    for i, (p, q) in enumerate(zip(m1, m2), start=1):
+        if p * q < 0:
             r = min(abs(p), abs(q))
             ks = range(p - r + 1, p + 1) if p > 0 else range(p + 1, p + r + 1)
             factors += [(i, k) for k in ks]
     factors = tuple(sorted(factors))
     for n in range(1, len(factors)):
         _image_product(alg, factors[:n])
-    return _image_product(alg, factors)
-
-
-@cache
-def _image_product(alg: GwaAlgebra, factors: tuple) -> BasePoly:
-    """The product of the images sigma_i^k(t_i) over the pairs (i, k) in
-    ``factors``: the product of all but the last, times the last image."""
-    if not factors:
-        return BasePoly.const(alg.rank, 1)
-    image = _sigma_image(alg, *factors[-1])
-    if len(factors) == 1:
-        return image
-    return _image_product(alg, factors[:-1]) * image
+    m = tuple(map(add, m1, m2))
+    return {(m, tuple(map(add, e1, e))): v
+            for e, v in _image_product(alg, factors).terms.items()}
 
 
 class GwaElem(SparseTerms):
@@ -450,7 +412,7 @@ class GwaElem(SparseTerms):
         u, v = ({(m, e): f for m, b in w.terms.items()
                  for e, f in b.terms.items()} for w in (self, other))
         out = {}
-        for (m, e), f in bilinear(u, v, alg._term_basis,
+        for (m, e), f in bilinear(u, v, partial(_term_basis, alg),
                                   lambda k: alg._scalar_shift(k[0])).items():
             out.setdefault(m, {})[e] = f
         return GwaElem(alg, {m: BasePoly(alg.rank, t) for m, t in out.items()})
@@ -609,5 +571,4 @@ def _weyl_mono_image(m: tuple, e: tuple) -> dict:
 
 # The memos of this module, for ``drasp4.cache_info`` and
 # ``drasp4.clear_caches``.
-_MEMOS = (_t_image_inv, _sigma_image, _image_product, _basis_term,
-          _t_monomial_image, _weyl_mono_image)
+_MEMOS = (_image_product, _term_basis, _t_monomial_image, _weyl_mono_image)

@@ -316,6 +316,23 @@ def test_diamond_monomials_triangular_to_degree_six():
     assert rep.passed, "\n".join(rep.lines())
 
 
+def test_triangular_check_names_each_failure():
+    from drasp4.verify import _is_triangular
+    lead = (1, 0, 0, 0)
+    ok = DraElem({lead: RF_ONE, (0, 0, 0, 0): HA})
+    assert _is_triangular(ok, lead, unit=True) == (True, "")
+    doubled = DraElem({lead: 2 * RF_ONE})
+    assert _is_triangular(doubled, lead, unit=True) \
+        == (False, f"leading coefficient {2 * RF_ONE}")
+    assert _is_triangular(doubled, lead, unit=False) == (True, "")
+    missing = DraElem({(0, 0, 0, 0): RF_ONE})
+    assert _is_triangular(missing, lead, unit=False) \
+        == (False, "leading coefficient vanishes")
+    higher = DraElem({lead: RF_ONE, (0, 0, 0, 1): HB})
+    assert _is_triangular(higher, lead, unit=True) \
+        == (False, "non-lower term (0, 0, 0, 1)")
+
+
 def test_triangular_builds_each_ordered_product_once(monkeypatch):
     # one diamond per nonzero exponent vector of degree <= 4, each the
     # product of a shorter one by a generator; folding every product from

@@ -7,15 +7,21 @@ scalar products were packed into integers and the line tests moved to the
 axes, so a change in any coefficient of these large products shows here.
 
 The fixture ``frontier_digests.json`` holds the sha256 of the canonical
-JSON of six larger products, which take seconds each: the frontier
+JSON of seven larger products, which take seconds each: the frontier
 shapes at n = 8 and n = 7, and ``M_4 <> M_4`` with
 ``M_4 = d1^4 d2^4 x2^4 x1^4``, whose peel takes corrections, recorded
 before the scalar numerators were stored as packed rows; the frontier
 shapes at n = 10 and n = 8, recorded before the sums of several scalars
-into one output coefficient were taken at once; and the GWA frontier
-shape at n = 10, recorded before its basis terms were built as chains of
-images sigma_i^k(t_i).  Tier-1 does not compute them; CI runs
-``frontier_digest_mismatches()``.
+into one output coefficient were taken at once; the GWA frontier shape
+at n = 10, recorded before its basis terms were built as chains of
+images sigma_i^k(t_i); and the GWA frontier shape at n = 12, recorded
+before those images and chains were held in one memo.  Tier-1 does not
+compute them; CI runs ``frontier_digest_mismatches()``.
+
+The frontier shapes have constant coefficients, so they never take
+sigma^m1(t^e2) with e2 != 0.  ``TWISTED`` pins the sha256 of both
+products of u = (t1^2 t2 + 1) X1^5 Y2^3 and v = t1^3 t2^2 Y1^4 X2^5,
+recorded before the same change; tier-1 compares them.
 """
 
 import hashlib
@@ -23,7 +29,7 @@ import json
 from pathlib import Path
 
 from drasp4.dra import diamond, dra_json
-from drasp4.gwa import gwa_json, reduction_gwa
+from drasp4.gwa import BasePoly, GwaElem, gwa_json, reduction_gwa
 from drasp4.parser import evaluate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,7 +75,26 @@ def frontier_digests() -> dict:
             (x1 ** 8 * x2 ** 8) * (y1 ** 8 * y2 ** 8))),
         "gwa X1^10 X2^10, Y1^10 Y2^10": _digest(gwa_json(
             (x1 ** 10 * x2 ** 10) * (y1 ** 10 * y2 ** 10))),
+        "gwa X1^12 X2^12, Y1^12 Y2^12": _digest(gwa_json(
+            (x1 ** 12 * x2 ** 12) * (y1 ** 12 * y2 ** 12))),
     }
+
+
+TWISTED = {
+    "u v": "63ddd263e919451868348075f3644931328d08a56cfdff0e77ca7fe5e33d6fbb",
+    "v u": "f12294cbd10dc3f616c970551d49e094b13f9bde2c659366745c4303fc83507c",
+}
+
+
+def test_products_with_t_in_both_factors_match_pinned_digests():
+    """sigma^m1(t^e2) at e2 = (3, 2) and (2, 1), with left exponents up
+    to 5 and contractions of length 3 and 4 on both indices."""
+    alg = reduction_gwa()
+    t1, t2 = alg.t(1), alg.t(2)
+    u = GwaElem(alg, {(5, -3): t1 ** 2 * t2 + BasePoly.const(2, 1)})
+    v = GwaElem(alg, {(-4, 5): t1 ** 3 * t2 ** 2})
+    got = {"u v": _digest(gwa_json(u * v)), "v u": _digest(gwa_json(v * u))}
+    assert got == TWISTED
 
 
 def frontier_digest_mismatches() -> list:

@@ -64,7 +64,7 @@ def test_sigma_ring_homomorphism(alg):
         u, v = rand_base(), rand_base()
         for i in (1, 2):
             assert alg.sigma(i, u * v) == alg.sigma(i, u) * alg.sigma(i, v)
-            assert alg.sigmas[i - 1].apply_inv(alg.sigma(i, u)) == u
+            assert _one_step(alg.sigmas[i - 1], alg.sigma(i, u), -1) == u
 
 
 def test_sigma_commutes_directly(alg):
@@ -97,11 +97,39 @@ def test_algebras_compare_by_value(alg):
         weyl_gwa(2).x(1) * alg.x(1)
 
 
+def _one_step(s, b, sign):
+    """s(b) for sign 1, s^-1(b) for sign -1, substituted term by term from
+    the data of s alone: the scalars shift by sign times the shift of s,
+    and t_i goes to c + sum_j g_j t_j, or to the solution for t_i, with
+    the scalars of the data moved back, (t_i - c - sum_{j != i} g_j t_j)
+    / g_i."""
+    rank, i = s.rank, s.index
+    d = (sign * s.shift[0], sign * s.shift[1])
+    t = [BasePoly.tvar(rank, j) for j in range(1, rank + 1)]
+    if sign > 0:
+        image = BasePoly.const(rank, s.c)
+        for tj, gj in zip(t, s.g):
+            image = image + tj.scaled(gj)
+    else:
+        image = t[i - 1] - BasePoly.const(rank, s.c.shift(*d))
+        for j, (tj, gj) in enumerate(zip(t, s.g), start=1):
+            if j != i:
+                image = image - tj.scaled(gj.shift(*d))
+        image = image.scaled(s.g[i - 1].shift(*d).inv())
+    out = BasePoly(rank, {})
+    for e, cf in b.terms.items():
+        term = BasePoly.const(rank, cf.shift(*d))
+        for j, n in enumerate(e, start=1):
+            term = term * (image if j == i else t[j - 1]) ** n
+        out = out + term
+    return out
+
+
 def _one_step_fold(alg, m, b):
     """sigma^m(b) by one-step maps only."""
     for s, k in zip(alg.sigmas, m):
         for _ in range(abs(k)):
-            b = s.apply(b) if k > 0 else s.apply_inv(b)
+            b = _one_step(s, b, 1 if k > 0 else -1)
     return b
 
 
@@ -117,8 +145,8 @@ def test_other_automorphisms_fix_the_orbit_of_t(make):
             orbit = _one_step_fold(a, m, a.t(i))
             assert a.sigma_pow(i, k, a.t(i)) == orbit
             s = a.sigmas[j - 1]
-            assert s.apply(orbit) == orbit
-            assert s.apply_inv(orbit) == orbit
+            assert _one_step(s, orbit, 1) == orbit
+            assert _one_step(s, orbit, -1) == orbit
 
 
 def test_sigma_vec_is_the_fold_of_one_step_maps(alg):
@@ -322,21 +350,24 @@ def test_comparison_image_matches_weyl_products(n):
 
 
 def test_reduction_gwa_builds_each_inverse_image_once():
-    """The inverse image of t_i is a memo per automorphism, shared by equal
-    automorphisms of an algebra built again."""
-    memo = gwa._t_image_inv
+    """The images sigma_i^(+-1)(t_i) are one-pair chains of the image memo,
+    built when the algebra checks its inverses and shared by an algebra
+    built again."""
+    memo = gwa._image_product
     memo.cache_clear()
     a = reduction_gwa()
-    assert memo.cache_info().misses == 2
+    assert memo.cache_info().misses == 4
     t1, t2 = a.t(1), a.t(2)
     sample = (t1, t2, t1 * t2 + BasePoly.const(2, HA),
               (t1 ** 2).scaled(HB / (HA + 1)) + t2.scaled(HA - HB),
               BasePoly.const(2, HB + 3))
-    for s in reduction_gwa().sigmas:
-        for b in sample:
-            assert s.apply_inv(s.apply(b)) == b
-            assert s.apply(s.apply_inv(b)) == b
-    assert memo.cache_info().misses == 2
+    b = reduction_gwa()
+    for i, s in enumerate(b.sigmas, start=1):
+        for u in sample:
+            assert b.sigma_pow(i, -1, b.sigma(i, u)) == u
+            assert b.sigma(i, b.sigma_pow(i, -1, u)) == u
+            assert b.sigma_pow(i, -1, u) == _one_step(s, u, -1)
+    assert memo.cache_info().misses == 4
 
 
 def test_phi_examples(alg, real):
@@ -508,50 +539,54 @@ def test_products_agree_with_the_whole_polynomial_formula(make):
 
 
 def _reference_basis_terms(a):
-    """sigma^m(t^e) times the peeled contraction of each pair in kappa,
-    as a function of (e, m, kappa); each contraction is peeled once."""
+    """t^e1 sigma^m1(t^e2) times the peeled contraction c_i(m1_i, m2_i) of
+    each index, at Z^(m1 + m2), as a function of the basis terms (m1, e1)
+    and (m2, e2); each contraction is peeled once."""
     contraction = cache(lambda i, p, q: _contraction(a, i, p, q))
 
-    def term(e, m, kappa):
-        out = a.sigma_vec(m, BasePoly(a.rank, {e: RF_ONE}))
-        for i, pq in enumerate(kappa, start=1):
-            if pq is not None:
-                out = out * contraction(i, *pq)
-        return out
+    def term(k1, k2):
+        (m1, e1), (m2, e2) = k1, k2
+        out = BasePoly(a.rank, {e1: RF_ONE}) * a.sigma_vec(
+            m1, BasePoly(a.rank, {e2: RF_ONE}))
+        for i, (p, q) in enumerate(zip(m1, m2), start=1):
+            out = out * contraction(i, p, q)
+        m = tuple(p + q for p, q in zip(m1, m2))
+        return {(m, e): v for e, v in out.terms.items()}
     return term
 
 
 def _basis_keys(degree, bound):
-    """Every key (e, m|e, kappa) of rank two with |e| <= degree, |m_i| <=
-    bound and kappa pairs of opposite signs with |p|, |q| <= bound."""
-    pairs = [None] + [(p, q) for p in range(-bound, bound + 1)
-                      for q in range(-bound, bound + 1) if p * q < 0]
-    for e in itertools.product(range(degree + 1), repeat=2):
-        if sum(e) > degree:
-            continue
-        for m in itertools.product(*[range(-bound, bound + 1) if n else (0,)
-                                     for n in e]):
-            for kappa in itertools.product(pairs, repeat=2):
-                yield e, m, kappa
+    """Every pair of rank-two basis terms (m1, e1), (m2, e2) with
+    |e2| <= degree and |m1_i|, |m2_i| <= bound, each with a seeded e1 of
+    degree at most two."""
+    rng = random.Random(70)
+    exps = [e for e in itertools.product(range(degree + 1), repeat=2)
+            if sum(e) <= degree]
+    box = list(itertools.product(range(-bound, bound + 1), repeat=2))
+    for e2 in exps:
+        for m1 in box:
+            for m2 in box:
+                e1 = (rng.randint(0, 2), rng.randint(0, 1))
+                yield (m1, e1), (m2, e2)
 
 
 @pytest.mark.parametrize("make, sample", [
     (lambda: weyl_gwa(2), None), (_ansatz_gwa, None), (reduction_gwa, 40),
 ], ids=["weyl", "ansatz", "reduction"])
 def test_basis_term_is_the_product_of_its_images(make, sample):
-    """Each basis term, read from the chain of images, against sigma^m(t^e)
-    times the contractions peeled one pair at a time: every key with
-    |e| <= 1 and exponents up to 2, or a seeded sample of keys with
-    |e| <= 2 and exponents up to 3 in the reduction instance."""
+    """Each term pair, read from the chain of images, against t^e1
+    sigma^m1(t^e2) times the contractions peeled one pair at a time: every
+    pair with |e2| <= 1 and exponents up to 2, or a seeded sample of pairs
+    with |e2| <= 2 and exponents up to 3 in the reduction instance."""
     a = make()
     reference = _reference_basis_terms(a)
     if sample is None:
         keys = list(_basis_keys(1, 2))
-        assert len(keys) == 891
+        assert len(keys) == 1875
     else:
         keys = random.Random(69).sample(list(_basis_keys(2, 3)), sample)
     for key in keys:
-        assert gwa._basis_term(a, *key) == reference(*key), key
+        assert gwa._term_basis(a, *key) == reference(*key), key
 
 
 def _stack_depth() -> int:
@@ -568,7 +603,7 @@ def test_long_contraction_chains_stay_within_the_stack():
     limit, low = sys.getrecursionlimit(), _stack_depth() + 40
     k = low + 5
     w = weyl_gwa(1)
-    gwa._basis_term.cache_clear()
+    gwa._term_basis.cache_clear()
     gwa._image_product.cache_clear()
     sys.setrecursionlimit(low)
     try:

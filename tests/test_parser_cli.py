@@ -142,6 +142,17 @@ def test_cli_nf_theta_project_sigma(capsys):
     assert code == 0 and "x_1" in out
 
 
+def test_cli_ambient_theta_and_limits_without_a_value(capsys):
+    code, out, _ = run_cli(capsys, "theta", "--mode", "ambient", "Ea*x1*Fb")
+    assert code == 0 and out == "(1) Fa d1 Eb\n"
+    code, out, _ = run_cli(capsys, "limit", "Ha^2/(Ha+1)")
+    assert code == 0 and out == "divergent\n"
+    code, out, _ = run_cli(capsys, "limit", "Ha/Hb")
+    assert code == 0 and out == "undefined\n"
+    code, out, _ = run_cli(capsys, "limit", "Ha/Hb", "--format", "json")
+    assert code == 0 and json.loads(out) == {"limit": "undefined"}
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "nf", "x1 + * x2")
     assert code == 2 and "offset" in err
