@@ -63,8 +63,8 @@ def __dir__():
 
 
 # Every memo of the engine: unbounded, kept for the life of the process.
-_MEMOS = (weyl._mono_mul, ambient._norm_word, dra.projector_coeff,
-          dra._leaf_terms, dra._basis_diamond, dra.presentation)
+_MEMOS = (weyl._mono_mul, ambient._norm_word, dra._leaf_terms,
+          dra._basis_diamond, dra.presentation)
 
 
 def _memos() -> tuple:

@@ -41,7 +41,6 @@ def h_form(root: str) -> RatFunc:
     return rf_affine(ca, cb, c0)
 
 
-@cache
 def projector_coeff(root: str, k: int) -> RatFunc:
     """Series coefficient: (-1)^k / (k! (H+2)(H+3)...(H+k+1)).  Its lines
     H + j are distinct and prime to the constant numerator, so it is built

@@ -45,14 +45,15 @@ copies of sigma_i^m1_i(t_i) for each index, and the images of each
 contraction.  It is built as one chain of these images, the pairs (i, k)
 sorted, and each prefix of a chain is kept: a prefix is the one before it
 times one affine factor, and chains that start alike share their
-prefixes.  A one-pair chain is the image sigma_i^k(t_i) itself, which
-sigma^m reads as well, so this one memo holds every image.  A new B costs
-one product by an affine polynomial for each prefix that no earlier chain
-reached, never a product of two whole contractions.  The shifted map
-t^e1 B Z^(m1 + m2) is kept per pair of basis terms, so a repeated pair is
-one lookup whatever the coefficients.  Both memos depend on the algebra
-only; algebras compare and hash by value, so each built-in instance has
-one set of entries however often it is constructed.
+prefixes.  A one-pair chain is the image sigma_i^k(t_i) itself, so this
+one memo holds every image.  A new B costs one product by an affine
+polynomial for each prefix that no earlier chain reached, never a product
+of two whole contractions.  The shifted map t^e1 B Z^(m1 + m2) is kept per
+pair of basis terms, so a repeated pair is one lookup whatever the
+coefficients.  Both memos depend on the algebra only; algebras compare and
+hash by value, so each built-in instance has one set of entries however
+often it is constructed.  sigma^m(b) is read off Z^m b = sigma^m(b) Z^m,
+so sigma takes these chains too and the premises are used there alone.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ class GwaAlgebra:
 
     def _check_commuting(self):
         """The automorphisms commute, so sigma^m(t_i) is the cached
-        sigma_i^m_i(t_i) (see the module docstring)."""
+        sigma_i^m_i(t_i) (see the module docstring).  Each side applies
+        one automorphism at a time, which needs neither premise."""
         # generators: the two scalar coordinates and every t variable
         gens = [BasePoly.const(self.rank, HA), BasePoly.const(self.rank, HB)]
         gens += [BasePoly.tvar(self.rank, i) for i in range(1, self.rank + 1)]
@@ -288,35 +290,12 @@ class GwaAlgebra:
         return self._sigma(m, b)
 
     def _sigma(self, m: tuple, b: BasePoly) -> BasePoly:
-        """sigma^m(b) = sigma_1^m_1 ... sigma_n^m_n (b): every scalar
-        shifts by the sum of m_i times the shift of sigma_i, and each t_i
-        with m_i != 0 goes to its cached image sigma_i^m_i(t_i), which is
-        sigma^m(t_i) (see the module docstring)."""
+        """sigma^m(b), the base coefficient of the product Z^m b =
+        sigma^m(b) Z^m (see the module docstring)."""
         if not any(m):
             return b
-        d = self._scalar_shift(m)
-        images = {j: _image_product(self, ((j + 1, k),))
-                  for j, k in enumerate(m) if k}
-        powers = {}
-
-        def image_of(e):
-            fixed = list(e)
-            img = None
-            for j, image in images.items():
-                n = e[j]
-                if n:
-                    fixed[j] = 0
-                    pw = powers.get((j, n))
-                    if pw is None:
-                        pw = powers[j, n] = image ** n
-                    img = pw if img is None else img * pw
-            if img is None:
-                return {e: 1}
-            return {tuple(map(add, fixed, ek)): v
-                    for ek, v in img.terms.items()}
-
-        return BasePoly(b.rank, linear(
-            {e: cf.shift(*d) for e, cf in b.terms.items()}, image_of))
+        prod = GwaElem(self, {m: BasePoly.const(self.rank, 1)}) * self.base(b)
+        return prod.terms.get(m, BasePoly(self.rank))
 
     def _scalar_shift(self, m) -> tuple:
         """The shift sigma^m makes on the scalars: the sum of m_i times

@@ -10,7 +10,6 @@ from drasp4.weyl import D1, X1
 NAMES = {
     "drasp4.weyl._mono_mul",
     "drasp4.ambient._norm_word",
-    "drasp4.dra.projector_coeff",
     "drasp4.dra._leaf_terms",
     "drasp4.dra._basis_diamond",
     "drasp4.dra.presentation",

@@ -7,21 +7,25 @@ scalar products were packed into integers and the line tests moved to the
 axes, so a change in any coefficient of these large products shows here.
 
 The fixture ``frontier_digests.json`` holds the sha256 of the canonical
-JSON of seven larger products, which take seconds each: the frontier
-shapes at n = 8 and n = 7, and ``M_4 <> M_4`` with
+JSON of seven larger products and one automorphism image, which take
+seconds each: the frontier shapes at n = 8 and n = 7, and ``M_4 <> M_4`` with
 ``M_4 = d1^4 d2^4 x2^4 x1^4``, whose peel takes corrections, recorded
 before the scalar numerators were stored as packed rows; the frontier
 shapes at n = 10 and n = 8, recorded before the sums of several scalars
 into one output coefficient were taken at once; the GWA frontier shape
 at n = 10, recorded before its basis terms were built as chains of
-images sigma_i^k(t_i); and the GWA frontier shape at n = 12, recorded
-before those images and chains were held in one memo.  Tier-1 does not
-compute them; CI runs ``frontier_digest_mismatches()``.
+images sigma_i^k(t_i); the GWA frontier shape at n = 12, recorded
+before those images and chains were held in one memo; and sigma_1(t1^25)
+in ``reduction_gwa()``, recorded before sigma^m(b) was read off the
+product Z^m b.  Tier-1 does not compute them; CI runs
+``frontier_digest_mismatches()``.
 
 The frontier shapes have constant coefficients, so they never take
 sigma^m1(t^e2) with e2 != 0.  ``TWISTED`` pins the sha256 of both
 products of u = (t1^2 t2 + 1) X1^5 Y2^3 and v = t1^3 t2^2 Y1^4 X2^5,
-recorded before the same change; tier-1 compares them.
+recorded before the same change; tier-1 compares them.  ``SIGMA`` pins
+the sha256 of two smaller automorphism images, recorded with the sigma_1
+entry of the fixture.
 """
 
 import hashlib
@@ -29,8 +33,9 @@ import json
 from pathlib import Path
 
 from drasp4.dra import diamond, dra_json
-from drasp4.gwa import BasePoly, GwaElem, gwa_json, reduction_gwa
+from drasp4.gwa import BasePoly, GwaElem, base_json, gwa_json, reduction_gwa
 from drasp4.parser import evaluate
+from drasp4.scalars import HA
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden_frontier.json"
@@ -77,6 +82,7 @@ def frontier_digests() -> dict:
             (x1 ** 10 * x2 ** 10) * (y1 ** 10 * y2 ** 10))),
         "gwa X1^12 X2^12, Y1^12 Y2^12": _digest(gwa_json(
             (x1 ** 12 * x2 ** 12) * (y1 ** 12 * y2 ** 12))),
+        "gwa sigma_1 t1^25": _digest(base_json(alg.sigma(1, alg.t(1) ** 25))),
     }
 
 
@@ -95,6 +101,29 @@ def test_products_with_t_in_both_factors_match_pinned_digests():
     v = GwaElem(alg, {(-4, 5): t1 ** 3 * t2 ** 2})
     got = {"u v": _digest(gwa_json(u * v)), "v u": _digest(gwa_json(v * u))}
     assert got == TWISTED
+
+
+SIGMA = {
+    "sigma^(3, -2) t1^4 t2^3 + Ha t1":
+        "1a3576bf058dc8f992b1c567f8e030b69afb4010c49ba7a254c798f280bacf77",
+    "sigma_2 t1^3 t2^10":
+        "eab8e7efba31c464a0c0957680a83a6b4bb288864dc9d37b4989f98e20c721cc",
+}
+
+
+def test_automorphism_images_match_pinned_digests():
+    """sigma^m(b) with both signs in m and a scalar in b, and sigma_2 of a
+    high power of t2 times a power of t1, which it fixes."""
+    alg = reduction_gwa()
+    t1, t2 = alg.t(1), alg.t(2)
+    b = t1 ** 4 * t2 ** 3 + t1.scaled(HA)
+    got = {
+        "sigma^(3, -2) t1^4 t2^3 + Ha t1":
+            _digest(base_json(alg.sigma_vec((3, -2), b))),
+        "sigma_2 t1^3 t2^10":
+            _digest(base_json(alg.sigma(2, t1 ** 3 * t2 ** 10))),
+    }
+    assert got == SIGMA
 
 
 def frontier_digest_mismatches() -> list:

@@ -226,7 +226,7 @@ def test_shift_must_be_two_integers():
 def test_defining_relations(alg):
     t1 = alg.t(1)
     assert alg.y(1) * alg.x(1) == alg.base(t1)
-    assert alg.x(1) * alg.y(1) == alg.base(alg.sigma(1, t1))
+    assert alg.x(1) * alg.y(1) == alg.base(_one_step(alg.sigmas[0], t1, 1))
     assert alg.x(1) * alg.x(2) == alg.x(2) * alg.x(1)
     assert alg.y(1) * alg.y(2) == alg.y(2) * alg.y(1)
     assert alg.x(1) * alg.y(2) == alg.y(2) * alg.x(1)
@@ -352,22 +352,25 @@ def test_comparison_image_matches_weyl_products(n):
 def test_reduction_gwa_builds_each_inverse_image_once():
     """The images sigma_i^(+-1)(t_i) are one-pair chains of the image memo,
     built when the algebra checks its inverses and shared by an algebra
-    built again."""
+    built again.  The checks read sigma off the product, so they also
+    build the empty chain and the chains t1 and t2 of the fixed
+    generators."""
     memo = gwa._image_product
     memo.cache_clear()
-    a = reduction_gwa()
-    assert memo.cache_info().misses == 4
-    t1, t2 = a.t(1), a.t(2)
+    gwa._term_basis.cache_clear()
+    reduction_gwa()
+    assert memo.cache_info().misses == 7
+    b = reduction_gwa()
+    assert memo.cache_info().misses == 7
+    t1, t2 = b.t(1), b.t(2)
     sample = (t1, t2, t1 * t2 + BasePoly.const(2, HA),
               (t1 ** 2).scaled(HB / (HA + 1)) + t2.scaled(HA - HB),
               BasePoly.const(2, HB + 3))
-    b = reduction_gwa()
     for i, s in enumerate(b.sigmas, start=1):
         for u in sample:
             assert b.sigma_pow(i, -1, b.sigma(i, u)) == u
             assert b.sigma(i, b.sigma_pow(i, -1, u)) == u
             assert b.sigma_pow(i, -1, u) == _one_step(s, u, -1)
-    assert memo.cache_info().misses == 4
 
 
 def test_phi_examples(alg, real):
@@ -471,11 +474,13 @@ def test_coefficients_of_another_rank_raise(alg, call):
 def _contraction(a, i, p, q):
     """c with Z_i^p Z_i^q = c Z_i^(p+q), peeled one pair at a time from
     the middle: X_i^p Y_i = sigma_i^p(t_i) X_i^(p-1) and
-    Y_i^-p X_i = sigma_i^(p+1)(t_i) Y_i^(-p-1), each image by sigma_pow."""
+    Y_i^-p X_i = sigma_i^(p+1)(t_i) Y_i^(-p-1), each image by one-step
+    maps."""
     c = BasePoly.const(a.rank, 1)
     while p * q < 0:
         k = p if p > 0 else p + 1
-        c = c * a.sigma_pow(i, k, a.t(i))
+        c = c * _one_step_fold(
+            a, tuple(k if j == i else 0 for j in range(1, a.rank + 1)), a.t(i))
         step = 1 if p > 0 else -1
         p, q = p - step, q + step
     return c
@@ -488,7 +493,7 @@ def _reference_product(u, v):
     out = a.zero()
     for m1, b1 in u.terms.items():
         for m2, b2 in v.terms.items():
-            coeff = b1 * a.sigma_vec(m1, b2)
+            coeff = b1 * _one_step_fold(a, m1, b2)
             for i, (p, q) in enumerate(zip(m1, m2), start=1):
                 if p * q < 0:
                     coeff = coeff * _contraction(a, i, p, q)
@@ -541,13 +546,15 @@ def test_products_agree_with_the_whole_polynomial_formula(make):
 def _reference_basis_terms(a):
     """t^e1 sigma^m1(t^e2) times the peeled contraction c_i(m1_i, m2_i) of
     each index, at Z^(m1 + m2), as a function of the basis terms (m1, e1)
-    and (m2, e2); each contraction is peeled once."""
+    and (m2, e2); each contraction is peeled once, and each sigma^m(t^e)
+    folded from one-step maps once."""
     contraction = cache(lambda i, p, q: _contraction(a, i, p, q))
+    image = cache(lambda m, e: _one_step_fold(
+        a, m, BasePoly(a.rank, {e: RF_ONE})))
 
     def term(k1, k2):
         (m1, e1), (m2, e2) = k1, k2
-        out = BasePoly(a.rank, {e1: RF_ONE}) * a.sigma_vec(
-            m1, BasePoly(a.rank, {e2: RF_ONE}))
+        out = BasePoly(a.rank, {e1: RF_ONE}) * image(m1, e2)
         for i, (p, q) in enumerate(zip(m1, m2), start=1):
             out = out * contraction(i, p, q)
         m = tuple(p + q for p, q in zip(m1, m2))
