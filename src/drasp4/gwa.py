@@ -35,7 +35,9 @@ f, g and base monomials t^e1, t^e2,
     (f t^e1 Z^m1) (g t^e2 Z^m2)
         = f g.shift(d) t^e1 B Z^(m1 + m2)
 
-where d = sum_i m1_i * shift_i moves the scalars, and
+where d = sum_i m1_i * shift_i moves the scalars: the shift of passing a
+left monomial m1 whose letter i weighs -shift_i, by the weight rule
+``ambient.shift_rule`` that the ambient product shares, and
 
     B = sigma^m1(t^e2) prod_i c_i(m1_i, m2_i)
 
@@ -58,9 +60,11 @@ so sigma takes these chains too and the premises are used there alone.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache, partial
 from operator import add
 
+from .ambient import shift_rule
 from .scalars import HA, HB, RF_ONE, RF_ZERO, RatFunc, as_rf, rf_json, rf_str
 from .sparse import (SparseTerms, bilinear, bracketed_sum, linear,
                      mono_text, power)
@@ -148,18 +152,18 @@ def base_json(b: BasePoly) -> list:
 # ---------------------------------------------------------------------------
 
 
-class SkewAffineSigma:
+class SkewAffineSigma(namedtuple("SkewAffineSigma", "rank index shift c g")):
     """Automorphism with integer scalar shift and an affine action on its
     own central generator: t_i -> c + sum_j g_j t_j, fixing t_j for j != i.
 
     The diagonal coefficient g_i must be invertible so the map has an
-    inverse of the same shape.  Two automorphisms are equal when their
-    data are.
+    inverse of the same shape.  A record: two automorphisms are equal, and
+    hash alike, when their fields are.
     """
 
-    __slots__ = ("rank", "index", "shift", "c", "g", "_hash")
+    __slots__ = ()
 
-    def __init__(self, rank: int, index: int, shift, c: RatFunc, g):
+    def __new__(cls, rank: int, index: int, shift, c: RatFunc, g):
         if not (1 <= index <= rank):
             raise ValueError("automorphism index out of range")
         if len(g) != rank:
@@ -169,26 +173,7 @@ class SkewAffineSigma:
         shift = tuple(shift)
         if len(shift) != 2 or any(type(s) is not int for s in shift):
             raise ValueError("scalar shift must be a pair of integers")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "g", tuple(g))
-        object.__setattr__(self, "_hash", hash(self._key()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewAffineSigma is immutable")
-
-    def _key(self):
-        return self.rank, self.index, self.shift, self.c, self.g
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewAffineSigma):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self):
-        return self._hash
+        return super().__new__(cls, rank, index, shift, c, tuple(g))
 
     def t_image(self) -> BasePoly:
         terms = {(0,) * self.rank: self.c}
@@ -209,9 +194,18 @@ class GwaAlgebra:
     def __init__(self, rank: int, sigmas):
         if len(sigmas) != rank:
             raise ValueError("need one automorphism per index")
+        for k, s in enumerate(sigmas, start=1):
+            if (s.index, s.rank) != (k, rank):
+                raise ValueError(
+                    f"automorphism in slot {k} has index {s.index} and rank "
+                    f"{s.rank}, not {k} and {rank}")
         self.rank = rank
         self.sigmas = tuple(sigmas)
         self._hash = hash((rank, self.sigmas))
+        # sigma^m shifts the scalars as passing a left monomial m does, its
+        # letter i weighing minus the shift of sigma_i
+        self._scalar_shift = shift_rule(
+            [(-s.shift[0], -s.shift[1]) for s in self.sigmas])
         self._check_inverses()
         self._check_commuting()
 
@@ -296,12 +290,6 @@ class GwaAlgebra:
             return b
         prod = GwaElem(self, {m: BasePoly.const(self.rank, 1)}) * self.base(b)
         return prod.terms.get(m, BasePoly(self.rank))
-
-    def _scalar_shift(self, m) -> tuple:
-        """The shift sigma^m makes on the scalars: the sum of m_i times
-        the shift of sigma_i."""
-        return (sum(k * s.shift[0] for k, s in zip(m, self.sigmas)),
-                sum(k * s.shift[1] for k, s in zip(m, self.sigmas)))
 
 
 @cache

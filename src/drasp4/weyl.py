@@ -41,16 +41,9 @@ class WeylElem(SparseTerms):
         return WeylElem({WeylElem.UNIT: WeylElem._coeff(c)})
 
     def __mul__(self, other):
-        if isinstance(other, (GaussRat, int)):
-            return self.scaled(other)
         if not isinstance(other, WeylElem):
             return NotImplemented
         return WeylElem(bilinear(self.terms, other.terms, _mono_mul))
-
-    def __rmul__(self, other):
-        if isinstance(other, (GaussRat, int)):
-            return self.scaled(other)
-        return NotImplemented
 
     def bracket(self, other: "WeylElem") -> "WeylElem":
         return self * other - other * self

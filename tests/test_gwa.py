@@ -217,10 +217,49 @@ def test_non_commuting_ansatz_rejected():
         GwaAlgebra(2, bad)
 
 
+def test_automorphism_in_the_wrong_slot_or_rank_rejected():
+    """Each slot k holds the automorphism of index k and the algebra's
+    rank, checked before the inverse and commuting checks."""
+    s1, s2 = reduction_gwa().sigmas
+    for rank, sigmas, message in (
+            (2, weyl_gwa(2).sigmas[::-1], "slot 1 has index 2 and rank 2"),
+            (2, (s2, s1), "slot 1 has index 2 and rank 2"),
+            (2, (s1, s1), "slot 2 has index 1 and rank 2"),
+            (2, weyl_gwa(1).sigmas + (s2,), "slot 1 has index 1 and rank 1"),
+            (2, (s1,) + weyl_gwa(1).sigmas, "slot 2 has index 1 and rank 1")):
+        with pytest.raises(ValueError, match=message):
+            GwaAlgebra(rank, sigmas)
+
+
 def test_shift_must_be_two_integers():
     for shift in ((-1.5, 0), (-1.0, 0), (1,), (0, 0, 0), (True, 0)):
         with pytest.raises(ValueError, match="pair of integers"):
             SkewAffineSigma(2, 1, shift, RF_ONE, (RF_ONE, RF_ZERO))
+
+
+def test_automorphisms_are_immutable_values():
+    """Equal data give equal automorphisms with the hash of their data;
+    the data are checked in order: index, row length, invertibility,
+    shift."""
+    s = SkewAffineSigma(2, 1, [-1, 0], HA, [RF_ONE, RF_ZERO])
+    assert s == SkewAffineSigma(2, 1, (-1, 0), HA, (RF_ONE, RF_ZERO))
+    assert s != SkewAffineSigma(2, 1, (-1, 0), HB, (RF_ONE, RF_ZERO))
+    assert s != SkewAffineSigma(2, 1, (0, 0), HA, (RF_ONE, RF_ZERO))
+    assert s != SkewAffineSigma(2, 1, (-1, 0), HA, (RF_ONE, RF_ONE))
+    assert s.shift == (-1, 0) and s.g == (RF_ONE, RF_ZERO)
+    assert hash(s) == hash((s.rank, s.index, s.shift, s.c, s.g))
+    a, b = reduction_gwa(), reduction_gwa()
+    assert a.sigmas == b.sigmas and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        s.c = HB
+    assert s.c == HA
+    for args, message in (
+            ((2, 3, (0, 0), HA, (RF_ONE, RF_ONE)), "index out of range"),
+            ((2, 1, (0, 0.5), HA, (RF_ONE,)), "affine row has wrong length"),
+            ((2, 2, (0, 0.5), HA, (RF_ONE, RF_ZERO)), "not invertible"),
+            ((2, 2, (0, 0.5), HA, (RF_ZERO, RF_ONE)), "pair of integers")):
+        with pytest.raises(ValueError, match=message):
+            SkewAffineSigma(*args)
 
 
 def test_defining_relations(alg):

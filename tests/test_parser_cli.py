@@ -142,6 +142,17 @@ def test_cli_nf_theta_project_sigma(capsys):
     assert code == 0 and "x_1" in out
 
 
+def test_cli_nf_trailing_space_and_ambient_json(capsys):
+    code, out, _ = run_cli(capsys, "nf", "x1 ")
+    assert code == 0 and out == "(1) x1\n"
+    code, out, _ = run_cli(capsys, "nf", "--mode", "ambient", "--format",
+                           "json", "Ea x1")
+    one = {"num": [[0, 0, "1", "0"]], "den": [[0, 0, "1", "0"]]}
+    assert code == 0 and json.loads(out) == [
+        {"f": [0, 0, 0, 0], "w": [0, 0, 0, 1], "e": [1, 0, 0, 0],
+         "coeff": one}]
+
+
 def test_cli_ambient_theta_and_limits_without_a_value(capsys):
     code, out, _ = run_cli(capsys, "theta", "--mode", "ambient", "Ea*x1*Fb")
     assert code == 0 and out == "(1) Fa d1 Eb\n"

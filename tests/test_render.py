@@ -139,6 +139,19 @@ def test_renderings_match_golden_fixture():
         assert got[key] == text, key
 
 
+def test_str_is_the_module_renderer():
+    samples = [(_weyl_sample()["mixed"], weyl_str),
+               (evaluate(AMBIENT[8], "ambient"), amb_str),
+               (evaluate(DRA[6], "dra"), dra_str),
+               (evaluate(SCALARS[-1], "scalar").num, poly_str)]
+    alg = reduction_gwa()
+    b = BasePoly(2, {(2, 1): evaluate("1+2*i", "scalar"),
+                     (0, 0): evaluate("3/(Hb-1)", "scalar")})
+    samples += [(b, base_str), (alg.y(1) * alg.base(b) * alg.x(2), gwa_str)]
+    for u, render in samples:
+        assert str(u) == render(u), render.__name__
+
+
 def test_latex_braces_exponents_of_two_or_more_digits():
     """LaTeX sets ``^12`` as ``^1`` followed by a plain 2, so an exponent
     of two or more digits is braced, in the scalars and in the letters;

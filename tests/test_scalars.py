@@ -121,6 +121,12 @@ def test_binop_examples():
     assert (d + 1) / d == (HB + 2) / (HB + 1)
 
 
+def test_negative_power_and_imaginary_reciprocal():
+    assert (HA + 1) ** -2 == RF_ONE / ((HA + 1) * (HA + 1))
+    half = 1 / GaussRat(0, 2)
+    assert half == GaussRat(0, Fraction(-1, 2)) and str(half) == "-1/2*i"
+
+
 def test_div_by_zero_message():
     with pytest.raises(ZeroDivisionError, match="zero divisor in scalar field"):
         RF_ONE / RF_ZERO
